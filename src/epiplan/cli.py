@@ -186,17 +186,11 @@ def cmd_verify_lemmas(args) -> int:
     names = sorted(suites.SUITES) if args.suite == "all" else [args.suite]
     reports = []
     for name in names:
+        runner, size_arg = suites.SUITES[name]
         kwargs = {"seed": args.seed}
         if args.cases is not None:
-            runner = suites.SUITES[name]
-            import inspect
-
-            params = inspect.signature(runner).parameters
-            for size_arg in ("pairs", "cases", "walks", "rounds", "instances", "formulas"):
-                if size_arg in params:
-                    kwargs[size_arg] = args.cases
-                    break
-        report = suites.SUITES[name](**kwargs)
+            kwargs[size_arg] = args.cases
+        report = runner(**kwargs)
         reports.append(report)
         status = "ok" if report.ok else "FAILED"
         sys.stderr.write(

@@ -17,9 +17,10 @@ Identifiers are nonempty runs of ``[A-Za-z0-9_#]``; ``#``, ``#1`` and
 """
 from __future__ import annotations
 
-import functools
+import operator
 import re
-from dataclasses import dataclass
+import threading
+import weakref
 from typing import TYPE_CHECKING, Any
 
 from .errors import FormulaSyntaxError, UnknownAgent
@@ -28,40 +29,122 @@ if TYPE_CHECKING:
     from .kripke import EpistemicState, KripkeModel
 
 
-class Formula:
-    """Base class of all formula nodes.  Instances are immutable."""
+# Hash-consing (Filliatre & Conchon, "Type-safe modular hash-consing", 2006):
+# every node is interned by its kind and fields, so structurally equal
+# formulas are one object and equality is identity.  That makes the
+# identity hash ``object`` gives a valid hash: O(1), computed in C without
+# a call back into Python, and never part of a pickle.  The modal depth is
+# computed once, from the children's stored depths, when a node is built.
+# The table holds its nodes weakly, so a formula nobody references is
+# freed.  Every change to the table is made under the lock, so threads
+# building the same node get one object.  The lock is re-entrant, so
+# ``_forget``, which runs wherever a node happens to die, cannot deadlock
+# even if that is inside a locked block of the same thread.
+class _Entry(weakref.ref):
+    """A table entry: a weak reference to a node that knows its key."""
 
-    __slots__ = ()
+    __slots__ = ("key",)
+
+
+_INTERN: dict[tuple, _Entry] = {}
+_INTERN_LOCK = threading.RLock()
+
+
+def _missing() -> None:
+    """The table's default: calling it, like calling a dead entry, gives None."""
+
+
+def _forget(entry: _Entry) -> None:
+    with _INTERN_LOCK:
+        if _INTERN.get(entry.key) is entry:
+            del _INTERN[entry.key]
+
+
+def _interned(key: tuple) -> Formula:
+    """The live node of class ``key[0]`` with fields ``key[1:]``; built on a miss."""
+    node = _INTERN.get(key, _missing)()
+    if node is not None:
+        return node
+    cls, fields = key[0], key[1:]
+    node = object.__new__(cls)
+    for slot, value in zip(cls.__slots__, fields):
+        object.__setattr__(node, slot, value)
+    subs = [f.depth for f in fields if isinstance(f, Formula)]
+    object.__setattr__(node, "depth", max(subs, default=0) + (cls is Know))
+    entry = _Entry(node, _forget)
+    entry.key = key
+    with _INTERN_LOCK:
+        won = _INTERN.get(key, _missing)()
+        if won is not None:
+            return won
+        _INTERN[key] = entry
+    return node
+
+
+class Formula:
+    """Base class of all formula nodes.
+
+    Nodes are immutable and hash-consed: building a node equal to a live
+    one returns that node, so ``==`` is ``is`` and ``hash`` is O(1), and
+    ``depth`` is the stored modal depth.  Pickling and copying rebuild
+    through the constructor, so they return the interned node.
+    """
+
+    __slots__ = ("depth", "__weakref__")
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(getattr(self, slot) for slot in type(self).__slots__)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{to_text(self)}>"
 
 
-@dataclass(frozen=True, repr=False)
 class FalseF(Formula):
     __slots__ = ()
 
+    def __new__(cls) -> FalseF:
+        return _interned((cls,))
 
-@dataclass(frozen=True, repr=False)
+
 class Prop(Formula):
+    __slots__ = ("name",)
     name: str
 
+    def __new__(cls, name: str) -> Prop:
+        return _interned((cls, name))
 
-@dataclass(frozen=True, repr=False)
+
 class Not(Formula):
+    __slots__ = ("sub",)
     sub: Formula
 
+    def __new__(cls, sub: Formula) -> Not:
+        return _interned((cls, sub))
 
-@dataclass(frozen=True, repr=False)
+
 class And(Formula):
+    __slots__ = ("left", "right")
     left: Formula
     right: Formula
 
+    def __new__(cls, left: Formula, right: Formula) -> And:
+        return _interned((cls, left, right))
 
-@dataclass(frozen=True, repr=False)
+
 class Know(Formula):
+    __slots__ = ("agent", "sub")
     agent: int
     sub: Formula
+
+    def __new__(cls, agent: int, sub: Formula) -> Know:
+        # True == 1, so a bool agent would intern as the node for agent 1.
+        return _interned((cls, operator.index(agent), sub))
 
 
 _PROP_NAME = re.compile(r"[A-Za-z0-9_#]+\Z")
@@ -131,18 +214,9 @@ def disj(*fs: Formula) -> Formula:
     return out
 
 
-@functools.lru_cache(maxsize=None)
 def modal_depth(f: Formula) -> int:
-    """Maximum nesting of knowledge operators in ``f``."""
-    if isinstance(f, (FalseF, Prop)):
-        return 0
-    if isinstance(f, Not):
-        return modal_depth(f.sub)
-    if isinstance(f, And):
-        return max(modal_depth(f.left), modal_depth(f.right))
-    if isinstance(f, Know):
-        return 1 + modal_depth(f.sub)
-    raise TypeError(f"not a formula: {f!r}")
+    """Maximum nesting of knowledge operators in ``f`` (stored on the node)."""
+    return f.depth
 
 
 def propositions(f: Formula) -> frozenset[str]:

@@ -473,7 +473,7 @@ def sample_theorem_instances(rng: random.Random, count: int,
 
     Positive instances are redrawn until their witness plan fits the depth
     the bounded search can exhaust comfortably; that keeps the agreement
-    check两-sided and the runtime bounded.
+    check two-sided and the runtime bounded.
     """
     out: list[tuple[PcpInstance, tuple | None]] = []
     want_pos = count // 2
@@ -592,14 +592,15 @@ def run_sat_agreement(seed: int = DEFAULT_SEED, formulas: int = 200) -> SuiteRep
     return _timed(lambda r, g: _sat_agreement(r, g, formulas), "sat_agreement", seed)
 
 
-SUITES: dict[str, Callable[..., SuiteReport]] = {
-    "k1": run_k1_lemmas,
-    "multi": run_multi_lemmas,
-    "ktb": run_ktb_lemmas,
-    "s4": run_s4_lemmas,
-    "failure": run_failure_absorption,
-    "plan-shape": run_plan_shape,
-    "engine": run_engine_properties,
-    "theorem": run_theorem_k1,
-    "sat": run_sat_agreement,
+# Each suite's runner and the keyword argument that sets its size.
+SUITES: dict[str, tuple[Callable[..., SuiteReport], str]] = {
+    "k1": (run_k1_lemmas, "pairs"),
+    "multi": (run_multi_lemmas, "pairs"),
+    "ktb": (run_ktb_lemmas, "pairs"),
+    "s4": (run_s4_lemmas, "pairs"),
+    "failure": (run_failure_absorption, "cases"),
+    "plan-shape": (run_plan_shape, "walks"),
+    "engine": (run_engine_properties, "rounds"),
+    "theorem": (run_theorem_k1, "instances"),
+    "sat": (run_sat_agreement, "formulas"),
 }

@@ -115,6 +115,27 @@ def test_verify_lemmas_seeded(capsys):
     assert doc[0]["suite"] == "k1_lemmas" and doc[0]["ok"]
 
 
+def test_verify_lemmas_cases_sets_each_suites_size(capsys, monkeypatch):
+    import inspect
+
+    from epiplan import suites
+
+    for runner, size_arg in suites.SUITES.values():
+        assert size_arg in inspect.signature(runner).parameters
+    runner, size_arg = suites.SUITES["k1"]
+    calls = []
+
+    def spy(**kwargs):
+        calls.append(kwargs)
+        return runner(**kwargs)
+
+    monkeypatch.setitem(suites.SUITES, "k1", (spy, size_arg))
+    code, doc = run(capsys, "verify-lemmas", "--suite", "k1", "--cases", "2")
+    assert code == 0 and doc[0]["ok"]
+    assert calls == [{"seed": suites.DEFAULT_SEED, "pairs": 2}]
+    assert doc[0]["cases"] == runner(pairs=2).cases
+
+
 def test_input_error_exit_code(capsys, tmp_path):
     code = main(["check", "--state", str(tmp_path / "missing.json"), "--formula", "p"])
     capsys.readouterr()

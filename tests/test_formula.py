@@ -1,6 +1,21 @@
-import pytest
+import copy
+import gc
+import json
+import os
+import pickle
+import subprocess
+import sys
+import threading
+import weakref
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import epiplan
 from epiplan import errors
+from epiplan import formula as formula_module
 from epiplan.formula import (
     And,
     FalseF,
@@ -8,9 +23,11 @@ from epiplan.formula import (
     Not,
     Prop,
     and_,
+    conj,
     diamond,
     evaluate,
     evaluate_at,
+    false_,
     formula_from_json,
     formula_to_json,
     implies,
@@ -25,6 +42,7 @@ from epiplan.formula import (
 )
 from epiplan.kripke import EpistemicState, make_model
 from epiplan.reduction import k1
+from epiplan.suites import random_formula
 
 
 def test_desugaring():
@@ -127,3 +145,128 @@ def test_unknown_agent():
 def test_json_round_trip():
     f = parse("K{1} (a -> !b) & <K{0}> #1")
     assert formula_from_json(formula_to_json(f)) == f
+
+
+# --- hash-consing ----------------------------------------------------------
+
+formulas = st.one_of(
+    st.builds(random_formula, st.randoms(use_true_random=False),
+              st.integers(0, 5), st.integers(0, 3)),
+    st.sampled_from([false_(), true_(), diamond(2, false_())]),
+)
+
+
+def _rebuild(f, false, atom, neg, conjunction, box):
+    """``f`` built again from its leaves, with fresh copies of the names."""
+    if isinstance(f, FalseF):
+        return false()
+    if isinstance(f, Prop):
+        return atom("".join(f.name))
+    if isinstance(f, Not):
+        return neg(_rebuild(f.sub, false, atom, neg, conjunction, box))
+    if isinstance(f, And):
+        return conjunction(_rebuild(f.left, false, atom, neg, conjunction, box),
+                           _rebuild(f.right, false, atom, neg, conjunction, box))
+    return box(f.agent, _rebuild(f.sub, false, atom, neg, conjunction, box))
+
+
+def _reference_depth(f) -> int:
+    if isinstance(f, Know):
+        return 1 + _reference_depth(f.sub)
+    if isinstance(f, Not):
+        return _reference_depth(f.sub)
+    if isinstance(f, And):
+        return max(_reference_depth(f.left), _reference_depth(f.right))
+    return 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(formulas)
+def test_every_route_returns_the_interned_node(f):
+    assert _rebuild(f, FalseF, Prop, Not, And, Know) is f
+    assert _rebuild(f, false_, prop, not_, and_, know) is f
+    assert parse(to_text(f)) is f
+    assert formula_from_json(json.loads(json.dumps(formula_to_json(f)))) is f
+    assert pickle.loads(pickle.dumps(f)) is f
+    assert copy.copy(f) is f
+    assert copy.deepcopy(f) is f
+
+
+@settings(max_examples=200, deadline=None)
+@given(formulas)
+def test_stored_depth_matches_reference(f):
+    assert modal_depth(f) == f.depth == _reference_depth(f)
+
+
+def test_nodes_reject_attribute_changes():
+    p = prop("p")
+    nodes = [false_(), p, not_(p), and_(p, p), know(1, p)]
+    for node in nodes:
+        names = [*type(node).__slots__, "depth", "extra"]
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(node, name, p)
+            with pytest.raises(AttributeError):
+                delattr(node, name)
+    assert nodes[4].agent == 1 and nodes[4].sub is p and nodes[4].depth == 1
+
+
+def test_bool_agent_interns_as_an_int():
+    f = Know(True, prop("p"))
+    assert f is know(1, prop("p"))
+    assert type(f.agent) is int and parse(to_text(f)) is f
+
+
+def test_unreferenced_nodes_leave_the_intern_table():
+    f = know(1, and_(prop("gc_probe_a"), not_(prop("gc_probe_b"))))
+    probe = weakref.ref(f)
+    del f
+    gc.collect()
+    assert probe() is None
+    assert (Prop, "gc_probe_a") not in formula_module._INTERN
+    assert (Prop, "gc_probe_b") not in formula_module._INTERN
+    g = know(1, and_(prop("gc_probe_a"), not_(prop("gc_probe_b"))))
+    assert modal_depth(g) == 1 and parse(to_text(g)) is g
+
+
+def test_pickle_from_a_process_with_another_hash_seed():
+    text = "K{1} (a -> !b) & <K{0}> #1 | c"
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    env = {**os.environ, "PYTHONHASHSEED": seed,
+           "PYTHONPATH": str(Path(epiplan.__file__).parents[1])}
+    code = ("import pickle, sys; from epiplan.formula import parse; "
+            f"sys.stdout.buffer.write(pickle.dumps((hash('a'), parse({text!r}))))")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, check=True, timeout=120).stdout
+    their_hash, f = pickle.loads(out)
+    assert their_hash != hash("a")  # string hashes really differ between the processes
+    g = parse(text)
+    assert f is g
+    assert {f: "found"}[g] == "found"
+    assert {g: "found"}[f] == "found"
+
+
+def test_threads_racing_to_build_a_formula_get_one_object():
+    threads, results = 4, []
+    barrier = threading.Barrier(threads, timeout=60)
+
+    def build():
+        barrier.wait()
+        results.append(conj(*(
+            know(j % 2, or_(prop(f"race_{j}"), not_(prop(f"race_{j + 1}"))))
+            for j in range(300)
+        )))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=build) for _ in range(threads)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert len(results) == threads
+    assert all(r is results[0] for r in results)
