@@ -19,6 +19,10 @@ from .errors import (
     DepthExceeded,
     NotApplicable,
     UnknownActionName,
+    field_of,
+    shaped,
+    string_pairs,
+    strings,
 )
 from .formula import (
     And,
@@ -33,7 +37,7 @@ from .formula import (
     formula_to_json,
     modal_depth,
 )
-from .kripke import EpistemicState, KripkeModel, Pair
+from .kripke import EpistemicState, KripkeModel, Pair, _successor_rows
 
 __all__ = [
     "EventModel",
@@ -53,9 +57,10 @@ __all__ = [
 class EventModel:
     """A pointed event frame with per-event preconditions.
 
-    ``preconditions[i]`` belongs to ``events[i]``.  ``depth_bound`` caps
-    the modal depth of every precondition (``None`` means unbounded); the
-    planner requires bound 1.
+    ``preconditions[i]`` belongs to ``events[i]``, and ``rows[a][i]`` holds
+    the indices of agent ``a``'s successors of ``events[i]``, as in a
+    Kripke model.  ``depth_bound`` caps the modal depth of every
+    precondition (``None`` means unbounded); the planner requires bound 1.
     """
 
     events: tuple[str, ...]
@@ -67,25 +72,14 @@ class EventModel:
 
     def __post_init__(self):
         index = {e: i for i, e in enumerate(self.events)}
-        succ = []
-        for rel in self.relations:
-            table: dict[str, list[str]] = {e: [] for e in self.events}
-            for u, v in rel:
-                table[u].append(v)
-            for lst in table.values():
-                lst.sort(key=index.__getitem__)
-            succ.append({e: tuple(vs) for e, vs in table.items()})
         object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_succ", tuple(succ))
+        object.__setattr__(self, "rows", _successor_rows(index, self.relations))
 
     def __contains__(self, event: str) -> bool:
         return event in self._index
 
     def pre(self, event: str) -> Formula:
         return self.preconditions[self._index[event]]
-
-    def successors(self, agent: int, event: str) -> tuple[str, ...]:
-        return self._succ[agent][event]
 
 
 def make_action(
@@ -130,13 +124,18 @@ def make_action(
     return EventModel(event_list, agent_count, rels, tuple(pres), designated, depth_bound)
 
 
-def applicable(state: EpistemicState, action: EventModel) -> bool:
-    """Whether the action's designated precondition holds at the state."""
+def _same_agents(state: EpistemicState, action: EventModel) -> KripkeModel:
     if state.model.agents != action.agents:
         raise AgentMismatch(
             f"state has {state.model.agents} agent(s), action has {action.agents}"
         )
-    return _eval(state.model, state.designated, action.pre(action.designated))
+    return state.model
+
+
+def applicable(state: EpistemicState, action: EventModel) -> bool:
+    """Whether the action's designated precondition holds at the state."""
+    model = _same_agents(state, action)
+    return _eval(model, model.index_of(state.designated), action.pre(action.designated))
 
 
 def product_update(state: EpistemicState, action: EventModel) -> EpistemicState:
@@ -147,45 +146,32 @@ def product_update(state: EpistemicState, action: EventModel) -> EpistemicState:
     an agent when both components do; valuations are inherited from the
     world component.
     """
-    model = state.model
-    if state.model.agents != action.agents:
-        raise AgentMismatch(
-            f"state has {state.model.agents} agent(s), action has {action.agents}"
-        )
+    model = _same_agents(state, action)
     cache: dict = {}
-    holds = {e: extension_mask(model, action.pre(e), cache) for e in action.events}
-    if not holds[action.designated] >> model.index_of(state.designated) & 1:
+    holds = [extension_mask(model, pre, cache) for pre in action.preconditions]
+    events, m = action.events, len(action.events)
+    u0, e0 = model.index_of(state.designated), action._index[action.designated]
+    if not holds[e0] >> u0 & 1:
         raise NotApplicable(f"designated precondition fails at {state.designated!r}")
-    sat: dict[str, list[str]] = {}
+    # slot[i * m + e] is the product index of (worlds[i], events[e]), or -1
+    slot = [-1] * (len(model.worlds) * m)
+    pairs, worlds, vals = [], [], []
     for i, u in enumerate(model.worlds):
-        row = [e for e in action.events if holds[e] >> i & 1]
-        if row:
-            sat[u] = row
-    worlds = []
-    vals = []
-    name = {}
-    for u, events in sat.items():
-        for e in events:
-            label = f"({u},{e})"
-            name[(u, e)] = label
-            worlds.append(label)
-            vals.append(model.valuation_of(u))
-    sat_sets = {u: set(events) for u, events in sat.items()}
-    rels = []
-    for a in range(model.agents):
-        pairs = set()
-        for u, events in sat.items():
-            succ_rows = [
-                (v, sat_sets[v]) for v in model.successors(a, u) if v in sat_sets
-            ]
-            for e in events:
-                for f in action.successors(a, e):
-                    for v, targets in succ_rows:
-                        if f in targets:
-                            pairs.add((name[(u, e)], name[(v, f)]))
-        rels.append(frozenset(pairs))
-    new_model = KripkeModel(tuple(worlds), model.agents, tuple(rels), tuple(vals))
-    return EpistemicState(new_model, name[(state.designated, action.designated)])
+        for e in range(m):
+            if holds[e] >> i & 1:
+                slot[i * m + e] = len(pairs)
+                pairs.append((i, e))
+                worlds.append(f"({u},{events[e]})")
+                vals.append(model.valuations[i])
+    rows = tuple(
+        tuple(
+            tuple(k for j in world_row[i] for f in event_row[e] if (k := slot[j * m + f]) >= 0)
+            for i, e in pairs
+        )
+        for world_row, event_row in zip(model.rows, action.rows)
+    )
+    new_model = KripkeModel.from_rows(worlds, model.agents, rows, vals)
+    return EpistemicState(new_model, worlds[slot[u0 * m + e0]])
 
 
 @dataclass(frozen=True)
@@ -300,11 +286,15 @@ def action_to_json(action: EventModel) -> dict[str, Any]:
 
 
 def action_from_json(doc: Mapping[str, Any]) -> EventModel:
+    pre = field_of(doc, "pre", dict, "action")
+    depth_bound = doc.get("depth_bound")
+    if depth_bound is not None:
+        shaped(depth_bound, int, "action 'depth_bound'")
     return make_action(
-        doc["events"],
-        int(doc["agents"]),
-        [[(u, v) for u, v in rel] for rel in doc["relations"]],
-        {e: formula_from_json(f) for e, f in doc["pre"].items()},
-        doc["designated"],
-        doc.get("depth_bound"),
+        strings(field_of(doc, "events", list, "action"), "action events"),
+        field_of(doc, "agents", int, "action"),
+        [string_pairs(r, "action relation") for r in field_of(doc, "relations", list, "action")],
+        {e: formula_from_json(f) for e, f in pre.items()},
+        field_of(doc, "designated", str, "action"),
+        depth_bound,
     )

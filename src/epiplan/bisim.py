@@ -3,9 +3,11 @@
 The refinement here is the naive iterated-splitting algorithm: start from
 valuation classes and split by the per-agent sets of successor blocks
 until nothing changes.  That is quadratic-ish but easy to audit, and the
-states this engine handles are small.  Internally everything runs on
-integer world indices, with successor-block sets packed into bitmask
-integers.
+states this engine handles are small.  Everything runs on the models'
+integer successor rows (``KripkeModel.rows``), restricted to the
+generated part by ``kripke.reachable_rows``; successor-block sets are
+packed into bitmask integers, and one function turns the refinement into
+the quotient state that ``quotient`` and ``minimize_with_key`` return.
 
 Block numbering is canonical: each round renumbers blocks by sorting the
 signatures themselves (not by first occurrence), so the final numbering
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import AgentMismatch
-from .kripke import EpistemicState, KripkeModel, generated_submodel
+from .kripke import EpistemicState, KripkeModel, reachable_rows
 
 __all__ = [
     "Partition",
@@ -49,20 +51,11 @@ class Partition:
         return out
 
 
-def _indexed(model: KripkeModel):
-    """Integer adjacency: per agent, per world index, successor indices."""
-    index = {w: i for i, w in enumerate(model.worlds)}
-    return [
-        [tuple(index[v] for v in model.successors(a, w)) for w in model.worlds]
-        for a in range(model.agents)
-    ]
-
-
 def _canonical_refine(valuations, succ) -> tuple[list[int], int]:
     """Refine to the coarsest autobisimulation with canonical block ids.
 
     ``valuations`` are per-index proposition sets, ``succ`` per-agent
-    integer adjacency rows.  Returns (block id per index, block count);
+    integer successor rows.  Returns (block id per index, block count);
     ids are ordered by signature value, so they are independent of world
     naming and ordering.
     """
@@ -90,44 +83,48 @@ def _canonical_refine(valuations, succ) -> tuple[list[int], int]:
 
 def coarsest_bisimulation(model: KripkeModel) -> Partition:
     """Partition refinement from valuation classes to the fixpoint."""
-    block, count = _canonical_refine(model.valuations, _indexed(model))
+    block, count = _canonical_refine(model.valuations, model.rows)
     return Partition({w: block[i] for i, w in enumerate(model.worlds)}, count)
 
 
-def _reachable_part(state: EpistemicState):
-    """Names, valuations, adjacency and start index of the generated part."""
+def _generated(state: EpistemicState):
+    """Valuations, rows and start index of the part generated by the designated world."""
     model = state.model
-    n = len(model.worlds)
-    succ = _indexed(model)
     start = model.index_of(state.designated)
-    reach = [False] * n
-    reach[start] = True
-    stack = [start]
-    while stack:
-        i = stack.pop()
-        for row in succ:
-            for j in row[i]:
-                if not reach[j]:
-                    reach[j] = True
-                    stack.append(j)
-    if all(reach):
-        return list(model.worlds), list(model.valuations), succ, start
-    kept = [i for i in range(n) if reach[i]]
-    remap = {i: k for k, i in enumerate(kept)}
-    names = [model.worlds[i] for i in kept]
-    vals = [model.valuations[i] for i in kept]
-    small = [[tuple(remap[j] for j in row[i]) for i in kept] for row in succ]
-    return names, vals, small, remap[start]
+    kept, rows = reachable_rows(model, start)
+    if len(kept) == len(model.worlds):
+        return kept, model.valuations, rows, start
+    return kept, [model.valuations[i] for i in kept], rows, kept.index(start)
 
 
 def _minimize(state: EpistemicState):
-    names, vals, succ, start = _reachable_part(state)
-    block, count = _canonical_refine(vals, succ)
+    """The generated part, its canonical blocks, and each block's first world."""
+    kept, vals, rows, start = _generated(state)
+    block, count = _canonical_refine(vals, rows)
     rep = [-1] * count
-    for i in range(len(names)):
+    for i in range(len(vals)):
         if rep[block[i]] < 0:
             rep[block[i]] = i
-    return names, vals, succ, start, block, count, rep
+    return kept, vals, rows, start, block, count, rep
+
+
+def _quotient_state(state: EpistemicState, minimized) -> EpistemicState:
+    """The quotient named by each block's first world, blocks in first-world order."""
+    kept, vals, rows, start, block, count, rep = minimized
+    model = state.model
+    if count == len(kept) == len(model.worlds):
+        return state
+    order = sorted(range(count), key=rep.__getitem__)
+    pos = {b: k for k, b in enumerate(order)}
+    reps = [rep[b] for b in order]
+    quotient_rows = tuple(
+        tuple(tuple(sorted({pos[block[j]] for j in row[i]})) for i in reps) for row in rows
+    )
+    names = [model.worlds[kept[i]] for i in reps]
+    return EpistemicState(
+        KripkeModel.from_rows(names, model.agents, quotient_rows, [vals[i] for i in reps]),
+        names[pos[block[start]]],
+    )
 
 
 def quotient(state: EpistemicState) -> EpistemicState:
@@ -136,28 +133,7 @@ def quotient(state: EpistemicState) -> EpistemicState:
     The result is bisimilar to the input, idempotent, and uses the first
     world (in world order) of each block as the block's name.
     """
-    names, vals, succ, start, block, count, rep = _minimize(state)
-    if count == len(names) and len(names) == len(state.model.worlds):
-        return state
-    order = []
-    seen = [False] * count
-    for i in range(len(names)):
-        b = block[i]
-        if not seen[b]:
-            seen[b] = True
-            order.append(b)
-    worlds = tuple(names[rep[b]] for b in order)
-    rels = tuple(
-        frozenset(
-            (names[rep[block[i]]], names[rep[block[j]]]) for i in rep for j in row[i]
-        )
-        for row in succ
-    )
-    valuation = tuple(vals[rep[b]] for b in order)
-    return EpistemicState(
-        KripkeModel(worlds, state.model.agents, rels, valuation),
-        names[rep[block[start]]],
-    )
+    return _quotient_state(state, _minimize(state))
 
 
 def minimize_with_key(state: EpistemicState) -> tuple[EpistemicState, bytes]:
@@ -167,7 +143,8 @@ def minimize_with_key(state: EpistemicState) -> tuple[EpistemicState, bytes]:
     canonical order its sorted valuation (length-prefixed UTF-8) and, per
     agent, its sorted successor-block ids as fixed-width big-endian ints.
     """
-    names, vals, succ, start, block, count, rep = _minimize(state)
+    minimized = _minimize(state)
+    _, vals, rows, start, block, count, rep = minimized
     pack = struct.pack
     out = bytearray(pack(">III", state.model.agents, count, block[start]))
     for b in range(count):
@@ -178,32 +155,10 @@ def minimize_with_key(state: EpistemicState) -> tuple[EpistemicState, bytes]:
             raw = p.encode("utf-8")
             out += pack(">I", len(raw))
             out += raw
-        for row in succ:
+        for row in rows:
             ranks = sorted({block[j] for j in row[i]})
             out += pack(f">I{len(ranks)}I", len(ranks), *ranks)
-    key = bytes(out)
-    if count == len(names) and len(names) == len(state.model.worlds):
-        return state, key
-    order = []
-    seen = [False] * count
-    for i in range(len(names)):
-        b = block[i]
-        if not seen[b]:
-            seen[b] = True
-            order.append(b)
-    worlds = tuple(names[rep[b]] for b in order)
-    rels = tuple(
-        frozenset(
-            (names[rep[block[i]]], names[rep[block[j]]]) for i in rep for j in row[i]
-        )
-        for row in succ
-    )
-    valuation = tuple(vals[rep[b]] for b in order)
-    q = EpistemicState(
-        KripkeModel(worlds, state.model.agents, rels, valuation),
-        names[rep[block[start]]],
-    )
-    return q, key
+    return _quotient_state(state, minimized), bytes(out)
 
 
 def canonical_key(state: EpistemicState) -> bytes:
@@ -215,27 +170,22 @@ def canonical_key_hex(state: EpistemicState) -> str:
     return canonical_key(state).hex()
 
 
-def _disjoint_union(m1: KripkeModel, m2: KripkeModel) -> KripkeModel:
-    worlds = tuple(f"0:{w}" for w in m1.worlds) + tuple(f"1:{w}" for w in m2.worlds)
-    rels = tuple(
-        frozenset((f"0:{u}", f"0:{v}") for (u, v) in r1)
-        | frozenset((f"1:{u}", f"1:{v}") for (u, v) in r2)
-        for r1, r2 in zip(m1.relations, m2.relations)
-    )
-    vals = m1.valuations + m2.valuations
-    return KripkeModel(worlds, m1.agents, rels, vals)
-
-
 def bisimilar(s1: EpistemicState, s2: EpistemicState) -> bool:
-    """Whether the two pointed states are bisimilar."""
+    """Whether the two pointed states are bisimilar.
+
+    Refines the disjoint union of the two generated parts jointly: the
+    second part's indices follow the first's.
+    """
     if s1.model.agents != s2.model.agents:
         raise AgentMismatch(
             f"agent counts differ: {s1.model.agents} vs {s2.model.agents}"
         )
-    g1, g2 = generated_submodel(s1), generated_submodel(s2)
-    union = _disjoint_union(g1.model, g2.model)
-    block, _ = _canonical_refine(union.valuations, _indexed(union))
-    return (
-        block[union.index_of(f"0:{g1.designated}")]
-        == block[union.index_of(f"1:{g2.designated}")]
-    )
+    kept1, vals1, rows1, start1 = _generated(s1)
+    _, vals2, rows2, start2 = _generated(s2)
+    off = len(kept1)
+    rows = [
+        row1 + tuple(tuple(j + off for j in succ) for succ in row2)
+        for row1, row2 in zip(rows1, rows2)
+    ]
+    block, _ = _canonical_refine(list(vals1) + list(vals2), rows)
+    return block[start1] == block[off + start2]

@@ -65,12 +65,7 @@ def _budget(args) -> SearchBudget:
     nodes = args.max_nodes
     if nodes is None:
         nodes = int(os.environ.get(ENV_MAX_NODES, 100000))
-    return SearchBudget(
-        max_depth=depth,
-        max_nodes=nodes,
-        minimize_each_step=not args.no_minimize,
-        paranoid_bisim_check=args.paranoid,
-    )
+    return SearchBudget(max_depth=depth, max_nodes=nodes, paranoid_bisim_check=args.paranoid)
 
 
 def cmd_check(args) -> int:
@@ -137,15 +132,11 @@ def cmd_reduce(args) -> int:
     return 0
 
 
-def _outcome_doc(outcome) -> dict:
-    return outcome.to_json()
-
-
 def cmd_plan(args) -> int:
     problem = problem_from_json(_load(args.problem))
     outcome = bfs_plan(problem, _budget(args))
     _trace(args, f"search stats: {outcome.stats}")
-    _emit(_outcome_doc(outcome))
+    _emit(outcome.to_json())
     return outcome.exit_code
 
 
@@ -162,7 +153,7 @@ def cmd_solve_pcp(args) -> int:
     variant = Variant(args.variant)
     problem = reduce_instance(inst, variant)
     outcome = bfs_plan(problem, _budget(args))
-    doc = _outcome_doc(outcome)
+    doc = outcome.to_json()
     if isinstance(outcome, PlanFound):
         match = plan_match_prefix(outcome.plan, variant)
         doc["match"] = list(match)
@@ -176,7 +167,7 @@ def cmd_sat2ep(args) -> int:
     problem = sat_to_ep(phi)
     if args.solve:
         outcome = s5_single_agent_plan(problem)
-        _emit(_outcome_doc(outcome))
+        _emit(outcome.to_json())
         return outcome.exit_code
     _emit(problem_to_json(problem))
     return 0
@@ -246,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_budget(p):
         p.add_argument("--max-depth", type=int, default=None)
         p.add_argument("--max-nodes", type=int, default=None)
-        p.add_argument("--no-minimize", action="store_true")
         p.add_argument("--paranoid", action="store_true")
 
     p = sub.add_parser("plan", help="bounded breadth-first plan search")

@@ -23,7 +23,7 @@ import threading
 import weakref
 from typing import TYPE_CHECKING, Any
 
-from .errors import FormulaSyntaxError, UnknownAgent
+from .errors import FormulaSyntaxError, UnknownAgent, UnknownWorld, field_of
 
 if TYPE_CHECKING:
     from .kripke import EpistemicState, KripkeModel
@@ -237,83 +237,75 @@ def propositions(f: Formula) -> frozenset[str]:
     return frozenset(out)
 
 
-def _eval(model: KripkeModel, world: str, f: Formula) -> bool:
+def _eval(model: KripkeModel, i: int, f: Formula) -> bool:
+    """Truth of ``f`` at the world with index ``i``."""
     if isinstance(f, FalseF):
         return False
     if isinstance(f, Prop):
-        return f.name in model.valuation_of(world)
+        return f.name in model.valuations[i]
     if isinstance(f, Not):
-        return not _eval(model, world, f.sub)
+        return not _eval(model, i, f.sub)
     if isinstance(f, And):
-        return _eval(model, world, f.left) and _eval(model, world, f.right)
+        return _eval(model, i, f.left) and _eval(model, i, f.right)
     if isinstance(f, Know):
         if not 0 <= f.agent < model.agents:
             raise UnknownAgent(
                 f"agent {f.agent} out of range for model with {model.agents} agent(s)"
             )
-        return all(_eval(model, v, f.sub) for v in model.successors(f.agent, world))
+        return all(_eval(model, j, f.sub) for j in model.rows[f.agent][i])
     raise TypeError(f"not a formula: {f!r}")
 
 
 def evaluate(state: EpistemicState, f: Formula) -> bool:
     """Truth of ``f`` at the designated world of ``state``."""
-    return _eval(state.model, state.designated, f)
+    return _eval(state.model, state.model.index_of(state.designated), f)
 
 
 def evaluate_at(state: EpistemicState, world: str, f: Formula) -> bool:
     """Truth of ``f`` at an arbitrary world of ``state``'s model."""
-    from .errors import UnknownWorld
-
     if world not in state.model:
         raise UnknownWorld(f"world {world!r} not in model")
-    return _eval(state.model, world, f)
+    return _eval(state.model, state.model.index_of(world), f)
 
 
 def extension_mask(model: KripkeModel, f: Formula, cache: dict | None = None) -> int:
     """Satisfying worlds of ``f`` as a bitmask over world indices.
 
-    Computed bottom-up with a per-call memo on subformulas, so batch
+    Computed bottom-up with a memo on subformulas (``cache``, which the
+    caller may share between calls on the same model), so batch
     evaluation (every event precondition at every world, as in the
     product update) touches each distinct subformula once.
     """
     if cache is None:
         cache = {}
-    hit = cache.get(f)
-    if hit is not None:
-        return hit
     prop_masks, succ_masks = model.masks()
     full = (1 << len(model.worlds)) - 1
-    if isinstance(f, FalseF):
-        out = 0
-    elif isinstance(f, Prop):
-        out = prop_masks.get(f.name, 0)
-    elif isinstance(f, Not):
-        out = full & ~extension_mask(model, f.sub, cache)
-    elif isinstance(f, And):
-        out = extension_mask(model, f.left, cache) & extension_mask(model, f.right, cache)
-    elif isinstance(f, Know):
-        if not 0 <= f.agent < model.agents:
-            raise UnknownAgent(
-                f"agent {f.agent} out of range for model with {model.agents} agent(s)"
-            )
-        sub = extension_mask(model, f.sub, cache)
-        row = succ_masks[f.agent]
-        out = 0
-        bit = 1
-        for i in range(len(model.worlds)):
-            if row[i] & ~sub == 0:
-                out |= bit
-            bit <<= 1
-    else:
-        raise TypeError(f"not a formula: {f!r}")
-    cache[f] = out
-    return out
 
+    def ext(g: Formula) -> int:
+        hit = cache.get(g)
+        if hit is not None:
+            return hit
+        if isinstance(g, FalseF):
+            out = 0
+        elif isinstance(g, Prop):
+            out = prop_masks.get(g.name, 0)
+        elif isinstance(g, Not):
+            out = full & ~ext(g.sub)
+        elif isinstance(g, And):
+            out = ext(g.left) & ext(g.right)
+        elif isinstance(g, Know):
+            if not 0 <= g.agent < model.agents:
+                raise UnknownAgent(
+                    f"agent {g.agent} out of range for model with {model.agents} agent(s)"
+                )
+            outside = ~ext(g.sub)
+            out = sum(1 << i for i, succ in enumerate(succ_masks[g.agent]) if not succ & outside)
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+        cache[g] = out
+        return out
 
-def extension(model: KripkeModel, f: Formula, cache: dict | None = None) -> frozenset[str]:
-    """The set of worlds of ``model`` satisfying ``f``."""
-    mask = extension_mask(model, f, cache)
-    return frozenset(w for i, w in enumerate(model.worlds) if mask >> i & 1)
+    return ext(f)
 
 
 # --- text syntax ---------------------------------------------------------
@@ -487,15 +479,19 @@ def formula_to_json(f: Formula) -> dict[str, Any]:
 
 
 def formula_from_json(doc: dict[str, Any]) -> Formula:
-    op = doc.get("op")
+    op = field_of(doc, "op", str, "formula")
+
+    def sub(key: str) -> Formula:
+        return formula_from_json(field_of(doc, key, dict, f"{op!r} formula"))
+
     if op == "false":
         return _FALSE
     if op == "prop":
-        return prop(doc["name"])
+        return prop(field_of(doc, "name", str, "'prop' formula"))
     if op == "not":
-        return Not(formula_from_json(doc["arg"]))
+        return Not(sub("arg"))
     if op == "and":
-        return And(formula_from_json(doc["left"]), formula_from_json(doc["right"]))
+        return And(sub("left"), sub("right"))
     if op == "know":
-        return know(int(doc["agent"]), formula_from_json(doc["arg"]))
+        return know(field_of(doc, "agent", int, "'know' formula"), sub("arg"))
     raise ValueError(f"unknown formula op {op!r}")

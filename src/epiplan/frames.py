@@ -5,6 +5,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Iterable
 
+from .errors import strings
 from .kripke import KripkeModel, Pair
 
 
@@ -53,7 +54,7 @@ def profile_to_json(p: LogicProfile) -> Any:
 def profile_from_json(doc: Any) -> LogicProfile:
     if isinstance(doc, str):
         return profile(doc)
-    return custom_profile(FrameCondition(c) for c in doc)
+    return custom_profile(FrameCondition(c) for c in strings(doc, "logic profile"))
 
 
 def close_relation(

@@ -4,47 +4,75 @@ Models are immutable after construction; every transformation returns a
 fresh value, so states can be shared freely (e.g. between search
 branches).  World iteration order is the construction order, which keeps
 all downstream operations deterministic.
+
+Worlds are named at the boundary (JSON, CLI, ``relations``); the engine
+layers read one integer table, ``rows[a][i]``: the indices of agent
+``a``'s successors of ``worlds[i]``, ascending.  ``_successor_rows``
+builds it (for event models too), ``reachable_rows`` is the one
+reachability walk over it, and ``masks()`` derives bitmask rows from it.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, Sequence
 
 from .errors import DanglingWorldRef, DuplicateWorld, UnknownWorld
+from .errors import field_of, shaped, string_pairs, strings
 
 Pair = tuple[str, str]
+Rows = tuple[tuple[tuple[int, ...], ...], ...]
+
+
+def _successor_rows(index: Mapping[str, int], relations: Iterable[Iterable[Pair]]) -> Rows:
+    """Per relation, per element index, the successor indices in ascending order."""
+    rows = []
+    for rel in relations:
+        table: list[list[int]] = [[] for _ in index]
+        for u, v in rel:
+            table[index[u]].append(index[v])
+        rows.append(tuple(tuple(sorted(succ)) for succ in table))
+    return tuple(rows)
+
+
+def _induced_rows(rows: Rows, kept: Sequence[int]) -> Rows:
+    """The rows of the part induced by ``kept`` (ascending), renumbered from 0."""
+    new = {i: k for k, i in enumerate(kept)}
+    return tuple(tuple(tuple(new[j] for j in row[i] if j in new) for i in kept) for row in rows)
 
 
 @dataclass(frozen=True)
 class KripkeModel:
     """A finite Kripke model: worlds, per-agent relations, valuation.
 
-    ``valuations[i]`` is the proposition set of ``worlds[i]``.  Use
-    :func:`make_model` instead of the raw constructor; it validates and
-    normalizes the input.
+    ``valuations[i]`` is the proposition set of ``worlds[i]`` and
+    ``rows[a][i]`` the successor indices of ``worlds[i]`` under agent
+    ``a``, built from ``relations`` unless :meth:`from_rows` derives
+    ``relations`` from them.  Use :func:`make_model` instead of the raw
+    constructor; it validates and normalizes the input.
     """
 
     worlds: tuple[str, ...]
     agents: int
     relations: tuple[frozenset[Pair], ...]
     valuations: tuple[frozenset[str], ...]
+    rows: Rows = field(default=None, compare=False, repr=False)
     _index: dict = field(init=False, compare=False, repr=False, default=None)
-    _succ: tuple = field(init=False, compare=False, repr=False, default=None)
     _masks: tuple = field(init=False, compare=False, repr=False, default=None)
 
     def __post_init__(self):
         index = {w: i for i, w in enumerate(self.worlds)}
-        succ = []
-        for rel in self.relations:
-            table: dict[str, list[str]] = {w: [] for w in self.worlds}
-            for u, v in rel:
-                table[u].append(v)
-            for lst in table.values():
-                lst.sort(key=index.__getitem__)
-            succ.append({w: tuple(vs) for w, vs in table.items()})
         object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_succ", tuple(succ))
+        if self.rows is None:
+            object.__setattr__(self, "rows", _successor_rows(index, self.relations))
+
+    @classmethod
+    def from_rows(cls, worlds, agents: int, rows: Rows, valuations) -> KripkeModel:
+        """A model given by its successor rows; the relation pairs are derived."""
+        relations = tuple(
+            frozenset((worlds[i], worlds[j]) for i, succ in enumerate(row) for j in succ)
+            for row in rows
+        )
+        return cls(tuple(worlds), agents, relations, tuple(valuations), rows)
 
     def __contains__(self, world: str) -> bool:
         return world in self._index
@@ -54,7 +82,8 @@ class KripkeModel:
 
     def successors(self, agent: int, world: str) -> tuple[str, ...]:
         """Successors of ``world`` under agent ``agent``, in world order."""
-        return self._succ[agent][world]
+        worlds = self.worlds
+        return tuple(worlds[j] for j in self.rows[agent][self._index[world]])
 
     def index_of(self, world: str) -> int:
         return self._index[world]
@@ -63,27 +92,17 @@ class KripkeModel:
         """Bitmask view for batch evaluation: (prop masks, successor masks).
 
         ``prop_masks[p]`` has bit i set when worlds[i] satisfies p;
-        ``succ_masks[a][i]`` ORs ``1 << j`` over agent-a successors of
-        worlds[i].  Built lazily and cached.
+        ``succ_masks[a][i]`` ORs ``1 << j`` over ``rows[a][i]``.  Built
+        lazily and cached.
         """
-        cached = getattr(self, "_masks", None)
+        cached = self._masks
         if cached is None:
-            index = self._index
             prop_masks: dict[str, int] = {}
             for i, val in enumerate(self.valuations):
                 bit = 1 << i
                 for p in val:
                     prop_masks[p] = prop_masks.get(p, 0) | bit
-            succ_masks = []
-            for a in range(self.agents):
-                table = self._succ[a]
-                row = [0] * len(self.worlds)
-                for w, vs in table.items():
-                    m = 0
-                    for v in vs:
-                        m |= 1 << index[v]
-                    row[index[w]] = m
-                succ_masks.append(row)
+            succ_masks = [[sum(1 << j for j in succ) for succ in row] for row in self.rows]
             cached = (prop_masks, succ_masks)
             object.__setattr__(self, "_masks", cached)
         return cached
@@ -92,6 +111,38 @@ class KripkeModel:
     def valuation(self) -> dict[str, frozenset[str]]:
         """Valuation as a mapping (a fresh dict each call)."""
         return {w: v for w, v in zip(self.worlds, self.valuations)}
+
+
+def reachable_rows(model: KripkeModel, start: int) -> tuple[Sequence[int], Rows]:
+    """Indices reachable from ``start`` (in world order) and the rows they induce.
+
+    Reachability is over the union of all agents' relations, reflexively
+    and transitively.  When every world is reachable the result is
+    ``range(n)`` and ``model.rows`` itself.
+    """
+    n = len(model.worlds)
+    rows = model.rows
+    seen = [False] * n
+    seen[start] = True
+    stack = [start]
+    while stack:
+        i = stack.pop()
+        for row in rows:
+            for j in row[i]:
+                if not seen[j]:
+                    seen[j] = True
+                    stack.append(j)
+    if all(seen):
+        return range(n), rows
+    kept = [i for i in range(n) if seen[i]]
+    return kept, _induced_rows(rows, kept)
+
+
+def _submodel(model: KripkeModel, kept: Sequence[int], rows: Rows) -> KripkeModel:
+    worlds, vals = model.worlds, model.valuations
+    return KripkeModel.from_rows(
+        [worlds[i] for i in kept], model.agents, rows, [vals[i] for i in kept]
+    )
 
 
 def make_model(
@@ -149,13 +200,8 @@ def restrict(model: KripkeModel, keep: Iterable[str]) -> KripkeModel:
     for w in keep_set:
         if w not in model:
             raise DanglingWorldRef(f"cannot keep unknown world {w!r}")
-    worlds = tuple(w for w in model.worlds if w in keep_set)
-    rels = tuple(
-        frozenset((u, v) for (u, v) in rel if u in keep_set and v in keep_set)
-        for rel in model.relations
-    )
-    vals = tuple(model.valuation_of(w) for w in worlds)
-    return KripkeModel(worlds, model.agents, rels, vals)
+    kept = [i for i, w in enumerate(model.worlds) if w in keep_set]
+    return _submodel(model, kept, _induced_rows(model.rows, kept))
 
 
 def generated_submodel(state: EpistemicState) -> EpistemicState:
@@ -165,18 +211,10 @@ def generated_submodel(state: EpistemicState) -> EpistemicState:
     and transitively; the designated world is preserved.
     """
     model = state.model
-    reachable = {state.designated}
-    queue = deque([state.designated])
-    while queue:
-        w = queue.popleft()
-        for a in range(model.agents):
-            for v in model.successors(a, w):
-                if v not in reachable:
-                    reachable.add(v)
-                    queue.append(v)
-    if len(reachable) == len(model.worlds):
+    kept, rows = reachable_rows(model, model.index_of(state.designated))
+    if len(kept) == len(model.worlds):
         return state
-    return EpistemicState(restrict(model, reachable), state.designated)
+    return EpistemicState(_submodel(model, kept, rows), state.designated)
 
 
 # --- JSON encoding -------------------------------------------------------
@@ -195,11 +233,16 @@ def model_to_json(model: KripkeModel) -> dict[str, Any]:
 
 
 def model_from_json(doc: Mapping[str, Any]) -> KripkeModel:
+    worlds = strings(field_of(doc, "worlds", list, "model"), "model worlds")
+    relations = [
+        string_pairs(rel, "model relation") for rel in field_of(doc, "relations", list, "model")
+    ]
+    valuation = shaped(doc.get("valuation", {}), dict, "model valuation")
     return make_model(
-        doc["worlds"],
-        int(doc["agents"]),
-        [[(u, v) for u, v in rel] for rel in doc["relations"]],
-        {w: props for w, props in doc.get("valuation", {}).items()},
+        worlds,
+        field_of(doc, "agents", int, "model"),
+        relations,
+        {w: strings(props, f"valuation of {w!r}") for w, props in valuation.items()},
     )
 
 
@@ -210,4 +253,4 @@ def state_to_json(state: EpistemicState) -> dict[str, Any]:
 
 
 def state_from_json(doc: Mapping[str, Any]) -> EpistemicState:
-    return EpistemicState(model_from_json(doc), doc["designated"])
+    return EpistemicState(model_from_json(doc), field_of(doc, "designated", str, "state"))

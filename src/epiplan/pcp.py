@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
 
-from .errors import NotAMatch
+from .errors import NotAMatch, field_of, string_pairs
 
 Match = tuple[int, ...]
 
@@ -94,4 +94,5 @@ def instance_to_json(inst: PcpInstance) -> dict[str, Any]:
 
 
 def instance_from_json(doc: Mapping[str, Any]) -> PcpInstance:
-    return make_instance(doc["blocks"])
+    blocks = field_of(doc, "blocks", list, "instance")
+    return make_instance(string_pairs(blocks, "instance blocks"))

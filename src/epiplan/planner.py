@@ -20,7 +20,7 @@ from .bisim import bisimilar, minimize_with_key, quotient
 from .errors import NotEuclidean, NotSingleAgent
 from .formula import evaluate
 from .frames import FrameCondition, satisfies
-from .kripke import EpistemicState, generated_submodel
+from .kripke import EpistemicState
 from .problem import PlanningProblem, validate_problem
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
 class SearchBudget:
     max_depth: int
     max_nodes: int
-    minimize_each_step: bool = True
     paranoid_bisim_check: bool = False
 
     def __post_init__(self):
@@ -108,12 +107,10 @@ def _bfs(
     goal,
     max_depth: int,
     max_nodes: int,
-    minimize: bool,
     paranoid: bool,
 ) -> SearchOutcome:
     stats = SearchStats(nodes=1)
-    start_q, start_key = minimize_with_key(start)
-    start = start_q if minimize else generated_submodel(start)
+    start, start_key = minimize_with_key(start)
     if evaluate(start, goal):
         return PlanFound((), start_key, stats)
     names = sorted(actions)
@@ -132,10 +129,7 @@ def _bfs(
             action = actions[name]
             if not applicable(state, action):
                 continue
-            product = product_update(state, action)
-            child, key = minimize_with_key(product)
-            if not minimize:
-                child = generated_submodel(product)
+            child, key = minimize_with_key(product_update(state, action))
             child_plan = plan + (name,)
             if key in visited:
                 stats.dedup_hits += 1
@@ -178,7 +172,6 @@ def bfs_plan(
         problem.goal,
         budget.max_depth,
         budget.max_nodes,
-        budget.minimize_each_step,
         budget.paranoid_bisim_check,
     )
 
@@ -223,7 +216,6 @@ def s5_single_agent_plan(problem: PlanningProblem) -> SearchOutcome:
         problem.goal,
         max_depth=bound,
         max_nodes=10**9,
-        minimize=True,
         paranoid=False,
     )
     if isinstance(outcome, BoundReached):

@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from .action import EventModel, action_from_json, action_to_json
-from .errors import InvalidProblem
+from .errors import InvalidProblem, field_of, shaped
 from .formula import Formula, formula_from_json, formula_to_json, modal_depth
 from .frames import LogicProfile, profile_from_json, profile_to_json, satisfies
 from .kripke import EpistemicState, KripkeModel, state_from_json, state_to_json
@@ -72,10 +72,11 @@ def problem_to_json(problem: PlanningProblem) -> dict[str, Any]:
 
 
 def problem_from_json(doc: Mapping[str, Any]) -> PlanningProblem:
+    actions = field_of(doc, "actions", dict, "problem")
     return PlanningProblem(
-        initial=state_from_json(doc["initial"]),
-        actions={name: action_from_json(a) for name, a in doc["actions"].items()},
-        goal=formula_from_json(doc["goal"]),
-        logic=profile_from_json(doc["logic"]),
-        meta=dict(doc.get("meta", {})),
+        initial=state_from_json(field_of(doc, "initial", dict, "problem")),
+        actions={name: action_from_json(a) for name, a in actions.items()},
+        goal=formula_from_json(field_of(doc, "goal", dict, "problem")),
+        logic=profile_from_json(field_of(doc, "logic", None, "problem")),
+        meta=dict(shaped(doc.get("meta", {}), dict, "problem 'meta'")),
     )

@@ -145,3 +145,111 @@ def test_input_error_exit_code(capsys, tmp_path):
     code = main(["check", "--state", str(bad), "--formula", "p"])
     capsys.readouterr()
     assert code == 3
+    good = {"agents": 1, "worlds": ["a"], "relations": [[]], "designated": "a"}
+    for doc in ({**good, "relations": 5}, {**good, "designated": ["a"]}, [1, 2]):
+        bad.write_text(json.dumps(doc))
+        code = main(["minimize", "--state", str(bad)])
+        assert code == 3 and capsys.readouterr().err.startswith("error:")
+    bad.write_text(json.dumps(good))
+    assert main(["minimize", "--state", str(bad)]) == 0
+
+
+# --- malformed documents ------------------------------------------------
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+# objects keyed by data rather than by field name, and optional fields
+_MAPS = {"valuation", "pre", "actions", "meta"}
+_OPTIONAL = {"valuation", "depth_bound", "meta"}
+_WRONG = (None, 7, "x", [7], {"x": 7}, True)
+
+
+def _fixture_docs() -> dict:
+    from epiplan.action import action_to_json
+    from epiplan.pcp import make_instance
+    from epiplan.problem import problem_to_json
+    from epiplan.reduction import reduce_instance
+
+    problem = reduce_instance(make_instance([["1", "101"], ["10", "00"], ["011", "11"]]),
+                              Variant.K1)
+    return {
+        "state": state_to_json(problem.initial),
+        "action": action_to_json(problem.actions["ad_1"]),
+        "problem": problem_to_json(problem),
+    }
+
+
+def _nodes(doc, path=()):
+    yield path, doc
+    if isinstance(doc, dict) and not (path and path[-1] == "meta"):
+        for key, value in doc.items():
+            yield from _nodes(value, path + (key,))
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from _nodes(value, path + (i,))
+
+
+def _manglings(doc) -> list:
+    """Every edit that leaves ``doc`` malformed: (path, key to drop) or (path, new value)."""
+    out = [((), root) for root in ([1, 2], 5, "x", None)]
+    for path, value in _nodes(doc):
+        if isinstance(value, dict) and not (path and path[-1] in _MAPS):
+            out += [(path, ("drop", key)) for key in value if key not in _OPTIONAL]
+        if path:
+            out += [
+                (path, ("set", wrong)) for wrong in _WRONG
+                if type(wrong) is not type(value)
+                and not (wrong is None and path[-1] == "depth_bound")
+            ]
+    return out
+
+
+def _mangled(doc, edit):
+    path, change = edit
+    if not path and not isinstance(change, tuple):
+        return change
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for step in path[:-1] if change[0] == "set" else path:
+        parent = parent[step]
+    if change[0] == "drop":
+        del parent[change[1]]
+    else:
+        parent[path[-1]] = change[1]
+    return doc
+
+
+_DOCS = _fixture_docs()
+_EDITS = {name: _manglings(doc) for name, doc in _DOCS.items()}
+_COMMANDS = {
+    "check": ("state", ["check", "--state", "{state}", "--formula", "<K> empty"]),
+    "minimize": ("state", ["minimize", "--state", "{state}"]),
+    "update state": ("state", ["update", "--state", "{state}", "--action", "{action}"]),
+    "update action": ("action", ["update", "--state", "{state}", "--action", "{action}"]),
+    "plan": ("problem", ["plan", "--problem", "{problem}", "--max-depth", "2",
+                         "--max-nodes", "20"]),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_malformed_documents_exit_3_without_traceback(data):
+    import contextlib
+    import io
+    import tempfile
+    from pathlib import Path
+
+    command = data.draw(st.sampled_from(sorted(_COMMANDS)))
+    target, argv = _COMMANDS[command]
+    edit = data.draw(st.sampled_from(_EDITS[target]))
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, doc in _DOCS.items():
+            paths[name] = Path(tmp) / f"{name}.json"
+            paths[name].write_text(json.dumps(_mangled(doc, edit) if name == target else doc))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([arg.format(**paths) for arg in argv])
+    assert code == 3, (command, edit)
+    assert err.getvalue().startswith("error:"), (command, edit, err.getvalue())

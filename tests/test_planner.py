@@ -68,14 +68,6 @@ def test_monotone_in_depth():
         assert isinstance(outcome, PlanFound) and len(outcome.plan) == 4
 
 
-def test_minimization_transparency():
-    problem = reduce_instance(EASY, Variant.K1)
-    on = bfs_plan(problem, budget())
-    off = bfs_plan(problem, budget(minimize_each_step=False))
-    assert isinstance(on, PlanFound) and isinstance(off, PlanFound)
-    assert len(on.plan) == len(off.plan)
-
-
 def test_paranoid_mode_agrees():
     problem = reduce_instance(EASY, Variant.K1)
     outcome = bfs_plan(problem, budget(paranoid_bisim_check=True))

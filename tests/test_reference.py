@@ -1,0 +1,216 @@
+"""Differential tests against slow references that share no engine code.
+
+The references read only a model's ``worlds``, ``relations`` pairs and
+``valuations``, a state's ``designated`` world and an action's public
+fields; they never touch the integer successor rows, the bitmasks, the
+refinement or the reachability walk that the engine runs on.  The JSON
+round trips at the end ride on the same random states.
+"""
+from __future__ import annotations
+
+import json
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from epiplan.action import action_from_json, action_to_json, applicable, product_update
+from epiplan.bisim import bisimilar, canonical_key, minimize_with_key, quotient
+from epiplan.formula import And, FalseF, Know, Not, Prop, evaluate_at, extension_mask
+from epiplan.kripke import (
+    EpistemicState,
+    generated_submodel,
+    make_model,
+    state_from_json,
+    state_to_json,
+)
+from epiplan.suites import mutate_bisimilar, random_action, random_formula, random_state
+
+seeds = st.integers(0, 2**32 - 1)
+agent_counts = st.integers(0, 3)
+
+
+def _successors(model, agent, world):
+    return {v for (u, v) in model.relations[agent] if u == world}
+
+
+def _valuation(model, world):
+    return model.valuations[model.worlds.index(world)]
+
+
+def ref_eval(model, world, f) -> bool:
+    if isinstance(f, FalseF):
+        return False
+    if isinstance(f, Prop):
+        return f.name in _valuation(model, world)
+    if isinstance(f, Not):
+        return not ref_eval(model, world, f.sub)
+    if isinstance(f, And):
+        return ref_eval(model, world, f.left) and ref_eval(model, world, f.right)
+    assert isinstance(f, Know)
+    return all(ref_eval(model, v, f.sub) for v in _successors(model, f.agent, world))
+
+
+def ref_bisimulation(m1, m2) -> set:
+    """The greatest bisimulation between two models, by pair elimination."""
+    succ1 = [{w: _successors(m1, a, w) for w in m1.worlds} for a in range(m1.agents)]
+    succ2 = [{w: _successors(m2, a, w) for w in m2.worlds} for a in range(m2.agents)]
+    z = {
+        (u, v) for u in m1.worlds for v in m2.worlds
+        if _valuation(m1, u) == _valuation(m2, v)
+    }
+    changed = True
+    while changed:
+        changed = False
+        for u, v in list(z):
+            forth = all(
+                any((u2, v2) in z for v2 in s2[v]) for s1, s2 in zip(succ1, succ2) for u2 in s1[u]
+            )
+            back = all(
+                any((u2, v2) in z for u2 in s1[u]) for s1, s2 in zip(succ1, succ2) for v2 in s2[v]
+            )
+            if not (forth and back):
+                z.discard((u, v))
+                changed = True
+    return z
+
+
+def ref_bisimilar(s1, s2) -> bool:
+    return (s1.designated, s2.designated) in ref_bisimulation(s1.model, s2.model)
+
+
+def ref_generated(state):
+    """(worlds, relations, valuations) of the part reachable from the designated world."""
+    model = state.model
+    reach, frontier = {state.designated}, [state.designated]
+    while frontier:
+        w = frontier.pop()
+        for rel in model.relations:
+            for u, v in rel:
+                if u == w and v not in reach:
+                    reach.add(v)
+                    frontier.append(v)
+    worlds = tuple(w for w in model.worlds if w in reach)
+    relations = tuple(
+        frozenset((u, v) for u, v in rel if u in reach and v in reach) for rel in model.relations
+    )
+    return worlds, relations, tuple(_valuation(model, w) for w in worlds)
+
+
+def ref_product(state, action):
+    """(worlds, relations, valuations, designated) of the product update."""
+    model = state.model
+    pre = dict(zip(action.events, action.preconditions))
+    pairs = [(u, e) for u in model.worlds for e in action.events if ref_eval(model, u, pre[e])]
+    name = {p: f"({p[0]},{p[1]})" for p in pairs}
+    relations = tuple(
+        frozenset(
+            (name[(u, e)], name[(v, f)]) for (u, e) in pairs for (v, f) in pairs
+            if (u, v) in rel and (e, f) in event_rel
+        )
+        for rel, event_rel in zip(model.relations, action.relations)
+    )
+    worlds = tuple(name[p] for p in pairs)
+    vals = tuple(_valuation(model, u) for u, _ in pairs)
+    return worlds, relations, vals, name[(state.designated, action.designated)]
+
+
+def _state(rng: random.Random, agents: int) -> EpistemicState:
+    """A random state, half the time the product of one with a random action."""
+    state = random_state(rng, agents=agents, max_worlds=6)
+    if rng.random() < 0.5:
+        action = random_action(rng, agents)
+        if applicable(state, action):
+            state = product_update(state, action)
+    return state
+
+
+def _near(rng: random.Random, state: EpistemicState) -> EpistemicState:
+    """A bisimilar copy, sometimes with one edge dropped (then maybe not bisimilar)."""
+    other = mutate_bisimilar(rng, state)
+    m = other.model
+    rels = [set(rel) for rel in m.relations]
+    if rng.random() < 0.5 and any(rels):
+        rel = rng.choice([r for r in rels if r])
+        rel.discard(rng.choice(sorted(rel)))
+    return EpistemicState(make_model(m.worlds, m.agents, rels, m.valuation), other.designated)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seeds, agent_counts)
+def test_bisimilar_and_key_equality_match_pair_elimination(seed, agents):
+    rng = random.Random(seed)
+    s1 = _state(rng, agents)
+    s2 = _near(rng, s1) if rng.random() < 0.7 else _state(rng, agents)
+    expected = ref_bisimilar(s1, s2)
+    assert bisimilar(s1, s2) == expected
+    assert (canonical_key(s1) == canonical_key(s2)) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(seeds, agent_counts)
+def test_quotient_is_a_minimal_bisimilar_idempotent_state(seed, agents):
+    s = _state(random.Random(seed), agents)
+    q = quotient(s)
+    assert ref_bisimilar(s, q)
+    assert quotient(q) == q
+    assert minimize_with_key(s)[0] == q
+    assert ref_generated(q)[0] == q.model.worlds
+    same = ref_bisimulation(q.model, q.model)
+    assert all(u == v for u, v in same)
+    # each block is named by its first world, and blocks keep that world's order
+    reachable = ref_generated(s)[0]
+    alike = ref_bisimulation(s.model, s.model)
+    firsts = tuple(
+        w for k, w in enumerate(reachable) if not any((v, w) in alike for v in reachable[:k])
+    )
+    assert q.model.worlds == firsts
+    assert (q.designated, s.designated) in alike
+
+
+@settings(max_examples=200, deadline=None)
+@given(seeds, agent_counts)
+def test_generated_submodel_matches_a_walk_over_pairs(seed, agents):
+    s = _state(random.Random(seed), agents)
+    g = generated_submodel(s)
+    assert (g.model.worlds, g.model.relations, g.model.valuations) == ref_generated(s)
+    assert g.designated == s.designated
+
+
+@settings(max_examples=200, deadline=None)
+@given(seeds, agent_counts)
+def test_product_update_matches_the_pairwise_product(seed, agents):
+    rng = random.Random(seed)
+    s = random_state(rng, agents=agents, max_worlds=6)
+    action = random_action(rng, agents)
+    if applicable(s, action):
+        p = product_update(s, action)
+        assert (p.model.worlds, p.model.relations, p.model.valuations, p.designated) == (
+            ref_product(s, action)
+        )
+
+
+@settings(max_examples=200, deadline=None)
+@given(seeds, agent_counts)
+def test_evaluation_matches_reference_at_every_world(seed, agents):
+    rng = random.Random(seed)
+    s = _state(rng, agents)
+    f = random_formula(rng, 4, agents)
+    mask = extension_mask(s.model, f)
+    for i, w in enumerate(s.model.worlds):
+        expected = ref_eval(s.model, w, f)
+        assert evaluate_at(s, w, f) == expected
+        assert bool(mask >> i & 1) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(seeds, agent_counts)
+def test_json_round_trips_keep_documents_and_keys(seed, agents):
+    rng = random.Random(seed)
+    s = _state(rng, agents)
+    doc = state_to_json(s)
+    back = state_from_json(json.loads(json.dumps(doc)))
+    assert state_to_json(back) == doc
+    assert canonical_key(back) == canonical_key(s)
+    action = action_to_json(random_action(rng, agents))
+    assert action_to_json(action_from_json(json.loads(json.dumps(action)))) == action
