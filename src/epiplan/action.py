@@ -5,6 +5,8 @@ formulas.  Applying one to an epistemic state (the product update) keeps
 exactly the world/event pairs whose world satisfies the event's
 precondition; there are no postconditions, so valuations are inherited
 from the source world unchanged.
+Event models store successor rows like Kripke models; their name pairs
+``relations`` are a derived view, and the product update reads rows only.
 """
 from __future__ import annotations
 
@@ -37,7 +39,7 @@ from .formula import (
     formula_to_json,
     modal_depth,
 )
-from .kripke import EpistemicState, KripkeModel, Pair, _successor_rows
+from .kripke import EpistemicState, KripkeModel, Pair, Rows, _pair_view, _successor_rows
 
 __all__ = [
     "EventModel",
@@ -65,15 +67,18 @@ class EventModel:
 
     events: tuple[str, ...]
     agents: int
-    relations: tuple[frozenset[Pair], ...]
+    rows: Rows
     preconditions: tuple[Formula, ...]
     designated: str
     depth_bound: int | None = 1
 
     def __post_init__(self):
-        index = {e: i for i, e in enumerate(self.events)}
-        object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "rows", _successor_rows(index, self.relations))
+        object.__setattr__(self, "_index", {e: i for i, e in enumerate(self.events)})
+
+    @property
+    def relations(self) -> tuple[frozenset[Pair], ...]:
+        """Per agent, the relation as event-name pairs (derived afresh on each access)."""
+        return _pair_view(self.events, self.rows)
 
     def __contains__(self, event: str) -> bool:
         return event in self._index
@@ -96,20 +101,14 @@ def make_action(
     depth exceeds ``depth_bound``.
     """
     event_list = tuple(events)
-    seen = set(event_list)
-    if len(seen) != len(event_list):
+    index = {e: i for i, e in enumerate(event_list)}
+    if len(index) != len(event_list):
         raise DanglingEventRef("duplicate event identifiers")
-    rels = tuple(frozenset(tuple(p) for p in rel) for rel in relations)
-    if len(rels) != agent_count:
-        raise ValueError(f"expected {agent_count} relations, got {len(rels)}")
-    for rel in rels:
-        for u, v in rel:
-            if u not in seen or v not in seen:
-                raise DanglingEventRef(f"relation pair ({u!r}, {v!r}) references unknown event")
-    if designated not in seen:
+    rows = _successor_rows(index, relations, agent_count, DanglingEventRef, "event")
+    if designated not in index:
         raise DanglingEventRef(f"designated event {designated!r} not in event list")
     for e in pre:
-        if e not in seen:
+        if e not in index:
             raise DanglingEventRef(f"precondition given for unknown event {e!r}")
     pres = []
     for e in event_list:
@@ -121,7 +120,7 @@ def make_action(
             if depth > depth_bound:
                 raise DepthExceeded(e, depth, depth_bound)
         pres.append(f)
-    return EventModel(event_list, agent_count, rels, tuple(pres), designated, depth_bound)
+    return EventModel(event_list, agent_count, rows, tuple(pres), designated, depth_bound)
 
 
 def _same_agents(state: EpistemicState, action: EventModel) -> KripkeModel:
@@ -170,7 +169,7 @@ def product_update(state: EpistemicState, action: EventModel) -> EpistemicState:
         )
         for world_row, event_row in zip(model.rows, action.rows)
     )
-    new_model = KripkeModel.from_rows(worlds, model.agents, rows, vals)
+    new_model = KripkeModel(tuple(worlds), model.agents, rows, tuple(vals))
     return EpistemicState(new_model, worlds[slot[u0 * m + e0]])
 
 

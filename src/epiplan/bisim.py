@@ -4,10 +4,11 @@ The refinement here is the naive iterated-splitting algorithm: start from
 valuation classes and split by the per-agent sets of successor blocks
 until nothing changes.  That is quadratic-ish but easy to audit, and the
 states this engine handles are small.  Everything runs on the models'
-integer successor rows (``KripkeModel.rows``), restricted to the
-generated part by ``kripke.reachable_rows``; successor-block sets are
-packed into bitmask integers, and one function turns the refinement into
-the quotient state that ``quotient`` and ``minimize_with_key`` return.
+integer successor rows (``KripkeModel.rows``, the one stored relation),
+restricted to the generated part by ``kripke.reachable_rows``;
+successor-block sets are packed into bitmask integers, and one function
+turns the refinement into the rows of the quotient state that
+``quotient`` and ``minimize_with_key`` return.  No name pair is built.
 
 Block numbering is canonical: each round renumbers blocks by sorting the
 signatures themselves (not by first occurrence), so the final numbering
@@ -120,9 +121,9 @@ def _quotient_state(state: EpistemicState, minimized) -> EpistemicState:
     quotient_rows = tuple(
         tuple(tuple(sorted({pos[block[j]] for j in row[i]})) for i in reps) for row in rows
     )
-    names = [model.worlds[kept[i]] for i in reps]
+    names = tuple(model.worlds[kept[i]] for i in reps)
     return EpistemicState(
-        KripkeModel.from_rows(names, model.agents, quotient_rows, [vals[i] for i in reps]),
+        KripkeModel(names, model.agents, quotient_rows, tuple(vals[i] for i in reps)),
         names[pos[block[start]]],
     )
 

@@ -17,7 +17,7 @@ from typing import Any
 from . import suites
 from .action import FailureAt, action_from_json, apply_plan, applicable, product_update
 from .bisim import bisimilar, canonical_key_hex, minimize_with_key, quotient
-from .errors import EngineError
+from .errors import EngineError, MalformedDocument
 from .formula import evaluate, evaluate_at, parse
 from .kripke import state_from_json, state_to_json
 from .pcp import instance_from_json, matched_word
@@ -51,7 +51,10 @@ def _trace(args, message: str) -> None:
 
 def _load(path: str) -> Any:
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except RecursionError:
+            raise MalformedDocument(f"{path}: JSON is nested too deeply") from None
 
 
 def _parse_plan(text: str) -> list[str]:

@@ -23,7 +23,7 @@ import threading
 import weakref
 from typing import TYPE_CHECKING, Any
 
-from .errors import FormulaSyntaxError, UnknownAgent, UnknownWorld, field_of
+from .errors import FormulaSyntaxError, MalformedDocument, UnknownAgent, UnknownWorld, field_of
 
 if TYPE_CHECKING:
     from .kripke import EpistemicState, KripkeModel
@@ -479,10 +479,18 @@ def formula_to_json(f: Formula) -> dict[str, Any]:
 
 
 def formula_from_json(doc: dict[str, Any]) -> Formula:
+    """The formula a document encodes; nesting too deep to read is malformed."""
+    try:
+        return _formula_from_json(doc)
+    except RecursionError:
+        raise MalformedDocument("formula is nested too deeply") from None
+
+
+def _formula_from_json(doc: dict[str, Any]) -> Formula:
     op = field_of(doc, "op", str, "formula")
 
     def sub(key: str) -> Formula:
-        return formula_from_json(field_of(doc, key, dict, f"{op!r} formula"))
+        return _formula_from_json(field_of(doc, key, dict, f"{op!r} formula"))
 
     if op == "false":
         return _FALSE

@@ -6,7 +6,7 @@ from enum import Enum
 from typing import Any, Iterable
 
 from .errors import strings
-from .kripke import KripkeModel, Pair
+from .kripke import KripkeModel, Pair, make_model
 
 
 class FrameCondition(Enum):
@@ -98,31 +98,31 @@ def close_relation(
 def closure(model: KripkeModel, conds: Iterable[FrameCondition]) -> KripkeModel:
     """Close every agent's relation; worlds and valuation are unchanged."""
     conds = set(conds)
-    rels = tuple(close_relation(rel, model.worlds, conds) for rel in model.relations)
-    return KripkeModel(model.worlds, model.agents, rels, model.valuations)
+    rels = [close_relation(rel, model.worlds, conds) for rel in model.relations]
+    return make_model(model.worlds, model.agents, rels, model.valuation)
 
 
-def _satisfies_one(rel: frozenset[Pair], worlds: tuple[str, ...], cond: FrameCondition) -> bool:
+def _satisfies_one(rows, masks: list[int], cond: FrameCondition) -> bool:
+    """One condition on one agent's successor rows and their bitmasks.
+
+    Reflexive: bit i of mask i.  Along every edge i -> j, symmetric: bit i
+    of mask j; transitive: mask j within mask i; euclidean: the reverse.
+    """
     if cond is FrameCondition.REFLEXIVE:
-        return all((w, w) in rel for w in worlds)
+        return all(m >> i & 1 for i, m in enumerate(masks))
     if cond is FrameCondition.SYMMETRIC:
-        return all((v, u) in rel for (u, v) in rel)
-    succ: dict[str, set[str]] = {}
-    for u, v in rel:
-        succ.setdefault(u, set()).add(v)
+        return all(masks[j] >> i & 1 for i, succ in enumerate(rows) for j in succ)
     if cond is FrameCondition.TRANSITIVE:
-        return all(
-            (u, w) in rel for u, vs in succ.items() for v in vs for w in succ.get(v, ())
-        )
+        return all(not masks[j] & ~masks[i] for i, succ in enumerate(rows) for j in succ)
     if cond is FrameCondition.EUCLIDEAN:
-        return all((v, w) in rel for vs in succ.values() for v in vs for w in vs)
+        return all(not masks[i] & ~masks[j] for i, succ in enumerate(rows) for j in succ)
     raise ValueError(f"unknown condition {cond!r}")
 
 
 def satisfies(model: KripkeModel, conds: Iterable[FrameCondition]) -> bool:
     """Whether every agent's relation satisfies every condition."""
     return all(
-        _satisfies_one(rel, model.worlds, cond)
-        for rel in model.relations
+        _satisfies_one(rows, masks, cond)
         for cond in conds
+        for rows, masks in zip(model.rows, model.masks()[1])
     )

@@ -5,11 +5,12 @@ fresh value, so states can be shared freely (e.g. between search
 branches).  World iteration order is the construction order, which keeps
 all downstream operations deterministic.
 
-Worlds are named at the boundary (JSON, CLI, ``relations``); the engine
-layers read one integer table, ``rows[a][i]``: the indices of agent
-``a``'s successors of ``worlds[i]``, ascending.  ``_successor_rows``
-builds it (for event models too), ``reachable_rows`` is the one
-reachability walk over it, and ``masks()`` derives bitmask rows from it.
+A model stores its relation once, as integer rows: ``rows[a][i]`` holds
+the indices of agent ``a``'s successors of ``worlds[i]``, ascending.
+Names serve the boundary (JSON, CLI): ``_successor_rows`` turns name
+pairs into rows and ``_pair_view`` derives the ``relations`` pairs back
+(for event models too); ``reachable_rows`` is the one reachability walk
+and ``masks()`` derives bitmask rows.
 """
 from __future__ import annotations
 
@@ -23,14 +24,19 @@ Pair = tuple[str, str]
 Rows = tuple[tuple[tuple[int, ...], ...], ...]
 
 
-def _successor_rows(index: Mapping[str, int], relations: Iterable[Iterable[Pair]]) -> Rows:
-    """Per relation, per element index, the successor indices in ascending order."""
+def _successor_rows(index: Mapping[str, int], relations: Iterable[Iterable[Pair]], count: int,
+                    dangling: type[Exception] = DanglingWorldRef, kind: str = "world") -> Rows:
+    """``count`` relations of name pairs over ``index`` as rows, successor indices ascending."""
     rows = []
     for rel in relations:
-        table: list[list[int]] = [[] for _ in index]
+        table: list[set[int]] = [set() for _ in index]
         for u, v in rel:
-            table[index[u]].append(index[v])
+            if u not in index or v not in index:
+                raise dangling(f"relation pair ({u!r}, {v!r}) references unknown {kind}")
+            table[index[u]].add(index[v])
         rows.append(tuple(tuple(sorted(succ)) for succ in table))
+    if len(rows) != count:
+        raise ValueError(f"expected {count} relations, got {len(rows)}")
     return tuple(rows)
 
 
@@ -40,39 +46,36 @@ def _induced_rows(rows: Rows, kept: Sequence[int]) -> Rows:
     return tuple(tuple(tuple(new[j] for j in row[i] if j in new) for i in kept) for row in rows)
 
 
+def _pair_view(names: Sequence[str], rows: Rows) -> tuple[frozenset[Pair], ...]:
+    """Per relation, the name pairs ``(names[i], names[j])`` for ``j`` in ``row[i]``."""
+    return tuple(frozenset((names[i], names[j]) for i, succ in enumerate(row) for j in succ)
+                 for row in rows)
+
+
 @dataclass(frozen=True)
 class KripkeModel:
-    """A finite Kripke model: worlds, per-agent relations, valuation.
+    """A finite Kripke model: worlds, per-agent successor rows, valuation.
 
-    ``valuations[i]`` is the proposition set of ``worlds[i]`` and
-    ``rows[a][i]`` the successor indices of ``worlds[i]`` under agent
-    ``a``, built from ``relations`` unless :meth:`from_rows` derives
-    ``relations`` from them.  Use :func:`make_model` instead of the raw
-    constructor; it validates and normalizes the input.
+    ``rows[a][i]`` holds the successor indices of ``worlds[i]`` under
+    agent ``a`` in ascending order, and ``valuations[i]`` the proposition
+    set of ``worlds[i]``.  Use :func:`make_model` to build a model from
+    name pairs; it validates and normalizes the input.
     """
 
     worlds: tuple[str, ...]
     agents: int
-    relations: tuple[frozenset[Pair], ...]
+    rows: Rows
     valuations: tuple[frozenset[str], ...]
-    rows: Rows = field(default=None, compare=False, repr=False)
     _index: dict = field(init=False, compare=False, repr=False, default=None)
     _masks: tuple = field(init=False, compare=False, repr=False, default=None)
 
     def __post_init__(self):
-        index = {w: i for i, w in enumerate(self.worlds)}
-        object.__setattr__(self, "_index", index)
-        if self.rows is None:
-            object.__setattr__(self, "rows", _successor_rows(index, self.relations))
+        object.__setattr__(self, "_index", {w: i for i, w in enumerate(self.worlds)})
 
-    @classmethod
-    def from_rows(cls, worlds, agents: int, rows: Rows, valuations) -> KripkeModel:
-        """A model given by its successor rows; the relation pairs are derived."""
-        relations = tuple(
-            frozenset((worlds[i], worlds[j]) for i, succ in enumerate(row) for j in succ)
-            for row in rows
-        )
-        return cls(tuple(worlds), agents, relations, tuple(valuations), rows)
+    @property
+    def relations(self) -> tuple[frozenset[Pair], ...]:
+        """Per agent, the relation as name pairs (derived afresh on each access)."""
+        return _pair_view(self.worlds, self.rows)
 
     def __contains__(self, world: str) -> bool:
         return world in self._index
@@ -140,8 +143,8 @@ def reachable_rows(model: KripkeModel, start: int) -> tuple[Sequence[int], Rows]
 
 def _submodel(model: KripkeModel, kept: Sequence[int], rows: Rows) -> KripkeModel:
     worlds, vals = model.worlds, model.valuations
-    return KripkeModel.from_rows(
-        [worlds[i] for i in kept], model.agents, rows, [vals[i] for i in kept]
+    return KripkeModel(
+        tuple(worlds[i] for i in kept), model.agents, rows, tuple(vals[i] for i in kept)
     )
 
 
@@ -157,25 +160,19 @@ def make_model(
     worlds with an empty proposition set.  World order is preserved.
     """
     world_list = tuple(worlds)
-    seen = set()
+    index: dict[str, int] = {}
     for w in world_list:
-        if w in seen:
+        if w in index:
             raise DuplicateWorld(f"duplicate world {w!r}")
-        seen.add(w)
+        index[w] = len(index)
     if agent_count < 0:
         raise ValueError("agent count must be non-negative")
-    rels = tuple(frozenset(tuple(p) for p in rel) for rel in relations)
-    if len(rels) != agent_count:
-        raise ValueError(f"expected {agent_count} relations, got {len(rels)}")
-    for rel in rels:
-        for u, v in rel:
-            if u not in seen or v not in seen:
-                raise DanglingWorldRef(f"relation pair ({u!r}, {v!r}) references unknown world")
+    rows = _successor_rows(index, relations, agent_count)
     for w in valuation:
-        if w not in seen:
+        if w not in index:
             raise DanglingWorldRef(f"valuation references unknown world {w!r}")
     vals = tuple(frozenset(valuation.get(w, ())) for w in world_list)
-    return KripkeModel(world_list, agent_count, rels, vals)
+    return KripkeModel(world_list, agent_count, rows, vals)
 
 
 @dataclass(frozen=True)

@@ -47,13 +47,8 @@ def validate_problem(problem: PlanningProblem, allow_deep: bool = False) -> None
     if not satisfies(problem.initial.model, conds):
         raise InvalidProblem("initial model violates the logic profile's frame conditions")
     for name, action in problem.actions.items():
-        frame = KripkeModel(
-            action.events,
-            action.agents,
-            action.relations,
-            tuple(frozenset() for _ in action.events),
-        )
-        if not satisfies(frame, conds):
+        empty = (frozenset(),) * len(action.events)
+        if not satisfies(KripkeModel(action.events, action.agents, action.rows, empty), conds):
             raise InvalidProblem(
                 f"action {name!r} violates the logic profile's frame conditions"
             )

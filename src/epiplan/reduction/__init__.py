@@ -26,7 +26,6 @@ __all__ = [
     "match_to_plan",
     "plan_match_prefix",
     "failed_state_check",
-    "removal_alphabet",
     "sat_to_ep",
 ]
 
@@ -48,10 +47,6 @@ _MODULES = {
 
 def module(variant: Variant):
     return _MODULES[variant]
-
-
-def removal_alphabet(variant: Variant) -> tuple[str, ...]:
-    return _MODULES[variant].REMOVAL_ALPHABET
 
 
 def reduce_instance(inst: PcpInstance, variant: Variant) -> PlanningProblem:
@@ -84,8 +79,8 @@ def match_to_plan(inst: PcpInstance, match: Sequence[int], variant: Variant) -> 
 def plan_match_prefix(plan: Sequence[str], variant: Variant = Variant.K1) -> Match:
     """Recover the index sequence from a plan's add-block prefix.
 
-    For the prepending variant the prefix plays the match backwards, so it
-    is reversed here.
+    A variant whose compiler prepends blocks (``PREPENDS_BLOCKS``) plays
+    the match backwards, so its prefix is reversed here.
     """
     out = []
     for name in plan:
@@ -97,7 +92,7 @@ def plan_match_prefix(plan: Sequence[str], variant: Variant = Variant.K1) -> Mat
             raise UnknownActionName(f"malformed add-block action name {name!r}") from None
     if not out:
         raise NotAMatch("plan has no add-block prefix")
-    if variant is Variant.S4_1:
+    if _MODULES[variant].PREPENDS_BLOCKS:
         out.reverse()
     return tuple(out)
 

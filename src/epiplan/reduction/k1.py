@@ -23,6 +23,7 @@ from .common import check_words
 AGENTS = 1
 PROFILE_NAME = "K"
 REMOVAL_ALPHABET = ("0", "1")
+PREPENDS_BLOCKS = False
 FLAVORS = ("plain", "loop")
 
 _P = {name: prop(name) for name in ("0", "1", "a", "b", "root", "stg1", "empty", "end", "ntF", "lp")}

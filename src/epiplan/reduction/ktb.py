@@ -24,6 +24,7 @@ from .common import check_words, refl_sym
 AGENTS = 1
 PROFILE_NAME = "KTB"
 REMOVAL_ALPHABET = ("0", "1", "#1", "#2")
+PREPENDS_BLOCKS = False
 FLAVORS = ("plain", "loop", "minus_hash1", "minus_hash2")
 
 _P = {

@@ -22,6 +22,7 @@ from .common import check_words, cliques, reflexive
 AGENTS = 2
 PROFILE_NAME = "S5"
 REMOVAL_ALPHABET = ("0", "1", "#")
+PREPENDS_BLOCKS = False
 FLAVORS = ("plain", "loop", "minus_hash")
 
 _P = {name: prop(name) for name in ("0", "1", "#", "a", "b", "root", "stg1", "empty", "end", "ntF")}

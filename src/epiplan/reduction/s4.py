@@ -30,6 +30,7 @@ from .common import check_words, refl_trans, reflexive
 AGENTS = 1
 PROFILE_NAME = "S4"
 REMOVAL_ALPHABET = ("0", "1", "#")
+PREPENDS_BLOCKS = True
 FLAVORS = ("plain", "loop", "minus_hash")
 
 _P = {name: prop(name) for name in ("0", "1", "#", "a", "b", "root", "stg1", "empty", "lp")}

@@ -93,7 +93,6 @@ def _lemma_schema(report: SuiteReport, rng: random.Random, variant: Variant,
                   pairs: int, max_word: int, check_frames: bool) -> None:
     mod = module(variant)
     profile_conds = PROFILES[mod.PROFILE_NAME]
-    prepend = variant is Variant.S4_1
     initial = mod.initial_state()
 
     def validate(state, label):
@@ -114,7 +113,7 @@ def _lemma_schema(report: SuiteReport, rng: random.Random, variant: Variant,
             grown = product_update(loop, action)
             target = (
                 mod.family(wa + qa, wb + qb, "loop")
-                if prepend
+                if mod.PREPENDS_BLOCKS
                 else mod.family(qa + wa, qb + wb, "loop")
             )
             report.check(
@@ -365,14 +364,9 @@ def mutate_bisimilar(rng: random.Random, state: EpistemicState) -> EpistemicStat
         return quotient(state)
     if kind == 1:
         # isomorphic copy under renamed worlds
-        names = {w: f"r{i}" for i, w in enumerate(reversed(state.model.worlds))}
         m = state.model
-        model = make_model(
-            [names[w] for w in m.worlds],
-            m.agents,
-            [{(names[u], names[v]) for (u, v) in rel} for rel in m.relations],
-            {names[w]: m.valuation_of(w) for w in m.worlds},
-        )
+        names = {w: f"r{i}" for i, w in enumerate(reversed(m.worlds))}
+        model = KripkeModel(tuple(names[w] for w in m.worlds), m.agents, m.rows, m.valuations)
         return EpistemicState(model, names[state.designated])
     # duplicate a world: same valuation and outgoing edges; every edge into
     # the original is copied to the duplicate
@@ -431,8 +425,7 @@ def _engine_properties(report: SuiteReport, rng: random.Random, rounds: int) -> 
         m = random_model(rng, max_worlds=5)
         closed = closure(m, conds)
         report.check(satisfies(closed, conds), "closure output violates its conditions")
-        report.check(closure(closed, conds).relations == closed.relations,
-                     "closure is not idempotent")
+        report.check(closure(closed, conds) == closed, "closure is not idempotent")
         report.check(
             all(a <= b for a, b in zip(m.relations, closed.relations)),
             "closure is not extensive",

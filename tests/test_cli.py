@@ -253,3 +253,19 @@ def test_malformed_documents_exit_3_without_traceback(data):
             code = main([arg.format(**paths) for arg in argv])
     assert code == 3, (command, edit)
     assert err.getvalue().startswith("error:"), (command, edit, err.getvalue())
+
+
+def test_input_nested_too_deeply_exits_3_without_traceback(capsys, tmp_path):
+    arrays = tmp_path / "arrays.json"
+    arrays.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["minimize", "--state", str(arrays)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    problem = json.loads(json.dumps(_DOCS["problem"]))
+    for _ in range(500):
+        problem["goal"] = {"op": "not", "arg": problem["goal"]}
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem))
+    assert main(["plan", "--problem", str(path), "--max-depth", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1

@@ -3,20 +3,31 @@
 The references read only a model's ``worlds``, ``relations`` pairs and
 ``valuations``, a state's ``designated`` world and an action's public
 fields; they never touch the integer successor rows, the bitmasks, the
-refinement or the reachability walk that the engine runs on.  The JSON
-round trips at the end ride on the same random states.
+refinement or the reachability walk that the engine runs on.  Models store
+only the rows, so ``relations`` is a view derived from them; the last test
+checks that view against the pair sets a model is built from, and the
+frame-condition reference reads those input pair sets, not the view.  The
+JSON round trips ride on the same random states.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epiplan.action import action_from_json, action_to_json, applicable, product_update
+from epiplan.action import (
+    action_from_json,
+    action_to_json,
+    applicable,
+    make_action,
+    product_update,
+)
 from epiplan.bisim import bisimilar, canonical_key, minimize_with_key, quotient
 from epiplan.formula import And, FalseF, Know, Not, Prop, evaluate_at, extension_mask
+from epiplan.frames import FrameCondition, closure, satisfies
 from epiplan.kripke import (
     EpistemicState,
     generated_submodel,
@@ -115,6 +126,52 @@ def ref_product(state, action):
     return worlds, relations, vals, name[(state.designated, action.designated)]
 
 
+def ref_holds(worlds, pairs, cond) -> bool:
+    """Whether one relation, given as name pairs, meets one frame condition."""
+    if cond is FrameCondition.REFLEXIVE:
+        return all((w, w) in pairs for w in worlds)
+    if cond is FrameCondition.SYMMETRIC:
+        return all((v, u) in pairs for u, v in pairs)
+    if cond is FrameCondition.TRANSITIVE:
+        return all((u, x) in pairs for u, v in pairs for w, x in pairs if v == w)
+    assert cond is FrameCondition.EUCLIDEAN
+    return all((v, x) in pairs for u, v in pairs for w, x in pairs if u == w)
+
+
+def ref_close(worlds, pairs, conds) -> frozenset:
+    """The least superset of ``pairs`` meeting ``conds``: add what each demands until stable."""
+    rel = set(pairs)
+    while True:
+        need = set()
+        if FrameCondition.REFLEXIVE in conds:
+            need |= {(w, w) for w in worlds}
+        if FrameCondition.SYMMETRIC in conds:
+            need |= {(v, u) for u, v in rel}
+        if FrameCondition.TRANSITIVE in conds:
+            need |= {(u, x) for u, v in rel for w, x in rel if v == w}
+        if FrameCondition.EUCLIDEAN in conds:
+            need |= {(v, x) for u, v in rel for w, x in rel if u == w}
+        if need <= rel:
+            return frozenset(rel)
+        rel |= need
+
+
+CONDITION_SETS = [
+    frozenset(c) for k in range(len(FrameCondition) + 1)
+    for c in itertools.combinations(FrameCondition, k)
+]
+
+
+def _pair_sets(rng: random.Random, agents: int) -> tuple[list[str], tuple[frozenset, ...]]:
+    """Random world names and one random pair set per agent over them."""
+    worlds = [f"w{i}" for i in range(rng.randint(1, 5))]
+    density = rng.random()
+    return worlds, tuple(
+        frozenset((u, v) for u in worlds for v in worlds if rng.random() < density)
+        for _ in range(agents)
+    )
+
+
 def _state(rng: random.Random, agents: int) -> EpistemicState:
     """A random state, half the time the product of one with a random action."""
     state = random_state(rng, agents=agents, max_worlds=6)
@@ -205,6 +262,26 @@ def test_evaluation_matches_reference_at_every_world(seed, agents):
 
 @settings(max_examples=200, deadline=None)
 @given(seeds, agent_counts)
+def test_frame_conditions_and_closure_match_checks_on_input_pairs(seed, agents):
+    rng = random.Random(seed)
+    worlds, pairs = _pair_sets(rng, agents)
+    # the random relations, and the same relations closed under every
+    # condition set, so that each condition is met as well as missed
+    inputs = [pairs]
+    model = make_model(worlds, agents, pairs, {})
+    for conds in CONDITION_SETS:
+        closed = tuple(ref_close(worlds, rel, conds) for rel in pairs)
+        assert closure(model, conds).relations == closed
+        inputs.append(closed)
+    for rels in inputs:
+        model = make_model(worlds, agents, rels, {})
+        holds = {c: all(ref_holds(worlds, rel, c) for rel in rels) for c in FrameCondition}
+        for conds in CONDITION_SETS:
+            assert satisfies(model, conds) == all(holds[c] for c in conds), (rels, conds)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seeds, agent_counts)
 def test_json_round_trips_keep_documents_and_keys(seed, agents):
     rng = random.Random(seed)
     s = _state(rng, agents)
@@ -214,3 +291,13 @@ def test_json_round_trips_keep_documents_and_keys(seed, agents):
     assert canonical_key(back) == canonical_key(s)
     action = action_to_json(random_action(rng, agents))
     assert action_to_json(action_from_json(json.loads(json.dumps(action)))) == action
+    # models and actions store successor rows; their ``relations`` view gives
+    # back the pair sets they were built from, whatever order those came in
+    worlds, pairs = _pair_sets(rng, agents)
+    model = make_model(worlds, agents, pairs, {})
+    assert model.relations == pairs
+    shuffled = [rng.sample(sorted(rel), len(rel)) for rel in pairs]
+    again = make_model(worlds, agents, shuffled, {})
+    assert again == model and hash(again) == hash(model)
+    pre = {e: FalseF() for e in worlds}
+    assert make_action(worlds, agents, shuffled, pre, worlds[0]).relations == pairs
