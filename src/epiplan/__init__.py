@@ -45,14 +45,6 @@ from .planner import (
     verify_plan,
 )
 from .problem import PlanningProblem, validate_problem
-from .reduction import (
-    Variant,
-    failed_state_check,
-    match_to_plan,
-    oracle_state,
-    reduce_instance,
-    sat_to_ep,
-    shorthand,
-)
+from .reduction import Variant, match_to_plan, reduce_instance, sat_to_ep
 
 __version__ = "0.1.0"

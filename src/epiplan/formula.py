@@ -423,8 +423,15 @@ class _Parser:
 
 
 def parse(text: str) -> Formula:
-    """Parse the text syntax; raises FormulaSyntaxError with a position."""
-    return _Parser(text).parse()
+    """Parse the text syntax; raises FormulaSyntaxError with a position.
+
+    Text nested too deeply to read is a syntax error too.
+    """
+    parser = _Parser(text)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise FormulaSyntaxError("formula is nested too deeply", parser.pos()) from None
 
 
 _PREC_OR, _PREC_AND, _PREC_UNARY, _PREC_ATOM = 1, 2, 3, 4

@@ -1,8 +1,28 @@
 """Compilers from correspondence-problem instances to planning problems.
 
-One submodule per logic variant; this package front-ends them behind a
-single Variant enum.  The named state families (``oracle_state``) are the
-test oracles the lemma suites compare product updates against.
+One submodule per logic variant, reached through ``module(variant)``.  A
+variant's compiler module is its whole spec; every one defines
+
+- ``AGENTS``, ``PROFILE_NAME`` (a key of ``frames.PROFILES``) and
+  ``FLAVORS``, the flavors its ``family`` accepts;
+- ``REMOVAL_ALPHABET``: the bits ``"0", "1"``, then the separators that
+  follow each bit on a chain, in chain order.  A separator ``s`` has the
+  family flavor ``"minus_hash" + s[1:]``: the state whose chain ends lost
+  the separators from ``s`` on;
+- ``PREPENDS_BLOCKS``: whether ``add_block`` splices a block in front of
+  the stored word rather than after it;
+- ``REMOVALS_NEED_BOTH_ROWS``: whether a removal applies only while both
+  rows still hold symbols;
+- ``initial_state()``, ``family(qa, qb, flavor)`` (the named block-sequence
+  states the lemma suites compare product updates against),
+  ``add_block(index, block)``, ``next_stage()``, ``remove_symbol(s)``,
+  ``build_actions(inst)`` and ``goal()``;
+- ``shorthand(name, arg)`` and ``failed_state(state)``, the witness-path
+  check for a failed removal.
+
+Witness plans and the suites' removal phases are derived from these
+constants, so no code outside a compiler module tests which variant it
+runs.
 """
 from __future__ import annotations
 
@@ -10,9 +30,7 @@ from enum import Enum
 from typing import Sequence
 
 from ..errors import NotAMatch, UnknownActionName
-from ..formula import Formula
 from ..frames import profile
-from ..kripke import EpistemicState
 from ..pcp import Match, PcpInstance, instance_to_json, matched_word
 from ..problem import PlanningProblem
 from . import k1, ktb, multi, s4
@@ -20,12 +38,10 @@ from .sat import sat_to_ep
 
 __all__ = [
     "Variant",
+    "module",
     "reduce_instance",
-    "oracle_state",
-    "shorthand",
     "match_to_plan",
     "plan_match_prefix",
-    "failed_state_check",
     "sat_to_ep",
 ]
 
@@ -46,6 +62,7 @@ _MODULES = {
 
 
 def module(variant: Variant):
+    """The compiler module that is the variant's spec."""
     return _MODULES[variant]
 
 
@@ -61,22 +78,25 @@ def reduce_instance(inst: PcpInstance, variant: Variant) -> PlanningProblem:
     )
 
 
-def oracle_state(variant: Variant, qa: str, qb: str, flavor: str) -> EpistemicState:
-    """The variant's named block-sequence state (a literal model)."""
-    return _MODULES[variant].family(qa, qb, flavor)
-
-
-def shorthand(variant: Variant, name: str, arg: str | None = None) -> Formula:
-    return _MODULES[variant].shorthand(name, arg)
-
-
 def match_to_plan(inst: PcpInstance, match: Sequence[int], variant: Variant) -> tuple[str, ...]:
-    """The witness plan for a match: add blocks, switch stage, remove."""
+    """The witness plan for a match: add blocks, switch stage, remove.
+
+    The blocks are added in match order, or backwards when the compiler
+    prepends them, so that the stored word reads front to back.  The
+    removals then eat the word from its last symbol: for each symbol its
+    trailing separators, last first, and then the bit itself.
+    """
     word = matched_word(inst, match)  # raises NotAMatch on bad input
-    return tuple(_MODULES[variant].match_plan(inst, match, word))
+    mod = _MODULES[variant]
+    adds = [f"ad_{i}" for i in match]
+    if mod.PREPENDS_BLOCKS:
+        adds.reverse()
+    separators = [f"remove_{s}" for s in reversed(mod.REMOVAL_ALPHABET[2:])]
+    removals = [name for bit in reversed(word) for name in (*separators, f"remove_{bit}")]
+    return (*adds, "next_stage", *removals)
 
 
-def plan_match_prefix(plan: Sequence[str], variant: Variant = Variant.K1) -> Match:
+def plan_match_prefix(plan: Sequence[str], variant: Variant) -> Match:
     """Recover the index sequence from a plan's add-block prefix.
 
     A variant whose compiler prepends blocks (``PREPENDS_BLOCKS``) plays
@@ -95,8 +115,3 @@ def plan_match_prefix(plan: Sequence[str], variant: Variant = Variant.K1) -> Mat
     if _MODULES[variant].PREPENDS_BLOCKS:
         out.reverse()
     return tuple(out)
-
-
-def failed_state_check(state: EpistemicState, variant: Variant) -> bool:
-    """Whether the state carries a witness path for a failed removal."""
-    return _MODULES[variant].failed_state(state)

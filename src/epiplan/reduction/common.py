@@ -3,8 +3,9 @@ from __future__ import annotations
 
 from typing import Iterable
 
+from ..formula import Formula, and_, evaluate_at, know, not_, or_, prop
 from ..frames import FrameCondition, close_relation
-from ..kripke import Pair
+from ..kripke import EpistemicState, Pair
 
 
 def cliques(*groups: Iterable[str]) -> set[Pair]:
@@ -38,3 +39,32 @@ def check_words(qa: str, qb: str) -> None:
     for word in (qa, qb):
         if any(c not in "01" for c in word):
             raise ValueError(f"word {word!r} is not over the alphabet {{0,1}}")
+
+
+def chain_failed_state(state: EpistemicState, failed: Formula, symb: Formula) -> bool:
+    """Witness-path check for a failed removal on single-agent chains.
+
+    Once the root has left stage one, looks for a path from the designated
+    world: first a branch world other than the root, then ``symb`` worlds,
+    ending in a world where ``failed`` holds.
+    """
+    model = state.model
+    root = state.designated
+    if not evaluate_at(state, root, and_(prop("root"), know(0, not_(prop("stg1"))))):
+        return False
+    branch = or_(prop("a"), prop("b"))
+    frontier = [w for w in model.successors(0, root)
+                if w != root and evaluate_at(state, w, branch)]
+    seen = set(frontier)
+    while frontier:
+        for w in frontier:
+            if evaluate_at(state, w, failed):
+                return True
+        step = []
+        for w in frontier:
+            for v in model.successors(0, w):
+                if v not in seen and evaluate_at(state, v, symb):
+                    seen.add(v)
+                    step.append(v)
+        frontier = step
+    return False

@@ -18,11 +18,12 @@ from ..errors import IllegalFlavor, UnknownShorthand
 from ..formula import Formula, and_, diamond, know, not_, or_, prop
 from ..kripke import EpistemicState, make_model
 from ..pcp import PcpInstance
-from .common import check_words
+from .common import chain_failed_state, check_words
 
 AGENTS = 1
 PROFILE_NAME = "K"
 REMOVAL_ALPHABET = ("0", "1")
+REMOVALS_NEED_BOTH_ROWS = False
 PREPENDS_BLOCKS = False
 FLAVORS = ("plain", "loop")
 
@@ -225,39 +226,5 @@ def build_actions(inst: PcpInstance) -> dict[str, EventModel]:
     return actions
 
 
-def match_plan(inst: PcpInstance, match, word: str) -> list[str]:
-    plan = [f"ad_{i}" for i in match]
-    plan.append("next_stage")
-    plan.extend(f"remove_{bit}" for bit in reversed(word))
-    return plan
-
-
 def failed_state(state: EpistemicState) -> bool:
-    """Witness-path check for a failed removal.
-
-    Looks for a path from the designated world: first a branch world, then
-    symbol worlds, ending in a world that is branch-labelled but can no
-    longer reach w_ntF.
-    """
-    from ..formula import evaluate_at
-
-    model = state.model
-    root = state.designated
-    if not evaluate_at(state, root, and_(_P["root"], _k(not_(_P["stg1"])))):
-        return False
-    branch = or_(_P["a"], _P["b"])
-    fail_f, symb_f = failed(), symb()
-    frontier = [w for w in model.successors(0, root) if evaluate_at(state, w, branch)]
-    seen = set(frontier)
-    while frontier:
-        for w in frontier:
-            if evaluate_at(state, w, fail_f):
-                return True
-        step = []
-        for w in frontier:
-            for v in model.successors(0, w):
-                if v not in seen and evaluate_at(state, v, symb_f):
-                    seen.add(v)
-                    step.append(v)
-        frontier = step
-    return False
+    return chain_failed_state(state, failed(), symb())

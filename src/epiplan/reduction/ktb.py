@@ -19,11 +19,12 @@ from ..errors import IllegalFlavor, UnknownShorthand
 from ..formula import Formula, and_, conj, diamond, disj, know, not_, or_, prop
 from ..kripke import EpistemicState, make_model, restrict
 from ..pcp import PcpInstance
-from .common import check_words, refl_sym
+from .common import chain_failed_state, check_words, refl_sym
 
 AGENTS = 1
 PROFILE_NAME = "KTB"
 REMOVAL_ALPHABET = ("0", "1", "#1", "#2")
+REMOVALS_NEED_BOTH_ROWS = False
 PREPENDS_BLOCKS = False
 FLAVORS = ("plain", "loop", "minus_hash1", "minus_hash2")
 
@@ -288,35 +289,5 @@ def build_actions(inst: PcpInstance) -> dict[str, EventModel]:
     return actions
 
 
-def match_plan(inst: PcpInstance, match, word: str) -> list[str]:
-    plan = [f"ad_{i}" for i in match]
-    plan.append("next_stage")
-    for bit in reversed(word):
-        plan.extend(["remove_#2", "remove_#1", f"remove_{bit}"])
-    return plan
-
-
 def failed_state(state: EpistemicState) -> bool:
-    from ..formula import evaluate_at
-
-    model = state.model
-    root = state.designated
-    if not evaluate_at(state, root, and_(_P["root"], _k(not_(_P["stg1"])))):
-        return False
-    branch = or_(_P["a"], _P["b"])
-    fail_f, symb_f = failed(), symb()
-    frontier = [w for w in model.successors(0, root)
-                if w != root and evaluate_at(state, w, branch)]
-    seen = set(frontier)
-    while frontier:
-        for w in frontier:
-            if evaluate_at(state, w, fail_f):
-                return True
-        step = []
-        for w in frontier:
-            for v in model.successors(0, w):
-                if v not in seen and evaluate_at(state, v, symb_f):
-                    seen.add(v)
-                    step.append(v)
-        frontier = step
-    return False
+    return chain_failed_state(state, failed(), symb())

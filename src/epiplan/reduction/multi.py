@@ -22,6 +22,7 @@ from .common import check_words, cliques, reflexive
 AGENTS = 2
 PROFILE_NAME = "S5"
 REMOVAL_ALPHABET = ("0", "1", "#")
+REMOVALS_NEED_BOTH_ROWS = False
 PREPENDS_BLOCKS = False
 FLAVORS = ("plain", "loop", "minus_hash")
 
@@ -285,14 +286,6 @@ def build_actions(inst: PcpInstance) -> dict[str, EventModel]:
     for bt in REMOVAL_ALPHABET:
         actions[f"remove_{bt}"] = remove_symbol(bt)
     return actions
-
-
-def match_plan(inst: PcpInstance, match, word: str) -> list[str]:
-    plan = [f"ad_{i}" for i in match]
-    plan.append("next_stage")
-    for bit in reversed(word):
-        plan.extend(["remove_#", f"remove_{bit}"])
-    return plan
 
 
 def failed_state(state: EpistemicState) -> bool:

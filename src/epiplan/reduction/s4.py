@@ -12,11 +12,12 @@ whole downstream set, which changes the bookkeeping:
   goal's K !symb conjunct false forever;
 - removals apply only while both branches still carry symbols, which the
   root can see directly (<K>(symb & a) etc.), so one branch can never be
-  stripped past the other.
+  stripped past the other (REMOVALS_NEED_BOTH_ROWS).
 
-match_plan therefore applies the add-block actions in reverse match
-order, so that the stored word equals the match's concatenation read
-front to back and the removal suffix is identical to the other variants.
+Witness plans (reduction.match_to_plan) therefore apply the add-block
+actions in reverse match order (PREPENDS_BLOCKS), so that the stored
+word equals the match's concatenation read front to back and the
+removal suffix is identical to the other variants.
 """
 from __future__ import annotations
 
@@ -30,6 +31,7 @@ from .common import check_words, refl_trans, reflexive
 AGENTS = 1
 PROFILE_NAME = "S4"
 REMOVAL_ALPHABET = ("0", "1", "#")
+REMOVALS_NEED_BOTH_ROWS = True
 PREPENDS_BLOCKS = True
 FLAVORS = ("plain", "loop", "minus_hash")
 
@@ -246,16 +248,6 @@ def build_actions(inst: PcpInstance) -> dict[str, EventModel]:
     for d in REMOVAL_ALPHABET:
         actions[f"remove_{d}"] = remove_symbol(d)
     return actions
-
-
-def match_plan(inst: PcpInstance, match, word: str) -> list[str]:
-    # Blocks are spliced in at the front, so play the match backwards to
-    # store the matched word front-to-back.
-    plan = [f"ad_{i}" for i in reversed(match)]
-    plan.append("next_stage")
-    for bit in reversed(word):
-        plan.extend(["remove_#", f"remove_{bit}"])
-    return plan
 
 
 def failed_state(state: EpistemicState) -> bool:

@@ -90,13 +90,14 @@ def _random_word(rng: random.Random, max_len: int) -> str:
 
 
 def _lemma_schema(report: SuiteReport, rng: random.Random, variant: Variant,
-                  pairs: int, max_word: int, check_frames: bool) -> None:
+                  pairs: int, max_word: int) -> None:
     mod = module(variant)
     profile_conds = PROFILES[mod.PROFILE_NAME]
     initial = mod.initial_state()
+    separators = list(reversed(mod.REMOVAL_ALPHABET[2:]))
 
     def validate(state, label):
-        if check_frames:
+        if profile_conds:
             report.check(
                 satisfies(state.model, profile_conds),
                 f"{variant.value}: {label} violates the frame conditions",
@@ -145,28 +146,12 @@ def _lemma_schema(report: SuiteReport, rng: random.Random, variant: Variant,
             bt = rng.choice("01")
             state = mod.family(qa + bt, qb + bt, "plain")
             validate(state, f"plain({qa + bt},{qb + bt})")
-            if variant is Variant.K1:
-                phases = [(f"remove_{bt}", mod.family(qa, qb, "plain"))]
-            elif variant is Variant.MULTI_S5:
-                phases = [
-                    ("remove_#", mod.family(qa + bt, qb + bt, "minus_hash")),
-                    (f"remove_{bt}", mod.family(qa, qb, "plain")),
-                ]
-            elif variant is Variant.KTB1:
-                phases = [
-                    ("remove_#2", mod.family(qa + bt, qb + bt, "minus_hash2")),
-                    ("remove_#1", mod.family(qa + bt, qb + bt, "minus_hash1")),
-                    (f"remove_{bt}", mod.family(qa, qb, "plain")),
-                ]
-            else:
-                # blocks are prepended in this variant but removals still eat
-                # the chain ends, i.e. the stored word's last symbol
-                phases = [
-                    ("remove_#", mod.family(qa + bt, qb + bt, "minus_hash")),
-                    (f"remove_{bt}", mod.family(qa, qb, "plain")),
-                ]
-            for name, target in phases:
-                action = mod.build_actions(inst)[name]
+            # the chain ends lose their separators, last first, then the bit
+            phases = [(s, mod.family(qa + bt, qb + bt, "minus_hash" + s[1:])) for s in separators]
+            phases.append((bt, mod.family(qa, qb, "plain")))
+            for symbol, target in phases:
+                name = f"remove_{symbol}"
+                action = mod.remove_symbol(symbol)
                 if not applicable(state, action):
                     report.check(False, f"{variant.value}: {name} inapplicable on a clean state")
                     break
@@ -181,7 +166,7 @@ def _lemma_schema(report: SuiteReport, rng: random.Random, variant: Variant,
 
 def run_k1_lemmas(seed: int = DEFAULT_SEED, pairs: int = 200, max_word: int = 6) -> SuiteReport:
     return _timed(
-        lambda r, g: _lemma_schema(r, g, Variant.K1, pairs, max_word, False),
+        lambda r, g: _lemma_schema(r, g, Variant.K1, pairs, max_word),
         "k1_lemmas",
         seed,
     )
@@ -189,7 +174,7 @@ def run_k1_lemmas(seed: int = DEFAULT_SEED, pairs: int = 200, max_word: int = 6)
 
 def run_multi_lemmas(seed: int = DEFAULT_SEED, pairs: int = 200, max_word: int = 6) -> SuiteReport:
     return _timed(
-        lambda r, g: _lemma_schema(r, g, Variant.MULTI_S5, pairs, max_word, True),
+        lambda r, g: _lemma_schema(r, g, Variant.MULTI_S5, pairs, max_word),
         "multi_lemmas",
         seed,
     )
@@ -197,7 +182,7 @@ def run_multi_lemmas(seed: int = DEFAULT_SEED, pairs: int = 200, max_word: int =
 
 def run_ktb_lemmas(seed: int = DEFAULT_SEED, pairs: int = 100, max_word: int = 4) -> SuiteReport:
     return _timed(
-        lambda r, g: _lemma_schema(r, g, Variant.KTB1, pairs, max_word, True),
+        lambda r, g: _lemma_schema(r, g, Variant.KTB1, pairs, max_word),
         "ktb_lemmas",
         seed,
     )
@@ -205,7 +190,7 @@ def run_ktb_lemmas(seed: int = DEFAULT_SEED, pairs: int = 100, max_word: int = 4
 
 def run_s4_lemmas(seed: int = DEFAULT_SEED, pairs: int = 100, max_word: int = 4) -> SuiteReport:
     return _timed(
-        lambda r, g: _lemma_schema(r, g, Variant.S4_1, pairs, max_word, True),
+        lambda r, g: _lemma_schema(r, g, Variant.S4_1, pairs, max_word),
         "s4_lemmas",
         seed,
     )
@@ -224,23 +209,23 @@ def _failure_absorption(report: SuiteReport, rng: random.Random, variant: Varian
     for trial in range(cases):
         qa = _random_word(rng, 3)
         qb = _random_word(rng, 3)
-        if variant is Variant.S4_1:
-            # single-sided chains make removals inapplicable there, which is
-            # a dead end rather than a failed state; keep both sides busy
+        if mod.REMOVALS_NEED_BOTH_ROWS:
+            # a removal on a single-sided chain is then inapplicable, which
+            # is a dead end rather than a failed state; keep both sides busy
             qa = qa or rng.choice("01")
             qb = qb or rng.choice("01")
         state = mod.family(qa, qb, "plain")
-        # pick a removal that is guaranteed wrong for this state: either a
-        # bit that matches no tail, or a bit while a separator is pending.
-        if variant is Variant.K1:
-            if not qa or not qb:
-                wrong = rng.choice("01")
-            elif qa[-1] != "1" or qb[-1] != "1":
-                wrong = "1"
-            else:
-                wrong = "0"
+        # pick a removal that is guaranteed wrong for this state: a bit
+        # while a separator is pending or, without separators, a bit that
+        # matches no tail.
+        if len(alphabet) > 2:
+            wrong = rng.choice(alphabet[:-1])
+        elif not qa or not qb:
+            wrong = rng.choice("01")
+        elif qa[-1] != "1" or qb[-1] != "1":
+            wrong = "1"
         else:
-            wrong = rng.choice([d for d in alphabet if d not in ("#", "#2")])
+            wrong = "0"
         action = actions[f"remove_{wrong}"]
         if not applicable(state, action):
             report.check(False, f"{variant.value}: removal inapplicable on plain state")

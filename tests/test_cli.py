@@ -269,3 +269,10 @@ def test_input_nested_too_deeply_exits_3_without_traceback(capsys, tmp_path):
     assert main(["plan", "--problem", str(path), "--max-depth", "1"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps(state_to_json(module(Variant.K1).initial_state())))
+    for text in ("!" * 5000 + "p", "(" * 5000 + "p" + ")" * 5000):
+        for argv in (["check", "--state", str(state)], ["sat2ep"]):
+            assert main(argv + ["--formula", text]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1
