@@ -12,7 +12,7 @@ from .action import (
     make_action,
     product_update,
 )
-from .bisim import bisimilar, canonical_key, canonical_key_hex, coarsest_bisimulation, quotient
+from .bisim import bisimilar, canonical_key, canonical_key_hex, quotient
 from .formula import (
     Formula,
     and_,

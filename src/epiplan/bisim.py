@@ -1,10 +1,9 @@
 """Coarsest bisimulations, quotients, and canonical state fingerprints.
 
-The refinement here is the naive iterated-splitting algorithm: start from
-valuation classes and split by the per-agent sets of successor blocks
-until nothing changes.  That is quadratic-ish but easy to audit, and the
-states this engine handles are small.  Everything runs on the models'
-integer successor rows (``KripkeModel.rows``, the one stored relation),
+The refinement is round-by-round splitting: start from valuation classes
+and split each block by its worlds' per-agent sets of successor blocks
+until a round splits nothing.  Everything runs on the models' integer
+successor rows (``KripkeModel.rows``, the one stored relation),
 restricted to the generated part by ``kripke.reachable_rows``;
 successor-block sets are packed into bitmask integers, and one function
 turns the refinement into the rows of the quotient state that
@@ -17,39 +16,28 @@ what makes ``canonical_key`` collision-free: equal keys hold exactly for
 bisimilar states, because bisimilar states have isomorphic minimized
 generated submodels and the key serializes that minimized model in
 canonical block order.
+
+A signature starts with the world's block id, so a round sorts worlds by
+their old block first.  Hence a singleton block stays one block whatever
+its successors, and its signature is its id alone (one id's signatures
+still share a shape, so the sort is unchanged); and after a round that
+leaves every block a singleton, the next would renumber nothing, so
+refinement stops there.  Neither shortcut changes any block id.
 """
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
-from typing import Mapping
 
 from .errors import AgentMismatch
 from .kripke import EpistemicState, KripkeModel, reachable_rows
 
 __all__ = [
-    "Partition",
-    "coarsest_bisimulation",
     "quotient",
     "bisimilar",
     "canonical_key",
     "canonical_key_hex",
     "minimize_with_key",
 ]
-
-
-@dataclass(frozen=True)
-class Partition:
-    """A partition of a model's worlds into blocks ``0 .. count-1``."""
-
-    block_of: Mapping[str, int]
-    count: int
-
-    def blocks(self) -> list[list[str]]:
-        out: list[list[str]] = [[] for _ in range(self.count)]
-        for w, b in self.block_of.items():
-            out[b].append(w)
-        return out
 
 
 def _canonical_refine(valuations, succ) -> tuple[list[int], int]:
@@ -61,14 +49,19 @@ def _canonical_refine(valuations, succ) -> tuple[list[int], int]:
     naming and ordering.
     """
     n = len(valuations)
-    vals = [tuple(sorted(v)) for v in valuations]
-    first = {v: r for r, v in enumerate(sorted(set(vals)))}
-    rank = [first[v] for v in vals]
+    first = {v: r for r, v in enumerate(sorted(set(valuations), key=sorted))}
+    rank = [first[v] for v in valuations]
     count = len(first)
-    while True:
+    while count < n:
+        size = [0] * count
+        for r in rank:
+            size[r] += 1
         sigs = []
-        for i in range(n):
-            entry = [rank[i]]
+        for i, r in enumerate(rank):
+            if size[r] == 1:
+                sigs.append((r,))
+                continue
+            entry = [r]
             for row in succ:
                 m = 0
                 for j in row[i]:
@@ -76,16 +69,10 @@ def _canonical_refine(valuations, succ) -> tuple[list[int], int]:
                 entry.append(m)
             sigs.append(tuple(entry))
         by_sig = {s: r for r, s in enumerate(sorted(set(sigs)))}
-        new = [by_sig[s] for s in sigs]
         if len(by_sig) == count:
-            return new, count
-        rank, count = new, len(by_sig)
-
-
-def coarsest_bisimulation(model: KripkeModel) -> Partition:
-    """Partition refinement from valuation classes to the fixpoint."""
-    block, count = _canonical_refine(model.valuations, model.rows)
-    return Partition({w: block[i] for i, w in enumerate(model.worlds)}, count)
+            break
+        rank, count = [by_sig[s] for s in sigs], len(by_sig)
+    return rank, count
 
 
 def _generated(state: EpistemicState):
@@ -102,10 +89,9 @@ def _minimize(state: EpistemicState):
     """The generated part, its canonical blocks, and each block's first world."""
     kept, vals, rows, start = _generated(state)
     block, count = _canonical_refine(vals, rows)
-    rep = [-1] * count
-    for i in range(len(vals)):
-        if rep[block[i]] < 0:
-            rep[block[i]] = i
+    rep = [0] * count
+    for i in reversed(range(len(vals))):
+        rep[block[i]] = i
     return kept, vals, rows, start, block, count, rep
 
 
@@ -115,9 +101,8 @@ def _quotient_state(state: EpistemicState, minimized) -> EpistemicState:
     model = state.model
     if count == len(kept) == len(model.worlds):
         return state
-    order = sorted(range(count), key=rep.__getitem__)
-    pos = {b: k for k, b in enumerate(order)}
-    reps = [rep[b] for b in order]
+    reps = sorted(rep)
+    pos = {block[i]: k for k, i in enumerate(reps)}
     quotient_rows = tuple(
         tuple(tuple(sorted({pos[block[j]] for j in row[i]})) for i in reps) for row in rows
     )
@@ -146,19 +131,24 @@ def minimize_with_key(state: EpistemicState) -> tuple[EpistemicState, bytes]:
     """
     minimized = _minimize(state)
     _, vals, rows, start, block, count, rep = minimized
-    pack = struct.pack
+    pack, get = struct.pack, block.__getitem__
+    discrete = count == len(vals)
+    encoded = {}
     out = bytearray(pack(">III", state.model.agents, count, block[start]))
-    for b in range(count):
-        i = rep[b]
-        val = sorted(vals[i])
-        out += pack(">I", len(val))
-        for p in val:
-            raw = p.encode("utf-8")
-            out += pack(">I", len(raw))
-            out += raw
+    for i in rep:
+        val = vals[i]
+        if val not in encoded:
+            names = [p.encode("utf-8") for p in sorted(val)]
+            encoded[val] = pack(">I", len(names)) + b"".join(
+                [pack(">I", len(raw)) + raw for raw in names])
+        out += encoded[val]
+        ints = []
         for row in rows:
-            ranks = sorted({block[j] for j in row[i]})
-            out += pack(f">I{len(ranks)}I", len(ranks), *ranks)
+            # a discrete block map is injective: no successor block repeats
+            ranks = sorted(map(get, row[i]) if discrete else set(map(get, row[i])))
+            ints.append(len(ranks))
+            ints += ranks
+        out += pack(f">{len(ints)}I", *ints)
     return _quotient_state(state, minimized), bytes(out)
 
 

@@ -54,6 +54,10 @@ class FormulaSyntaxError(EngineError):
         self.position = position
 
 
+class FormulaTooDeep(EngineError):
+    """A formula nests deeper than evaluation can recurse."""
+
+
 class NotAMatch(EngineError):
     pass
 

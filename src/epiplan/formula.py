@@ -23,7 +23,8 @@ import threading
 import weakref
 from typing import TYPE_CHECKING, Any
 
-from .errors import FormulaSyntaxError, MalformedDocument, UnknownAgent, UnknownWorld, field_of
+from .errors import (FormulaSyntaxError, FormulaTooDeep, MalformedDocument, UnknownAgent,
+                     UnknownWorld, field_of)
 
 if TYPE_CHECKING:
     from .kripke import EpistemicState, KripkeModel
@@ -258,14 +259,17 @@ def _eval(model: KripkeModel, i: int, f: Formula) -> bool:
 
 def evaluate(state: EpistemicState, f: Formula) -> bool:
     """Truth of ``f`` at the designated world of ``state``."""
-    return _eval(state.model, state.model.index_of(state.designated), f)
+    return evaluate_at(state, state.designated, f)
 
 
 def evaluate_at(state: EpistemicState, world: str, f: Formula) -> bool:
     """Truth of ``f`` at an arbitrary world of ``state``'s model."""
     if world not in state.model:
         raise UnknownWorld(f"world {world!r} not in model")
-    return _eval(state.model, state.model.index_of(world), f)
+    try:
+        return _eval(state.model, state.model.index_of(world), f)
+    except RecursionError:
+        raise FormulaTooDeep("formula is nested too deeply to evaluate") from None
 
 
 def extension_mask(model: KripkeModel, f: Formula, cache: dict | None = None) -> int:

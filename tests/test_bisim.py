@@ -7,35 +7,40 @@ from epiplan.bisim import (
     bisimilar,
     canonical_key,
     canonical_key_hex,
-    coarsest_bisimulation,
     minimize_with_key,
     quotient,
 )
 from epiplan.formula import evaluate
-from epiplan.kripke import EpistemicState, make_model
+from epiplan.kripke import EpistemicState, generated_submodel, make_model
 from epiplan.reduction import k1
 from epiplan.suites import mutate_bisimilar, random_formula, random_state
+
+
+def _pointed(model):
+    return [EpistemicState(model, w) for w in model.worlds]
 
 
 def test_total_uniform_model_collapses():
     worlds = ["w0", "w1", "w2"]
     total = {(u, v) for u in worlds for v in worlds}
     m = make_model(worlds, 1, [total], {w: ["p"] for w in worlds})
-    assert coarsest_bisimulation(m).count == 1
+    assert len({canonical_key(s) for s in _pointed(m)}) == 1
     q = quotient(EpistemicState(m, "w0"))
     assert len(q.model.worlds) == 1
 
 
 def test_discrete_model_stays_discrete():
     m = make_model(["w0", "w1"], 1, [set()], {"w0": ["p"], "w1": ["q"]})
-    assert coarsest_bisimulation(m).count == 2
+    assert not bisimilar(*_pointed(m))
+    linked = make_model(["w0", "w1"], 1, [{("w0", "w1")}], {"w0": ["p"], "w1": ["q"]})
+    assert quotient(EpistemicState(linked, "w0")).model == linked
 
 
 def test_branch_worlds_split_by_valuation():
     s = k1.family("", "", "plain")
-    part = coarsest_bisimulation(s.model)
-    assert part.block_of["w_a"] != part.block_of["w_b"]
-    assert part.count == 4
+    assert not bisimilar(EpistemicState(s.model, "w_a"), EpistemicState(s.model, "w_b"))
+    assert len(quotient(s).model.worlds) == 4
+    assert len({canonical_key(p) for p in _pointed(s.model)}) == 4
 
 
 def test_quotient_of_initial_state_keeps_all_worlds():
@@ -101,25 +106,22 @@ def test_modal_invariance_of_bisimilar_states():
 
 def test_refinement_fixpoint_is_stable():
     rng = random.Random(14)
-    from epiplan.suites import random_model
-
     for _ in range(100):
-        m = random_model(rng)
-        part = coarsest_bisimulation(m)
-        # one more refinement round: signatures per block never split further
-        sigs = {}
-        for w in m.worlds:
-            sig = (
-                part.block_of[w],
-                tuple(
-                    frozenset(part.block_of[v] for v in m.successors(a, w))
-                    for a in range(m.agents)
-                ),
-            )
-            sigs.setdefault(sig, set()).add(part.block_of[w])
-        blocks_seen = [b for group in sigs.values() for b in group]
-        assert len(set(blocks_seen)) == part.count
-        assert len(sigs) == part.count
+        s = random_state(rng)
+        q = quotient(s)
+        m, qm = s.model, q.model
+        # each block is named by a quotient world; keys name the blocks
+        block = {canonical_key(p): p.designated for p in _pointed(qm)}
+        assert len(block) == len(qm.worlds)
+        reachable = generated_submodel(s).model.worlds
+        of = {w: block[canonical_key(EpistemicState(m, w))] for w in reachable}
+        assert of[s.designated] == q.designated
+        # one more refinement round: every world of a block has the block's
+        # valuation and, per agent, exactly the block's successor blocks
+        for w, b in of.items():
+            assert m.valuation_of(w) == qm.valuation_of(b)
+            for a in range(m.agents):
+                assert {of[v] for v in m.successors(a, w)} == set(qm.successors(a, b))
 
 
 def test_minimize_with_key_consistency():

@@ -276,3 +276,10 @@ def test_input_nested_too_deeply_exits_3_without_traceback(capsys, tmp_path):
             assert main(argv + ["--formula", text]) == 3
             err = capsys.readouterr().err
             assert err.startswith("error:") and err.count("\n") == 1
+    # parses, but evaluation recurses once per modal level
+    world = module(Variant.K1).initial_state().designated
+    for where in ([], ["--world", world]):
+        argv = ["check", "--state", str(state), *where, "--formula", "K{0}" * 490 + "p"]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1

@@ -8,12 +8,18 @@ only the rows, so ``relations`` is a view derived from them; the last test
 checks that view against the pair sets a model is built from, and the
 frame-condition reference reads those input pair sets, not the view.  The
 JSON round trips ride on the same random states.
+
+One reference does read rows: ``ref_refine`` is the plain round-by-round
+refinement (every world re-signed every round, stop on a round that splits
+nothing), kept to pin the engine's exact block numbering and key bytes,
+not just its partition.
 """
 from __future__ import annotations
 
 import itertools
 import json
 import random
+import struct
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,11 +31,13 @@ from epiplan.action import (
     make_action,
     product_update,
 )
-from epiplan.bisim import bisimilar, canonical_key, minimize_with_key, quotient
+from epiplan.bisim import _canonical_refine, bisimilar, canonical_key, minimize_with_key, quotient
+from epiplan.errors import DuplicateWorld
 from epiplan.formula import And, FalseF, Know, Not, Prop, evaluate_at, extension_mask
 from epiplan.frames import FrameCondition, closure, satisfies
 from epiplan.kripke import (
     EpistemicState,
+    KripkeModel,
     generated_submodel,
     make_model,
     state_from_json,
@@ -124,6 +132,61 @@ def ref_product(state, action):
     worlds = tuple(name[p] for p in pairs)
     vals = tuple(_valuation(model, u) for u, _ in pairs)
     return worlds, relations, vals, name[(state.designated, action.designated)]
+
+
+def ref_refine(valuations, rows) -> tuple[list[int], int]:
+    """Canonical block ids by full rounds: each world's signature is its block
+    and, per agent, the bitmask of its successors' blocks; blocks are renumbered
+    in sorted signature order until a round splits nothing."""
+    vals = [tuple(sorted(v)) for v in valuations]
+    first = {v: r for r, v in enumerate(sorted(set(vals)))}
+    block = [first[v] for v in vals]
+    while True:
+        sigs = [
+            (block[i], *(sum({1 << block[j] for j in row[i]}) for row in rows))
+            for i in range(len(vals))
+        ]
+        number = {sig: r for r, sig in enumerate(sorted(set(sigs)))}
+        renumbered = [number[sig] for sig in sigs]
+        if len(number) == len(set(block)):
+            return renumbered, len(number)
+        block = renumbered
+
+
+def ref_key(state) -> bytes:
+    """The key layout of ``minimize_with_key``, packed field by field from
+    ``ref_refine`` on the part reachable over pairs."""
+    worlds, relations, vals = ref_generated(state)
+    agents = state.model.agents
+    rows = make_model(worlds, agents, relations, dict(zip(worlds, vals))).rows
+    block, count = ref_refine(vals, rows)
+    first = {}
+    for i, b in enumerate(block):
+        first.setdefault(b, i)
+    out = struct.pack(">III", agents, count, block[worlds.index(state.designated)])
+    for b in range(count):
+        i = first[b]
+        names = sorted(vals[i])
+        out += struct.pack(">I", len(names))
+        for name in names:
+            raw = name.encode("utf-8")
+            out += struct.pack(">I", len(raw)) + raw
+        for row in rows:
+            ranks = sorted({block[j] for j in row[i]})
+            out += struct.pack(">I", len(ranks))
+            for r in ranks:
+                out += struct.pack(">I", r)
+    return out
+
+
+def _union(m1, m2) -> KripkeModel:
+    """The disjoint union of two models, the second's indices after the first's."""
+    off = len(m1.worlds)
+    rows = tuple(
+        r1 + tuple(tuple(j + off for j in succ) for succ in r2) for r1, r2 in zip(m1.rows, m2.rows)
+    )
+    worlds = tuple(f"l{w}" for w in m1.worlds) + tuple(f"r{w}" for w in m2.worlds)
+    return KripkeModel(worlds, m1.agents, rows, m1.valuations + m2.valuations)
 
 
 def ref_holds(worlds, pairs, cond) -> bool:
@@ -301,3 +364,35 @@ def test_json_round_trips_keep_documents_and_keys(seed, agents):
     assert again == model and hash(again) == hash(model)
     pre = {e: FalseF() for e in worlds}
     assert make_action(worlds, agents, shuffled, pre, worlds[0]).relations == pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(seeds, agent_counts)
+def test_refinement_numbering_and_key_bytes_match_full_rounds(seed, agents):
+    rng = random.Random(seed)
+    s = _state(rng, agents)
+    # non-minimal copies: each bisimilar mutation may duplicate a world,
+    # except one already duplicated under the same name
+    padded = s
+    for _ in range(rng.randint(1, 3)):
+        try:
+            padded = mutate_bisimilar(rng, padded)
+        except DuplicateWorld:
+            pass
+    other = _near(rng, s) if rng.random() < 0.5 else _state(rng, agents)
+    # a state whose model also holds worlds it cannot reach
+    stray = EpistemicState(_union(s.model, other.model), f"l{s.designated}")
+    for state in (s, padded, other, stray):
+        m = state.model
+        assert _canonical_refine(m.valuations, m.rows) == ref_refine(m.valuations, m.rows)
+        g = generated_submodel(state).model
+        assert _canonical_refine(g.valuations, g.rows) == ref_refine(g.valuations, g.rows)
+        assert minimize_with_key(state)[1] == ref_key(state)
+    # the joint refinement ``bisimilar`` runs on two generated parts
+    for s1, s2 in ((s, padded), (s, other), (padded, stray)):
+        g1, g2 = generated_submodel(s1).model, generated_submodel(s2).model
+        u = _union(g1, g2)
+        block, count = _canonical_refine(u.valuations, u.rows)
+        assert (block, count) == ref_refine(u.valuations, u.rows)
+        start1, start2 = g1.index_of(s1.designated), g2.index_of(s2.designated)
+        assert bisimilar(s1, s2) == (block[start1] == block[len(g1.worlds) + start2])
