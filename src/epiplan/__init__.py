@@ -5,10 +5,8 @@ from . import errors
 from .action import (
     EventModel,
     FailureAt,
-    Separability,
     applicable,
     apply_plan,
-    is_separable,
     make_action,
     product_update,
 )

@@ -7,11 +7,18 @@ precondition; there are no postconditions, so valuations are inherited
 from the source world unchanged.
 Event models store successor rows like Kripke models; their name pairs
 ``relations`` are a derived view, and the product update reads rows only.
+
+Both ``applicable`` and ``product_update`` evaluate preconditions as
+extension masks (``formula.extension_mask``), memoized on the state's
+model: at one search node, every action's test and update share each
+subformula's mask.  The update then visits only the world/event pairs it
+keeps, taken from the set bits of those masks, never all of them.  Goal
+checks (``formula.evaluate``) stay pointwise: they need one world, and
+there the short-circuiting walk beats building full masks.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Any, Iterable, Mapping, Sequence
 
 from . import bisim
@@ -26,19 +33,7 @@ from .errors import (
     string_pairs,
     strings,
 )
-from .formula import (
-    And,
-    FalseF,
-    Formula,
-    Know,
-    Not,
-    Prop,
-    _eval,
-    extension_mask,
-    formula_from_json,
-    formula_to_json,
-    modal_depth,
-)
+from .formula import Formula, extension_mask, formula_from_json, formula_to_json, modal_depth
 from .kripke import EpistemicState, KripkeModel, Pair, Rows, _pair_view, _successor_rows
 
 __all__ = [
@@ -48,8 +43,6 @@ __all__ = [
     "product_update",
     "apply_plan",
     "FailureAt",
-    "Separability",
-    "is_separable",
     "action_to_json",
     "action_from_json",
 ]
@@ -132,9 +125,15 @@ def _same_agents(state: EpistemicState, action: EventModel) -> KripkeModel:
 
 
 def applicable(state: EpistemicState, action: EventModel) -> bool:
-    """Whether the action's designated precondition holds at the state."""
+    """Whether the action's designated precondition holds at the state.
+
+    This reads one bit of the precondition's extension mask, so it checks
+    every agent the precondition names (``UnknownAgent``) and leaves the
+    masks in the model's memo for the product update.
+    """
     model = _same_agents(state, action)
-    return _eval(model, model.index_of(state.designated), action.pre(action.designated))
+    mask = extension_mask(model, action.pre(action.designated))
+    return bool(mask >> model.index_of(state.designated) & 1)
 
 
 def product_update(state: EpistemicState, action: EventModel) -> EpistemicState:
@@ -143,33 +142,48 @@ def product_update(state: EpistemicState, action: EventModel) -> EpistemicState:
     Worlds are the pairs ``(u, e)`` with ``u`` satisfying ``pre(e)``,
     ordered by (world order, event order); a pair relates to another under
     an agent when both components do; valuations are inherited from the
-    world component.
+    world component.  Only kept pairs are visited: they are read off the
+    set bits of each precondition's mask, and the successors of ``(i, e)``
+    under agent ``a`` off the set bits of ``succ_masks[a][i] & holds[f]``
+    for each successor event ``f`` of ``e``.
     """
     model = _same_agents(state, action)
-    cache: dict = {}
-    holds = [extension_mask(model, pre, cache) for pre in action.preconditions]
+    holds = [extension_mask(model, pre) for pre in action.preconditions]
     events, m = action.events, len(action.events)
     u0, e0 = model.index_of(state.designated), action._index[action.designated]
     if not holds[e0] >> u0 & 1:
         raise NotApplicable(f"designated precondition fails at {state.designated!r}")
-    # slot[i * m + e] is the product index of (worlds[i], events[e]), or -1
-    slot = [-1] * (len(model.worlds) * m)
-    pairs, worlds, vals = [], [], []
-    for i, u in enumerate(model.worlds):
-        for e in range(m):
-            if holds[e] >> i & 1:
-                slot[i * m + e] = len(pairs)
-                pairs.append((i, e))
-                worlds.append(f"({u},{events[e]})")
-                vals.append(model.valuations[i])
-    rows = tuple(
-        tuple(
-            tuple(k for j in world_row[i] for f in event_row[e] if (k := slot[j * m + f]) >= 0)
-            for i, e in pairs
-        )
-        for world_row, event_row in zip(model.rows, action.rows)
-    )
-    new_model = KripkeModel(tuple(worlds), model.agents, rows, tuple(vals))
+    # kept pairs as codes i * m + e, ascending: world order, then event order;
+    # slot[code] is the product index of a kept pair (other entries unread)
+    codes = []
+    for e, mask in enumerate(holds):
+        while mask:
+            low = mask & -mask
+            codes.append((low.bit_length() - 1) * m + e)
+            mask ^= low
+    codes.sort()
+    slot = [0] * (len(model.worlds) * m)
+    for k, code in enumerate(codes):
+        slot[code] = k
+    pairs = [divmod(code, m) for code in codes]
+    names, valuations = model.worlds, model.valuations
+    rows = []
+    for succ_masks, event_row in zip(model.masks()[1], action.rows):
+        row = []
+        for i, e in pairs:
+            succ, out = succ_masks[i], []
+            for f in event_row[e]:
+                kept = succ & holds[f]
+                while kept:
+                    low = kept & -kept
+                    out.append(slot[(low.bit_length() - 1) * m + f])
+                    kept ^= low
+            out.sort()
+            row.append(tuple(out))
+        rows.append(tuple(row))
+    worlds = tuple(f"({names[i]},{events[e]})" for i, e in pairs)
+    vals = tuple(valuations[i] for i, _ in pairs)
+    new_model = KripkeModel(worlds, model.agents, tuple(rows), vals)
     return EpistemicState(new_model, worlds[slot[u0 * m + e0]])
 
 
@@ -204,70 +218,6 @@ def apply_plan(
         if minimize:
             current = bisim.quotient(current)
     return current
-
-
-class Separability(Enum):
-    SEPARABLE = "separable"
-    NOT_SEPARABLE = "not_separable"
-    UNKNOWN = "unknown"
-
-
-def _prop_abstract(f: Formula, atoms: dict[Formula, int]) -> tuple:
-    """Formula over integers: propositions and Know-subtrees become atoms."""
-    if isinstance(f, FalseF):
-        return ("const", False)
-    if isinstance(f, (Prop, Know)):
-        if f not in atoms:
-            atoms[f] = len(atoms)
-        return ("atom", atoms[f])
-    if isinstance(f, Not):
-        return ("not", _prop_abstract(f.sub, atoms))
-    if isinstance(f, And):
-        return ("and", _prop_abstract(f.left, atoms), _prop_abstract(f.right, atoms))
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def _abstract_eval(tree: tuple, assignment: int) -> bool:
-    tag = tree[0]
-    if tag == "const":
-        return tree[1]
-    if tag == "atom":
-        return bool(assignment >> tree[1] & 1)
-    if tag == "not":
-        return not _abstract_eval(tree[1], assignment)
-    return _abstract_eval(tree[1], assignment) and _abstract_eval(tree[2], assignment)
-
-
-def _jointly_sat_abstract(f: Formula, g: Formula) -> bool:
-    atoms: dict[Formula, int] = {}
-    tf, tg = _prop_abstract(f, atoms), _prop_abstract(g, atoms)
-    if len(atoms) > 22:
-        return True  # too many atoms to enumerate; treat as possibly-sat
-    return any(
-        _abstract_eval(tf, m) and _abstract_eval(tg, m) for m in range(1 << len(atoms))
-    )
-
-
-def is_separable(actions: Mapping[str, EventModel]) -> Separability:
-    """Best-effort check that no two actions can apply to the same state.
-
-    Compares the designated-event preconditions pairwise on their
-    propositional cores (knowledge subformulas abstracted to fresh atoms).
-    A contradictory core proves the pair incompatible; a satisfiable core
-    is conclusive only when no knowledge operators are involved or the two
-    preconditions are syntactically identical.  Anything else is UNKNOWN.
-    """
-    pres = [actions[name].pre(actions[name].designated) for name in sorted(actions)]
-    verdict = Separability.SEPARABLE
-    for i in range(len(pres)):
-        for j in range(i + 1, len(pres)):
-            f, g = pres[i], pres[j]
-            if not _jointly_sat_abstract(f, g):
-                continue
-            if f == g or (modal_depth(f) == 0 and modal_depth(g) == 0):
-                return Separability.NOT_SEPARABLE
-            verdict = Separability.UNKNOWN
-    return verdict
 
 
 # --- JSON encoding -------------------------------------------------------

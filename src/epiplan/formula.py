@@ -272,26 +272,31 @@ def evaluate_at(state: EpistemicState, world: str, f: Formula) -> bool:
         raise FormulaTooDeep("formula is nested too deeply to evaluate") from None
 
 
-def extension_mask(model: KripkeModel, f: Formula, cache: dict | None = None) -> int:
+def extension_mask(model: KripkeModel, f: Formula) -> int:
     """Satisfying worlds of ``f`` as a bitmask over world indices.
 
-    Computed bottom-up with a memo on subformulas (``cache``, which the
-    caller may share between calls on the same model), so batch
-    evaluation (every event precondition at every world, as in the
-    product update) touches each distinct subformula once.
+    Computed bottom-up with a memo on subformulas that the model keeps
+    (``model._memo``), so every call on one model, such as the
+    applicability tests and product updates of all actions at one search
+    node, computes each distinct subformula once.  ``evaluate`` does not
+    come here: it needs one world, and the pointwise walk, which
+    short-circuits, is faster for that than full masks.
     """
-    if cache is None:
-        cache = {}
+    memo = model._memo
+    if memo is None:
+        memo = {}
+        object.__setattr__(model, "_memo", memo)
+    hit = memo.get(f)
+    if hit is not None:
+        return hit
     prop_masks, succ_masks = model.masks()
     full = (1 << len(model.worlds)) - 1
 
     def ext(g: Formula) -> int:
-        hit = cache.get(g)
+        hit = memo.get(g)
         if hit is not None:
             return hit
-        if isinstance(g, FalseF):
-            out = 0
-        elif isinstance(g, Prop):
+        if isinstance(g, Prop):
             out = prop_masks.get(g.name, 0)
         elif isinstance(g, Not):
             out = full & ~ext(g.sub)
@@ -304,9 +309,11 @@ def extension_mask(model: KripkeModel, f: Formula, cache: dict | None = None) ->
                 )
             outside = ~ext(g.sub)
             out = sum(1 << i for i, succ in enumerate(succ_masks[g.agent]) if not succ & outside)
+        elif isinstance(g, FalseF):
+            out = 0
         else:
             raise TypeError(f"not a formula: {g!r}")
-        cache[g] = out
+        memo[g] = out
         return out
 
     return ext(f)

@@ -68,6 +68,7 @@ class KripkeModel:
     valuations: tuple[frozenset[str], ...]
     _index: dict = field(init=False, compare=False, repr=False, default=None)
     _masks: tuple = field(init=False, compare=False, repr=False, default=None)
+    _memo: dict = field(init=False, compare=False, repr=False, default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "_index", {w: i for i, w in enumerate(self.worlds)})
@@ -96,7 +97,10 @@ class KripkeModel:
 
         ``prop_masks[p]`` has bit i set when worlds[i] satisfies p;
         ``succ_masks[a][i]`` ORs ``1 << j`` over ``rows[a][i]``.  Built
-        lazily and cached.
+        lazily and cached.  Next to them the model keeps ``_memo``, the
+        extension mask of each subformula evaluated on it so far (filled
+        by ``formula.extension_mask``); it lives and dies with the model,
+        so every action tried at one search node shares it.
         """
         cached = self._masks
         if cached is None:

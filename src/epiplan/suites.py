@@ -353,11 +353,13 @@ def mutate_bisimilar(rng: random.Random, state: EpistemicState) -> EpistemicStat
         names = {w: f"r{i}" for i, w in enumerate(reversed(m.worlds))}
         model = KripkeModel(tuple(names[w] for w in m.worlds), m.agents, m.rows, m.valuations)
         return EpistemicState(model, names[state.designated])
-    # duplicate a world: same valuation and outgoing edges; every edge into
-    # the original is copied to the duplicate
+    # duplicate a world under a fresh name: same valuation and outgoing
+    # edges; every edge into the original is copied to the duplicate
     m = state.model
     w = rng.choice(m.worlds)
     dup = w + "_copy"
+    while dup in m:
+        dup += "_copy"
     worlds = list(m.worlds) + [dup]
     rels = []
     for rel in m.relations:

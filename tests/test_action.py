@@ -3,17 +3,15 @@ import pytest
 from epiplan import errors
 from epiplan.action import (
     FailureAt,
-    Separability,
     action_from_json,
     action_to_json,
     applicable,
     apply_plan,
-    is_separable,
     make_action,
     product_update,
 )
 from epiplan.bisim import bisimilar
-from epiplan.formula import and_, know, not_, parse, prop
+from epiplan.formula import know, parse, prop
 from epiplan.pcp import make_instance
 from epiplan.reduction import k1
 
@@ -59,6 +57,17 @@ def test_agent_mismatch():
         applicable(k1.initial_state(), multi.next_stage())
 
 
+def test_applicable_checks_every_agent_of_the_designated_precondition():
+    # the precondition is false at every world, but it names agent 3 of a
+    # 1-agent state: its extension mask, which applicable reads, cannot be built
+    s = k1.initial_state()
+    bad = make_action(["e"], 1, [set()], {"e": parse("false & K{3} p")}, "e")
+    with pytest.raises(errors.UnknownAgent):
+        applicable(s, bad)
+    with pytest.raises(errors.UnknownAgent):
+        product_update(s, bad)
+
+
 def test_product_update_not_applicable():
     with pytest.raises(errors.NotApplicable):
         product_update(k1.initial_state(), k1.remove_symbol("0"))
@@ -102,20 +111,6 @@ def test_apply_plan_minimize_is_transparent():
     a = apply_plan(s, actions, plan, minimize=False)
     b = apply_plan(s, actions, plan, minimize=True)
     assert bisimilar(a, b)
-
-
-def test_is_separable():
-    single = lambda name, pre: make_action([name], 1, [{(name, name)}], {name: pre}, name)
-    sep = {"x": single("x", prop("p")), "y": single("y", not_(prop("p")))}
-    assert is_separable(sep) == Separability.SEPARABLE
-    unk = {
-        "x": single("x", parse("<K> p")),
-        "y": single("y", parse("K q")),
-    }
-    assert is_separable(unk) == Separability.UNKNOWN
-    # the compiled action set shares identical trigger preconditions
-    inst = make_instance([("1", "101"), ("10", "00"), ("011", "11")])
-    assert is_separable(k1.build_actions(inst)) == Separability.NOT_SEPARABLE
 
 
 def test_action_json_round_trip():

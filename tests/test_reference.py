@@ -4,10 +4,15 @@ The references read only a model's ``worlds``, ``relations`` pairs and
 ``valuations``, a state's ``designated`` world and an action's public
 fields; they never touch the integer successor rows, the bitmasks, the
 refinement or the reachability walk that the engine runs on.  Models store
-only the rows, so ``relations`` is a view derived from them; the last test
+only the rows, so ``relations`` is a view derived from them; the JSON test
 checks that view against the pair sets a model is built from, and the
 frame-condition reference reads those input pair sets, not the view.  The
 JSON round trips ride on the same random states.
+
+``ref_search`` checks the whole search loop: it runs the planner's
+breadth-first search on these references alone, over plain ``RefModel``
+values, with bisimilarity by pair elimination in place of keys, and must
+give the same verdict, plan and counts as ``bfs_plan``.
 
 One reference does read rows: ``ref_refine`` is the plain round-by-round
 refinement (every world re-signed every round, stop on a round that splits
@@ -20,6 +25,8 @@ import itertools
 import json
 import random
 import struct
+from collections import deque
+from typing import NamedTuple
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,9 +39,9 @@ from epiplan.action import (
     product_update,
 )
 from epiplan.bisim import _canonical_refine, bisimilar, canonical_key, minimize_with_key, quotient
-from epiplan.errors import DuplicateWorld
-from epiplan.formula import And, FalseF, Know, Not, Prop, evaluate_at, extension_mask
-from epiplan.frames import FrameCondition, closure, satisfies
+from epiplan.formula import (And, FalseF, Know, Not, Prop, and_, evaluate_at, extension_mask,
+                             parse)
+from epiplan.frames import FrameCondition, closure, profile, satisfies
 from epiplan.kripke import (
     EpistemicState,
     KripkeModel,
@@ -43,6 +50,10 @@ from epiplan.kripke import (
     state_from_json,
     state_to_json,
 )
+from epiplan.pcp import make_instance
+from epiplan.planner import SearchBudget, bfs_plan, s5_single_agent_plan
+from epiplan.problem import PlanningProblem
+from epiplan.reduction import Variant, reduce_instance, sat_to_ep
 from epiplan.suites import mutate_bisimilar, random_action, random_formula, random_state
 
 seeds = st.integers(0, 2**32 - 1)
@@ -132,6 +143,88 @@ def ref_product(state, action):
     worlds = tuple(name[p] for p in pairs)
     vals = tuple(_valuation(model, u) for u, _ in pairs)
     return worlds, relations, vals, name[(state.designated, action.designated)]
+
+
+class RefModel(NamedTuple):
+    """A model as the references read it: names, name-pair relations, valuations."""
+
+    worlds: tuple
+    agents: int
+    relations: tuple
+    valuations: tuple
+
+
+class RefState(NamedTuple):
+    model: RefModel
+    designated: str
+
+
+def ref_contract(state) -> RefState:
+    """The generated part, each class of the greatest bisimulation merged into its first world."""
+    worlds, relations, vals = ref_generated(state)
+    part = RefModel(worlds, state.model.agents, relations, vals)
+    alike = ref_bisimulation(part, part)
+    first = {w: next(v for v in worlds if (v, w) in alike) for w in worlds}
+    kept = tuple(w for w in worlds if first[w] == w)
+    rels = tuple(frozenset((first[u], first[v]) for u, v in rel) for rel in relations)
+    kept_vals = tuple(_valuation(part, w) for w in kept)
+    return RefState(RefModel(kept, part.agents, rels, kept_vals), first[state.designated])
+
+
+def _ref_seen(state, visited) -> bool:
+    """Linear-scan dedup; two contracted states can be bisimilar only at equal size."""
+    size = len(state.model.worlds)
+    return any(
+        len(v.model.worlds) == size and ref_bisimilar(state, v) for v in visited
+    )
+
+
+def ref_search(start, actions, goal, max_depth, max_nodes) -> tuple:
+    """The planner's breadth-first search on reference operations.
+
+    Applicability and goals by ``ref_eval``, successors by ``ref_product``,
+    dedup by ``ref_bisimilar`` against every state seen so far.  Actions are
+    expanded in sorted name order and the goal is checked on new nodes, with
+    the planner's budget rules.  Returns (outcome, plan, nodes, dedup hits,
+    depth); the plan is None unless one was found.
+    """
+    start = ref_contract(start)
+    nodes, dedup, depth = 1, 0, 0
+    if ref_eval(start.model, start.designated, goal):
+        return "PlanFound", (), nodes, dedup, depth
+    visited, queue, truncated = [start], deque([(start, ())]), False
+    while queue:
+        state, plan = queue.popleft()
+        depth = max(depth, len(plan))
+        if len(plan) >= max_depth:
+            truncated = True
+            continue
+        for name in sorted(actions):
+            action = actions[name]
+            pre = dict(zip(action.events, action.preconditions))[action.designated]
+            if not ref_eval(state.model, state.designated, pre):
+                continue
+            worlds, relations, vals, designated = ref_product(state, action)
+            product = RefModel(worlds, state.model.agents, relations, vals)
+            child, child_plan = ref_contract(RefState(product, designated)), plan + (name,)
+            if _ref_seen(child, visited):
+                dedup += 1
+                continue
+            nodes += 1
+            depth = max(depth, len(child_plan))
+            if ref_eval(child.model, child.designated, goal):
+                return "PlanFound", child_plan, nodes, dedup, depth
+            visited.append(child)
+            if nodes >= max_nodes:
+                return "BoundReached", None, nodes, dedup, depth
+            queue.append((child, child_plan))
+    return ("BoundReached" if truncated else "NoPlanExhausted"), None, nodes, dedup, depth
+
+
+def _summary(outcome) -> tuple:
+    stats = outcome.stats
+    plan = getattr(outcome, "plan", None)
+    return type(outcome).__name__, plan, stats.nodes, stats.dedup_hits, stats.depth
 
 
 def ref_refine(valuations, rows) -> tuple[list[int], int]:
@@ -302,12 +395,64 @@ def test_generated_submodel_matches_a_walk_over_pairs(seed, agents):
 def test_product_update_matches_the_pairwise_product(seed, agents):
     rng = random.Random(seed)
     s = random_state(rng, agents=agents, max_worlds=6)
-    action = random_action(rng, agents)
-    if applicable(s, action):
-        p = product_update(s, action)
-        assert (p.model.worlds, p.model.relations, p.model.valuations, p.designated) == (
-            ref_product(s, action)
-        )
+    # several actions on one state: the later ones read the masks that the
+    # earlier ones left in the model's memo
+    for _ in range(rng.randint(2, 4)):
+        action = random_action(rng, agents, max_events=5)
+        pre = dict(zip(action.events, action.preconditions))[action.designated]
+        ok = applicable(s, action)
+        assert ok == ref_eval(s.model, s.designated, pre)
+        if ok:
+            p = product_update(s, action)
+            assert (p.model.worlds, p.model.relations, p.model.valuations, p.designated) == (
+                ref_product(s, action)
+            )
+
+
+@settings(max_examples=300, deadline=None)
+@given(seeds, st.integers(1, 3))
+def test_bfs_plan_matches_a_reference_search(seed, agents):
+    rng = random.Random(seed)
+    start = random_state(rng, agents=agents, max_worlds=4, edge_p=0.5)
+    actions = {
+        f"a{k}": random_action(rng, agents, max_events=5) for k in range(rng.randint(1, 4))
+    }
+    goal = and_(random_formula(rng, 1, agents), random_formula(rng, 1, agents))
+    max_depth, max_nodes = rng.randint(0, 3), rng.randint(1, 12)
+    problem = PlanningProblem(start, actions, goal, profile("K"))
+    outcome = bfs_plan(problem, SearchBudget(max_depth, max_nodes))
+    assert _summary(outcome) == ref_search(start, actions, goal, max_depth, max_nodes)
+
+
+def test_compiled_searches_match_the_reference_search():
+    inst = make_instance([("1", "101"), ("10", "00"), ("011", "11")])
+    for variant in Variant:
+        problem = reduce_instance(inst, variant)
+        outcome = bfs_plan(problem, SearchBudget(max_depth=4, max_nodes=20))
+        expected = ref_search(problem.initial, problem.actions, problem.goal, 4, 20)
+        assert _summary(outcome) == expected, variant
+
+
+def test_unsatisfiable_sat_instance_is_exhausted_as_in_the_reference_search():
+    phi = parse("(p | q) & (p | !q) & (!p | q | r) & (!p | !q) & (!p | !r)")
+    problem = sat_to_ep(phi)
+    outcome = s5_single_agent_plan(problem)
+    start = ref_contract(problem.initial)
+    bound = len(start.model.worlds)
+    expected = ref_search(start, problem.actions, problem.goal, bound, 10**9)
+    # the depth cutoff is the state space's diameter, so a cut frontier is exhausted too
+    assert expected[0] in ("NoPlanExhausted", "BoundReached")
+    assert _summary(outcome) == ("NoPlanExhausted", *expected[1:])
+
+
+def test_chained_bisimilar_mutations_stay_bisimilar():
+    for seed in range(200):
+        rng = random.Random(seed)
+        s = random_state(rng, agents=1, max_worlds=3)
+        mutated = s
+        for _ in range(3):
+            mutated = mutate_bisimilar(rng, mutated)
+            assert ref_bisimilar(s, mutated), seed
 
 
 @settings(max_examples=200, deadline=None)
@@ -371,14 +516,10 @@ def test_json_round_trips_keep_documents_and_keys(seed, agents):
 def test_refinement_numbering_and_key_bytes_match_full_rounds(seed, agents):
     rng = random.Random(seed)
     s = _state(rng, agents)
-    # non-minimal copies: each bisimilar mutation may duplicate a world,
-    # except one already duplicated under the same name
+    # non-minimal copies: each bisimilar mutation may duplicate a world
     padded = s
     for _ in range(rng.randint(1, 3)):
-        try:
-            padded = mutate_bisimilar(rng, padded)
-        except DuplicateWorld:
-            pass
+        padded = mutate_bisimilar(rng, padded)
     other = _near(rng, s) if rng.random() < 0.5 else _state(rng, agents)
     # a state whose model also holds worlds it cannot reach
     stray = EpistemicState(_union(s.model, other.model), f"l{s.designated}")
