@@ -34,8 +34,9 @@ if TYPE_CHECKING:
 # every node is interned by its kind and fields, so structurally equal
 # formulas are one object and equality is identity.  That makes the
 # identity hash ``object`` gives a valid hash: O(1), computed in C without
-# a call back into Python, and never part of a pickle.  The modal depth is
-# computed once, from the children's stored depths, when a node is built.
+# a call back into Python, and never part of a pickle.  The modal depth and
+# the highest agent named (-1 for none) are computed once, from the
+# children's stored values, when a node is built.
 # The table holds its nodes weakly, so a formula nobody references is
 # freed.  Every change to the table is made under the lock, so threads
 # building the same node get one object.  The lock is re-entrant, so
@@ -70,8 +71,14 @@ def _interned(key: tuple) -> Formula:
     node = object.__new__(cls)
     for slot, value in zip(cls.__slots__, fields):
         object.__setattr__(node, slot, value)
-    subs = [f.depth for f in fields if isinstance(f, Formula)]
-    object.__setattr__(node, "depth", max(subs, default=0) + (cls is Know))
+    depth, top = 0, -1
+    for f in fields:
+        if isinstance(f, Formula):
+            depth, top = max(depth, f.depth), max(top, f.max_agent)
+    if cls is Know:
+        depth, top = depth + 1, max(top, fields[0])
+    object.__setattr__(node, "depth", depth)
+    object.__setattr__(node, "max_agent", top)
     entry = _Entry(node, _forget)
     entry.key = key
     with _INTERN_LOCK:
@@ -86,12 +93,14 @@ class Formula:
     """Base class of all formula nodes.
 
     Nodes are immutable and hash-consed: building a node equal to a live
-    one returns that node, so ``==`` is ``is`` and ``hash`` is O(1), and
-    ``depth`` is the stored modal depth.  Pickling and copying rebuild
-    through the constructor, so they return the interned node.
+    one returns that node, so ``==`` is ``is`` and ``hash`` is O(1).
+    ``depth`` is the stored modal depth and ``max_agent`` the highest
+    ``K{i}`` agent in the formula, -1 if it has none.  Pickling and
+    copying rebuild through the constructor, so they return the interned
+    node.
     """
 
-    __slots__ = ("depth", "__weakref__")
+    __slots__ = ("depth", "max_agent", "__weakref__")
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError(f"{type(self).__name__} nodes are immutable")
@@ -145,7 +154,10 @@ class Know(Formula):
 
     def __new__(cls, agent: int, sub: Formula) -> Know:
         # True == 1, so a bool agent would intern as the node for agent 1.
-        return _interned((cls, operator.index(agent), sub))
+        agent = operator.index(agent)
+        if agent < 0:
+            raise ValueError("agent index must be non-negative")
+        return _interned((cls, agent, sub))
 
 
 _PROP_NAME = re.compile(r"[A-Za-z0-9_#]+\Z")
@@ -173,8 +185,6 @@ def and_(left: Formula, right: Formula) -> Formula:
 
 
 def know(agent: int, f: Formula) -> Formula:
-    if agent < 0:
-        raise ValueError("agent index must be non-negative")
     return Know(agent, f)
 
 

@@ -9,6 +9,22 @@ For a single agent whose relation is (at least) Euclidean the problem is
 decidable: actions can only shrink the state up to bisimulation, so plans
 longer than the minimized initial state's world count are redundant and
 the search below is complete.
+
+Each search keeps a memo from a product's raw identity, the triple
+``(rows, valuations, designated index)``, to its canonical key, and a
+product already in the memo is counted as a dedup hit without being
+minimized again.  This is sound because ``minimize_with_key`` is a pure
+function of that triple: it reads no world name, and the agent count is
+``len(rows)``.  Every key the search computes is in ``visited`` before
+the next child is built, so a memo hit is always a dedup hit.  The memo
+holds the minimized start state and one entry per ``minimize_with_key``
+call, the product that missed.  It compares whole tuples, never a
+digest, and dies with the search.  Each entry keeps that product's rows
+and valuations alive, including products that turn out to be key
+duplicates, so its memory grows with the products minimized (up to
+nodes times actions, each at product size), not with the nodes kept.
+With ``paranoid_bisim_check`` a memo hit is still checked with
+``bisimilar``.
 """
 from __future__ import annotations
 
@@ -101,6 +117,12 @@ class BoundReached:
 SearchOutcome = PlanFound | NoPlanExhausted | BoundReached
 
 
+def _identity(state: EpistemicState) -> tuple:
+    """What ``minimize_with_key`` reads of a state: rows, valuations, designated index."""
+    model = state.model
+    return model.rows, model.valuations, model.index_of(state.designated)
+
+
 def _bfs(
     start: EpistemicState,
     actions,
@@ -117,6 +139,7 @@ def _bfs(
     visited: dict[bytes, EpistemicState | None] = {
         start_key: start if paranoid else None
     }
+    keys = {_identity(start): start_key}
     queue: deque[tuple[EpistemicState, tuple[str, ...]]] = deque([(start, ())])
     truncated = False
     while queue:
@@ -129,8 +152,14 @@ def _bfs(
             action = actions[name]
             if not applicable(state, action):
                 continue
-            child, key = minimize_with_key(product_update(state, action))
-            child_plan = plan + (name,)
+            product = product_update(state, action)
+            identity = _identity(product)
+            key = keys.get(identity)
+            if key is None:
+                child, key = minimize_with_key(product)
+                keys[identity] = key
+            else:
+                child = product
             if key in visited:
                 stats.dedup_hits += 1
                 if paranoid:
@@ -140,6 +169,7 @@ def _bfs(
                             "canonical key collision between non-bisimilar states"
                         )
                 continue
+            child_plan = plan + (name,)
             stats.nodes += 1
             stats.depth = max(stats.depth, len(child_plan))
             if evaluate(child, goal):

@@ -26,23 +26,32 @@ def validate_problem(problem: PlanningProblem, allow_deep: bool = False) -> None
     """Raise InvalidProblem unless the instance is well formed.
 
     Checks: action names resolve to event models over the same agent count
-    as the initial state; every precondition has modal depth at most 1
+    as the initial state; the goal and every precondition name only agents
+    of the initial state; every precondition has modal depth at most 1
     (unless ``allow_deep``); the initial model and every action frame
     satisfy the logic profile's frame conditions.
     """
     agents = problem.initial.model.agents
+    if problem.goal.max_agent >= agents:
+        raise InvalidProblem(
+            f"the goal names agent {problem.goal.max_agent}, initial state has {agents} agent(s)"
+        )
     for name, action in problem.actions.items():
         if action.agents != agents:
             raise InvalidProblem(
                 f"action {name!r} has {action.agents} agent(s), initial state has {agents}"
             )
-        if not allow_deep:
-            for e in action.events:
-                depth = modal_depth(action.pre(e))
-                if depth > 1:
-                    raise InvalidProblem(
-                        f"action {name!r} event {e!r} has precondition depth {depth} > 1"
-                    )
+        for e, pre in zip(action.events, action.preconditions):
+            if pre.max_agent >= agents:
+                raise InvalidProblem(
+                    f"action {name!r} event {e!r} names agent {pre.max_agent}, "
+                    f"initial state has {agents} agent(s)"
+                )
+            depth = modal_depth(pre)
+            if depth > 1 and not allow_deep:
+                raise InvalidProblem(
+                    f"action {name!r} event {e!r} has precondition depth {depth} > 1"
+                )
     conds = problem.logic.conditions
     if not satisfies(problem.initial.model, conds):
         raise InvalidProblem("initial model violates the logic profile's frame conditions")

@@ -154,6 +154,26 @@ def test_input_error_exit_code(capsys, tmp_path):
     assert main(["minimize", "--state", str(bad)]) == 0
 
 
+def test_plan_with_a_missing_agent_exits_3(capsys, tmp_path):
+    from epiplan.action import make_action
+    from epiplan.formula import parse, true_
+    from epiplan.frames import profile
+    from epiplan.kripke import EpistemicState, make_model
+    from epiplan.problem import PlanningProblem, problem_to_json
+
+    state = EpistemicState(make_model(["w"], 1, [{("w", "w")}], {"w": {"p"}}), "w")
+    hidden = make_action(["e", "f"], 1, [{("e", "e"), ("f", "f")}],
+                         {"e": true_(), "f": parse("K{2} p")}, "e")
+    path = tmp_path / "problem.json"
+    for goal, actions in (("!p & K{3} q", {}), ("p & K{3} q", {}), ("q", {"a": hidden})):
+        problem = PlanningProblem(state, actions, parse(goal), profile("K"))
+        path.write_text(json.dumps(problem_to_json(problem)))
+        code = main(["plan", "--problem", str(path), "--max-depth", "3", "--max-nodes", "10"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == "", goal
+        assert captured.err.startswith("error:") and "names agent" in captured.err
+
+
 # --- malformed documents ------------------------------------------------
 
 from hypothesis import given, settings  # noqa: E402

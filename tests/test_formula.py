@@ -180,6 +180,16 @@ def _reference_depth(f) -> int:
     return 0
 
 
+def _reference_max_agent(f) -> int:
+    if isinstance(f, Know):
+        return max(f.agent, _reference_max_agent(f.sub))
+    if isinstance(f, Not):
+        return _reference_max_agent(f.sub)
+    if isinstance(f, And):
+        return max(_reference_max_agent(f.left), _reference_max_agent(f.right))
+    return -1
+
+
 @settings(max_examples=200, deadline=None)
 @given(formulas)
 def test_every_route_returns_the_interned_node(f):
@@ -198,17 +208,32 @@ def test_stored_depth_matches_reference(f):
     assert modal_depth(f) == f.depth == _reference_depth(f)
 
 
+@settings(max_examples=200, deadline=None)
+@given(formulas)
+def test_stored_max_agent_matches_reference(f):
+    assert f.max_agent == _reference_max_agent(f)
+
+
+def test_negative_agents_are_rejected_at_construction():
+    for build in (lambda: Know(-1, prop("p")), lambda: know(-1, prop("p")),
+                  lambda: formula_from_json({"op": "know", "agent": -2,
+                                             "arg": {"op": "false"}})):
+        with pytest.raises(ValueError, match="non-negative"):
+            build()
+
+
 def test_nodes_reject_attribute_changes():
     p = prop("p")
     nodes = [false_(), p, not_(p), and_(p, p), know(1, p)]
     for node in nodes:
-        names = [*type(node).__slots__, "depth", "extra"]
+        names = [*type(node).__slots__, "depth", "max_agent", "extra"]
         for name in names:
             with pytest.raises(AttributeError):
                 setattr(node, name, p)
             with pytest.raises(AttributeError):
                 delattr(node, name)
     assert nodes[4].agent == 1 and nodes[4].sub is p and nodes[4].depth == 1
+    assert nodes[4].max_agent == 1 and p.max_agent == -1
 
 
 def test_bool_agent_interns_as_an_int():

@@ -143,3 +143,81 @@ def test_stats_and_outcome_json():
     assert outcome.exit_code == 0
     assert NoPlanExhausted(outcome.stats).exit_code == 1
     assert BoundReached(1, 1, outcome.stats).exit_code == 2
+
+
+def _one_world_problem(goal, actions=None):
+    from epiplan.kripke import EpistemicState, make_model
+
+    m = make_model(["w"], 1, [{("w", "w")}], {"w": {"p"}})
+    return PlanningProblem(EpistemicState(m, "w"), actions or {}, goal, profile("K"))
+
+
+def test_goals_naming_a_missing_agent_are_invalid_whatever_the_order():
+    # the evaluator short-circuits, so before validation `!p & K{3} q` gave
+    # NoPlanExhausted and `p & K{3} q` raised UnknownAgent
+    for goal in ("!p & K{3} q", "p & K{3} q", "p | <K{1}> q"):
+        with pytest.raises(errors.InvalidProblem, match="the goal names agent"):
+            bfs_plan(_one_world_problem(parse(goal)), SearchBudget(3, 10))
+
+
+def test_preconditions_naming_a_missing_agent_are_invalid_on_any_event():
+    from epiplan.action import make_action
+
+    rel = [{("e", "e"), ("f", "f")}]
+    for pre in ({"e": true_(), "f": parse("K{1} p")}, {"e": parse("!K{2} p"), "f": true_()}):
+        action = make_action(["e", "f"], 1, rel, pre, "e")
+        problem = _one_world_problem(parse("q"), {"a": action})
+        with pytest.raises(errors.InvalidProblem, match="action 'a' event"):
+            bfs_plan(problem, SearchBudget(3, 10))
+
+
+def test_agent_check_is_immediate_on_shared_dags():
+    from epiplan.formula import And, know, prop
+
+    # 80 levels of `f & f`: 81 distinct nodes but 2**80 paths, so a check
+    # that walked the tree would never finish
+    f = know(0, prop("p"))
+    for _ in range(80):
+        f = And(f, f)
+    validate_problem(_one_world_problem(f))
+    with pytest.raises(errors.InvalidProblem, match="agent 5"):
+        validate_problem(_one_world_problem(And(f, know(5, prop("p")))))
+
+
+def test_s5_solver_rejects_a_goal_naming_a_missing_agent():
+    from epiplan.formula import and_
+
+    problem = sat_to_ep(parse("p | q"))
+    wrong = PlanningProblem(
+        problem.initial, problem.actions, and_(problem.goal, parse("K{3} p")), problem.logic
+    )
+    with pytest.raises(errors.InvalidProblem, match="agent 3"):
+        s5_single_agent_plan(wrong)
+
+
+def test_paranoid_mode_checks_every_dedup_hit_memo_hit_or_not(monkeypatch):
+    from epiplan import planner
+    from epiplan.action import make_action
+
+    calls = {"bisimilar": 0, "minimize_with_key": 0, "product_update": 0}
+    for name in calls:
+        original = getattr(planner, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(planner, name, counted)
+    # "copy" doubles the world into a bisimilar but larger product (a dedup
+    # hit found by its key); "id" rebuilds the start state exactly (a memo hit)
+    copy = make_action(
+        ["e", "f"], 1, [{("e", "e"), ("e", "f"), ("f", "f")}], {"e": true_(), "f": true_()}, "e"
+    )
+    ident = make_action(["e"], 1, [{("e", "e")}], {"e": true_()}, "e")
+    problem = _one_world_problem(parse("q"), {"copy": copy, "id": ident})
+    outcome = bfs_plan(problem, SearchBudget(2, 10, paranoid_bisim_check=True))
+    assert isinstance(outcome, NoPlanExhausted)
+    assert (outcome.stats.nodes, outcome.stats.dedup_hits) == (1, 2)
+    memo_hits = calls["product_update"] - (calls["minimize_with_key"] - 1)
+    assert memo_hits == 1
+    assert calls["bisimilar"] == outcome.stats.dedup_hits

@@ -26,6 +26,7 @@ import json
 import random
 import struct
 from collections import deque
+from dataclasses import replace
 from typing import NamedTuple
 
 from hypothesis import given, settings
@@ -443,6 +444,62 @@ def test_unsatisfiable_sat_instance_is_exhausted_as_in_the_reference_search():
     # the depth cutoff is the state space's diameter, so a cut frontier is exhausted too
     assert expected[0] in ("NoPlanExhausted", "BoundReached")
     assert _summary(outcome) == ("NoPlanExhausted", *expected[1:])
+
+
+def _identity_action(agents: int):
+    """One event, precondition true, reflexive for every agent: a product equal to its state."""
+    return make_action(["e"], agents, [{("e", "e")}] * agents, {"e": parse("true")}, "e")
+
+
+def test_searches_with_an_identity_action_match_the_reference_search():
+    # the identity's product has its state's rows, valuations and designated
+    # index, so the search takes it from its memo of built products
+    inst = make_instance([("1", "101"), ("10", "00"), ("011", "11")])
+    for variant in Variant:
+        problem = reduce_instance(inst, variant)
+        actions = {**problem.actions, "id": _identity_action(problem.initial.model.agents)}
+        outcome = bfs_plan(replace(problem, actions=actions), SearchBudget(3, 20))
+        expected = ref_search(problem.initial, actions, problem.goal, 3, 20)
+        assert _summary(outcome) == expected, variant
+    for seed in range(40):
+        rng = random.Random(seed)
+        agents = rng.randint(1, 3)
+        start = random_state(rng, agents=agents, max_worlds=4, edge_p=0.5)
+        actions = {"a": random_action(rng, agents, max_events=4), "id": _identity_action(agents)}
+        goal = and_(random_formula(rng, 1, agents), random_formula(rng, 1, agents))
+        outcome = bfs_plan(PlanningProblem(start, actions, goal, profile("K")), SearchBudget(3, 12))
+        assert _summary(outcome) == ref_search(start, actions, goal, 3, 12), seed
+
+
+def _two_action_search(state, actions) -> tuple:
+    """Engine and reference summaries of a depth-1 search with an unreachable goal."""
+    goal = parse("false")
+    outcome = bfs_plan(PlanningProblem(state, actions, goal, profile("K")), SearchBudget(1, 10))
+    return _summary(outcome), ref_search(state, actions, goal, 1, 10)
+
+
+def test_products_differing_only_in_the_designated_world_are_both_nodes():
+    # both products: worlds (w,e1) -> (w,e2) with valuation {p}; "b" points
+    # at the dead end (w,e2), "c" at (w,e1), which sees it: not bisimilar
+    state = EpistemicState(make_model(["w"], 1, [{("w", "w")}], {"w": {"p"}}), "w")
+    rel = [{("e1", "e2")}]
+    pre = {"e1": parse("true"), "e2": parse("true")}
+    actions = {"b": make_action(["e1", "e2"], 1, rel, pre, "e2"),
+               "c": make_action(["e1", "e2"], 1, rel, pre, "e1")}
+    engine, expected = _two_action_search(state, actions)
+    assert engine == expected == ("BoundReached", None, 3, 0, 1)
+
+
+def test_products_differing_only_in_valuations_are_both_nodes():
+    # both products: worlds 0 -> 1, 1 -> 1, designated 0, valuation {p} at 0;
+    # world 1 holds q after "b" and r after "c"
+    model = make_model(["u", "v", "w"], 1, [{("u", "v"), ("u", "w"), ("v", "v"), ("w", "w")}],
+                       {"u": {"p"}, "v": {"q"}, "w": {"r"}})
+    rel = [{("e", "f"), ("f", "f")}]
+    actions = {name: make_action(["e", "f"], 1, rel, {"e": parse("p"), "f": parse(atom)}, "e")
+               for name, atom in (("b", "q"), ("c", "r"))}
+    engine, expected = _two_action_search(EpistemicState(model, "u"), actions)
+    assert engine == expected == ("BoundReached", None, 3, 0, 1)
 
 
 def test_chained_bisimilar_mutations_stay_bisimilar():
