@@ -232,52 +232,76 @@ def modal_depth(f: Formula) -> int:
 
 def propositions(f: Formula) -> frozenset[str]:
     """All proposition names mentioned in ``f``."""
-    out: set[str] = set()
+    seen: set[Formula] = set()
     stack = [f]
     while stack:
         g = stack.pop()
-        if isinstance(g, Prop):
-            out.add(g.name)
-        elif isinstance(g, Not):
+        if g in seen:
+            continue
+        seen.add(g)
+        t = type(g)
+        if t is And:
+            stack += (g.left, g.right)
+        elif t is Not or t is Know:
             stack.append(g.sub)
-        elif isinstance(g, And):
-            stack.append(g.left)
-            stack.append(g.right)
-        elif isinstance(g, Know):
-            stack.append(g.sub)
-    return frozenset(out)
+    return frozenset(g.name for g in seen if type(g) is Prop)
 
 
 def _eval(model: KripkeModel, i: int, f: Formula) -> bool:
     """Truth of ``f`` at the world with index ``i``."""
-    if isinstance(f, FalseF):
-        return False
-    if isinstance(f, Prop):
-        return f.name in model.valuations[i]
-    if isinstance(f, Not):
+    t = type(f)
+    if t is Not:
         return not _eval(model, i, f.sub)
-    if isinstance(f, And):
+    if t is And:
         return _eval(model, i, f.left) and _eval(model, i, f.right)
-    if isinstance(f, Know):
+    if t is Prop:
+        return f.name in model.valuations[i]
+    if t is Know:
         if not 0 <= f.agent < model.agents:
             raise UnknownAgent(
                 f"agent {f.agent} out of range for model with {model.agents} agent(s)"
             )
-        return all(_eval(model, j, f.sub) for j in model.rows[f.agent][i])
+        for j in model.rows[f.agent][i]:
+            if not _eval(model, j, f.sub):
+                return False
+        return True
+    if t is FalseF:
+        return False
     raise TypeError(f"not a formula: {f!r}")
 
 
+def _eval_once(model: KripkeModel, i: int, f: Formula, memo: dict[Formula, bool]) -> bool:
+    """``_eval`` at ``i``; ``memo`` keeps the value at ``i`` of each ``Know`` met there."""
+    t = type(f)
+    if t is Not:
+        return not _eval_once(model, i, f.sub, memo)
+    if t is And:
+        return _eval_once(model, i, f.left, memo) and _eval_once(model, i, f.right, memo)
+    if t is Know:
+        hit = memo.get(f)
+        if hit is None:
+            hit = memo[f] = _eval(model, i, f)
+        return hit
+    return _eval(model, i, f)
+
+
 def evaluate(state: EpistemicState, f: Formula) -> bool:
-    """Truth of ``f`` at the designated world of ``state``."""
+    """Truth of ``f`` at the designated world of ``state`` (see ``evaluate_at``)."""
     return evaluate_at(state, state.designated, f)
 
 
 def evaluate_at(state: EpistemicState, world: str, f: Formula) -> bool:
-    """Truth of ``f`` at an arbitrary world of ``state``'s model."""
+    """Truth of ``f`` at an arbitrary world of ``state``'s model.
+
+    A short-circuit walk that evaluates each distinct ``Know`` node at
+    ``world`` once per call.  Sound because a node is one formula (nodes are
+    hash-consed) and a ``Know``'s value at a world depends only on the
+    model, the world and the node; below a ``Know`` the walk keeps nothing.
+    """
     if world not in state.model:
         raise UnknownWorld(f"world {world!r} not in model")
     try:
-        return _eval(state.model, state.model.index_of(world), f)
+        return _eval_once(state.model, state.model.index_of(world), f, {})
     except RecursionError:
         raise FormulaTooDeep("formula is nested too deeply to evaluate") from None
 
@@ -288,9 +312,9 @@ def extension_mask(model: KripkeModel, f: Formula) -> int:
     Computed bottom-up with a memo on subformulas that the model keeps
     (``model._memo``), so every call on one model, such as the
     applicability tests and product updates of all actions at one search
-    node, computes each distinct subformula once.  ``evaluate`` does not
-    come here: it needs one world, and the pointwise walk, which
-    short-circuits, is faster for that than full masks.
+    node, computes each distinct subformula once (sound as in
+    ``evaluate_at``: a node is one formula).  ``evaluate`` does not come
+    here: for one world its short-circuit walk is faster than full masks.
     """
     memo = model._memo
     if memo is None:

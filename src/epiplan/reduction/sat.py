@@ -22,16 +22,29 @@ _HUB = "0"
 
 
 def _possibilify(f: Formula) -> Formula:
-    """Replace every proposition p with <K> p."""
-    if isinstance(f, FalseF):
-        return f
-    if isinstance(f, Prop):
-        return diamond(0, f)
-    if isinstance(f, Not):
-        return Not(_possibilify(f.sub))
-    if isinstance(f, And):
-        return And(_possibilify(f.left), _possibilify(f.right))
-    raise TypeError(f"not a propositional formula: {f!r}")
+    """Replace every proposition p with <K> p, building each distinct node once."""
+    done: dict[Formula, Formula] = {}
+    stack = [f]
+    while stack:
+        g = stack[-1]
+        t = type(g)
+        if t is Not and g.sub not in done:
+            stack.append(g.sub)
+        elif t is And and (g.left not in done or g.right not in done):
+            stack += [h for h in (g.right, g.left) if h not in done]
+        else:
+            stack.pop()
+            if t is Prop:
+                done[g] = diamond(0, g)
+            elif t is Not:
+                done[g] = Not(done[g.sub])
+            elif t is And:
+                done[g] = And(done[g.left], done[g.right])
+            elif t is FalseF:
+                done[g] = g
+            else:
+                raise TypeError(f"not a propositional formula: {g!r}")
+    return done[f]
 
 
 def sat_to_ep(phi: Formula) -> PlanningProblem:

@@ -296,10 +296,17 @@ def test_input_nested_too_deeply_exits_3_without_traceback(capsys, tmp_path):
             assert main(argv + ["--formula", text]) == 3
             err = capsys.readouterr().err
             assert err.startswith("error:") and err.count("\n") == 1
-    # parses, but evaluation recurses once per modal level
-    world = module(Variant.K1).initial_state().designated
+    # 490 nested K parse and evaluate (one stack frame per modal level):
+    # K{0}^490 p holds iff every world 490 agent-0 steps away satisfies p
+    initial = module(Variant.K1).initial_state()
+    model, world = initial.model, initial.designated
+    frontier = {world}
+    for _ in range(490):
+        frontier = {v for u, v in model.relations[0] if u in frontier}
+    expected = all("p" in model.valuation_of(v) for v in frontier)
+    assert expected is False
     for where in ([], ["--world", world]):
         argv = ["check", "--state", str(state), *where, "--formula", "K{0}" * 490 + "p"]
-        assert main(argv) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and err.count("\n") == 1
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.out) == {"result": expected} and captured.err == ""

@@ -142,6 +142,19 @@ def test_unknown_agent():
         evaluate(s, know(3, prop("p")))
 
 
+def test_formula_too_deep_to_evaluate_raises_formula_too_deep():
+    # a reflexive world, so the walk goes down every one of the 50 000 levels
+    s = EpistemicState(make_model(["w"], 1, [{("w", "w")}], {"w": {"p"}}), "w")
+    f = prop("p")
+    for _ in range(50_000):
+        f = know(0, f)
+    for check in (lambda: evaluate(s, f), lambda: evaluate_at(s, "w", f)):
+        with pytest.raises(errors.FormulaTooDeep) as caught:
+            check()
+        assert not isinstance(caught.value, RecursionError)
+        assert caught.value.__cause__ is None and caught.value.__suppress_context__
+
+
 def test_json_round_trip():
     f = parse("K{1} (a -> !b) & <K{0}> #1")
     assert formula_from_json(formula_to_json(f)) == f

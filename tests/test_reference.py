@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import re
 import struct
 from collections import deque
 from dataclasses import replace
@@ -40,8 +41,9 @@ from epiplan.action import (
     product_update,
 )
 from epiplan.bisim import _canonical_refine, bisimilar, canonical_key, minimize_with_key, quotient
-from epiplan.formula import (And, FalseF, Know, Not, Prop, and_, evaluate_at, extension_mask,
-                             parse)
+from epiplan.formula import (And, FalseF, Formula, Know, Not, Prop, and_, conj, diamond, disj,
+                             evaluate, evaluate_at, extension_mask, know, not_, or_, parse, prop,
+                             to_text)
 from epiplan.frames import FrameCondition, closure, profile, satisfies
 from epiplan.kripke import (
     EpistemicState,
@@ -512,17 +514,86 @@ def test_chained_bisimilar_mutations_stay_bisimilar():
             assert ref_bisimilar(s, mutated), seed
 
 
+def _random_cnf(rng: random.Random, names) -> Formula:
+    """A CNF over ``names``; clauses and literals may be empty or repeat."""
+    return conj(*(
+        disj(*(prop(v) if rng.random() < 0.5 else not_(prop(v))
+               for v in rng.choices(names, k=rng.randint(0, 3))))
+        for _ in range(rng.randint(0, 8))
+    ))
+
+
+def _shared_atoms_formula(rng: random.Random, agents: int) -> Formula:
+    """A Boolean combination over a few modal atoms, each met many times.
+
+    Atoms recur at the top and nested under another ``K``, as in
+    ``K{0} p & K{1} K{0} p``, so one atom is met at the queried world and
+    at its successors in one evaluation.
+    """
+    atoms: list[Formula] = []
+    for _ in range(rng.randint(1, 3)):
+        sub = rng.choice(atoms) if atoms and rng.random() < 0.4 else random_formula(rng, 1, agents)
+        atoms.append((know if rng.random() < 0.5 else diamond)(rng.randrange(agents), sub))
+    pool = atoms + [know(rng.randrange(agents), rng.choice(atoms)) for _ in range(2)]
+
+    def combine(depth: int) -> Formula:
+        if depth == 0 or rng.random() < 0.25:
+            return rng.choice(pool)
+        pick = rng.random()
+        if pick < 0.3:
+            return not_(combine(depth - 1))
+        if pick < 0.65:
+            return and_(combine(depth - 1), combine(depth - 1))
+        return or_(combine(depth - 1), combine(depth - 1))
+
+    return combine(5)
+
+
 @settings(max_examples=200, deadline=None)
 @given(seeds, agent_counts)
 def test_evaluation_matches_reference_at_every_world(seed, agents):
     rng = random.Random(seed)
     s = _state(rng, agents)
-    f = random_formula(rng, 4, agents)
-    mask = extension_mask(s.model, f)
-    for i, w in enumerate(s.model.worlds):
-        expected = ref_eval(s.model, w, f)
-        assert evaluate_at(s, w, f) == expected
-        assert bool(mask >> i & 1) == expected
+    formulas = [random_formula(rng, 4, agents)]
+    if agents:
+        # one evaluate_at call meets each atom at the queried world and below a K
+        formulas += [_shared_atoms_formula(rng, agents), sat_to_ep(_random_cnf(rng, "pqr")).goal]
+    for f in formulas:
+        mask = extension_mask(s.model, f)
+        for i, w in enumerate(s.model.worlds):
+            expected = ref_eval(s.model, w, f)
+            assert evaluate_at(s, w, f) == expected
+            assert bool(mask >> i & 1) == expected
+
+
+def test_a_modal_atom_kept_at_the_queried_world_is_not_read_below_it():
+    # K{0} p holds at u and fails at v, u's only agent-1 successor
+    model = make_model(["u", "v"], 2, [{("u", "u"), ("v", "v")}, {("u", "v")}], {"u": {"p"}})
+    state = EpistemicState(model, "u")
+    for f in (parse("!K{1} K{0} p & K{0} p"), parse("K{0} p & !K{1} K{0} p")):
+        assert evaluate(state, f) is True
+
+
+def _tree_possibilify(f: Formula) -> Formula:
+    """``p`` -> ``<K> p`` by a plain tree walk: every occurrence rebuilt."""
+    if isinstance(f, Prop):
+        return Not(Know(0, Not(f)))
+    if isinstance(f, Not):
+        return Not(_tree_possibilify(f.sub))
+    if isinstance(f, And):
+        return And(_tree_possibilify(f.left), _tree_possibilify(f.right))
+    assert isinstance(f, FalseF)
+    return f
+
+
+def test_sat_goal_is_the_tree_walk_goal_on_random_cnfs():
+    names = [f"x{k}" for k in range(1, 8)]
+    for seed in range(200):
+        rng = random.Random(seed)
+        phi = _random_cnf(rng, names)
+        problem = sat_to_ep(phi)
+        assert problem.goal is _tree_possibilify(phi), seed
+        assert problem.meta["variables"] == sorted(set(re.findall(r"x\d", to_text(phi)))), seed
 
 
 @settings(max_examples=200, deadline=None)
