@@ -10,7 +10,7 @@ from .action import (
     make_action,
     product_update,
 )
-from .bisim import bisimilar, canonical_key, canonical_key_hex, quotient
+from .bisim import bisimilar, canonical_key, quotient
 from .formula import (
     Formula,
     and_,

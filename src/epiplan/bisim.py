@@ -35,7 +35,6 @@ __all__ = [
     "quotient",
     "bisimilar",
     "canonical_key",
-    "canonical_key_hex",
     "minimize_with_key",
 ]
 
@@ -155,10 +154,6 @@ def minimize_with_key(state: EpistemicState) -> tuple[EpistemicState, bytes]:
 def canonical_key(state: EpistemicState) -> bytes:
     """Bisimulation-invariant fingerprint; equal keys iff bisimilar states."""
     return minimize_with_key(state)[1]
-
-
-def canonical_key_hex(state: EpistemicState) -> str:
-    return canonical_key(state).hex()
 
 
 def bisimilar(s1: EpistemicState, s2: EpistemicState) -> bool:

@@ -16,7 +16,7 @@ from typing import Any
 
 from . import suites
 from .action import FailureAt, action_from_json, apply_plan, applicable, product_update
-from .bisim import bisimilar, canonical_key_hex, minimize_with_key, quotient
+from .bisim import bisimilar, minimize_with_key
 from .errors import EngineError, MalformedDocument
 from .formula import evaluate, evaluate_at, parse
 from .kripke import state_from_json, state_to_json
@@ -82,18 +82,21 @@ def cmd_check(args) -> int:
     return 0 if result else 1
 
 
+def _keyed(state, minimize: bool) -> dict[str, Any]:
+    """The state's JSON (its minimized form under ``minimize``) with its canonical key."""
+    small, key = minimize_with_key(state)
+    doc = state_to_json(small if minimize else state)
+    doc["key"] = key.hex()
+    return doc
+
+
 def cmd_update(args) -> int:
     state = state_from_json(_load(args.state))
     action = action_from_json(_load(args.action))
     if not applicable(state, action):
         _emit({"applicable": False})
         return 1
-    result = product_update(state, action)
-    if args.minimize:
-        result = quotient(result)
-    doc = state_to_json(result)
-    doc["key"] = canonical_key_hex(result)
-    _emit(doc)
+    _emit(_keyed(product_update(state, action), args.minimize))
     return 0
 
 
@@ -105,9 +108,7 @@ def cmd_apply(args) -> int:
     if isinstance(result, FailureAt):
         _emit({"failure_at": result.index, "action": result.action})
         return 1
-    doc = state_to_json(result)
-    doc["key"] = canonical_key_hex(result)
-    _emit(doc)
+    _emit(_keyed(result, args.minimize))
     return 0
 
 
@@ -120,11 +121,7 @@ def cmd_bisim(args) -> int:
 
 
 def cmd_minimize(args) -> int:
-    state = state_from_json(_load(args.state))
-    small, key = minimize_with_key(state)
-    doc = state_to_json(small)
-    doc["key"] = key.hex()
-    _emit(doc)
+    _emit(_keyed(state_from_json(_load(args.state)), True))
     return 0
 
 

@@ -315,6 +315,8 @@ def extension_mask(model: KripkeModel, f: Formula) -> int:
     node, computes each distinct subformula once (sound as in
     ``evaluate_at``: a node is one formula).  ``evaluate`` does not come
     here: for one world its short-circuit walk is faster than full masks.
+    A formula nested too deeply for the recursion raises ``FormulaTooDeep``;
+    the masks memoized before that are complete, so the memo stays sound.
     """
     memo = model._memo
     if memo is None:
@@ -350,7 +352,10 @@ def extension_mask(model: KripkeModel, f: Formula) -> int:
         memo[g] = out
         return out
 
-    return ext(f)
+    try:
+        return ext(f)
+    except RecursionError:
+        raise FormulaTooDeep("formula is nested too deeply to evaluate") from None
 
 
 # --- text syntax ---------------------------------------------------------

@@ -1,12 +1,26 @@
-"""Frame conditions, relational closures, and named logic profiles."""
+"""Frame conditions, relational closures, and named logic profiles.
+
+Both checks and closures work on successor bitmasks, built from a
+frame's integer rows (``KripkeModel.rows``, ``EventModel.rows``); no
+name pair is read.  ``closure`` adds, per agent, the self-loops, then the
+reverse of every edge, then the transitive closure (Warshall over the
+masks).  Without ``EUCLIDEAN`` that one round is the least relation
+meeting the conditions jointly: each step keeps what the earlier ones
+made (a transitive closure keeps the self-loops, and the transitive
+closure of a symmetric relation is symmetric).  The Euclidean step has
+no such order with the others, so with it the round repeats until it
+adds nothing.
+"""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Any, Iterable
+from typing import Any, Iterable, TypeVar
 
 from .errors import strings
-from .kripke import KripkeModel, Pair, make_model
+from .kripke import KripkeModel
+
+F = TypeVar("F")
 
 
 class FrameCondition(Enum):
@@ -57,49 +71,64 @@ def profile_from_json(doc: Any) -> LogicProfile:
     return custom_profile(FrameCondition(c) for c in strings(doc, "logic profile"))
 
 
-def close_relation(
-    pairs: Iterable[Pair], worlds: Iterable[str], conds: Iterable[FrameCondition]
-) -> frozenset[Pair]:
-    """Least superset of ``pairs`` satisfying all of ``conds`` jointly.
+def _bits(mask: int) -> tuple[int, ...]:
+    """The set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
-    Interacting conditions (e.g. symmetric + transitive) are iterated to a
-    joint fixpoint.
+
+def _close_row(row, conds: frozenset[FrameCondition]):
+    """One agent's successor row closed under ``conds``.
+
+    Reflexivity alone only inserts the missing self-loops.  Otherwise the
+    closure runs on bitmasks, and each row then gains the set bits its mask
+    gained, so rebuilding costs the edges added, not the world count.
     """
-    conds = set(conds)
-    rel = set(tuple(p) for p in pairs)
-    world_list = list(worlds)
+    if conds == {FrameCondition.REFLEXIVE}:
+        return tuple(succ if i in succ else tuple(sorted(succ + (i,)))
+                     for i, succ in enumerate(row))
+    masks = [sum(1 << j for j in succ) for succ in row]
     if FrameCondition.REFLEXIVE in conds:
-        rel.update((w, w) for w in world_list)
+        closed = [m | 1 << i for i, m in enumerate(masks)]
+    else:
+        closed = masks[:]
+    edges = row  # the symmetric pass needs no self-loop
     while True:
-        added = set()
+        start = closed[:]
         if FrameCondition.SYMMETRIC in conds:
-            added.update((v, u) for (u, v) in rel if (v, u) not in rel)
-        if FrameCondition.TRANSITIVE in conds or FrameCondition.EUCLIDEAN in conds:
-            succ: dict[str, set[str]] = {}
-            for u, v in rel:
-                succ.setdefault(u, set()).add(v)
-            if FrameCondition.TRANSITIVE in conds:
-                for u, vs in succ.items():
-                    for v in vs:
-                        for w in succ.get(v, ()):
-                            if (u, w) not in rel:
-                                added.add((u, w))
-            if FrameCondition.EUCLIDEAN in conds:
-                for vs in succ.values():
-                    for v in vs:
-                        for w in vs:
-                            if (v, w) not in rel:
-                                added.add((v, w))
-        if not added:
-            return frozenset(rel)
-        rel.update(added)
+            for i, succ in enumerate(edges):
+                for j in succ:
+                    closed[j] |= 1 << i
+        if FrameCondition.TRANSITIVE in conds:
+            for k in range(len(closed)):
+                bit, mk = 1 << k, closed[k]
+                closed = [m | mk if m & bit else m for m in closed]
+        if FrameCondition.EUCLIDEAN not in conds:
+            break
+        for m in closed:
+            for j in _bits(m):
+                closed[j] |= m
+        if closed == start:
+            break
+        edges = [_bits(m) for m in closed]
+    return tuple(succ if m == c else tuple(sorted(succ + _bits(c ^ m)))
+                 for succ, m, c in zip(row, masks, closed))
 
 
-def closure(model: KripkeModel, conds: Iterable[FrameCondition]) -> KripkeModel:
-    """Close every agent's relation; worlds and valuation are unchanged."""
-    conds = set(conds)
-    rels = [close_relation(rel, model.worlds, conds) for rel in model.relations]
-    return make_model(model.worlds, model.agents, rels, model.valuation)
+def closure(frame: F, conds: Iterable[FrameCondition]) -> F:
+    """Close every agent's relation of a Kripke model or event model.
+
+    The least superset of each relation meeting all of ``conds`` jointly;
+    worlds (events), valuations (preconditions) and the rest are unchanged.
+    """
+    conds = frozenset(conds)
+    if not conds:
+        return frame
+    return replace(frame, rows=tuple(_close_row(row, conds) for row in frame.rows))
 
 
 def _satisfies_one(rows, masks: list[int], cond: FrameCondition) -> bool:

@@ -183,19 +183,15 @@ def _bfs(
     return NoPlanExhausted(stats)
 
 
-def bfs_plan(
-    problem: PlanningProblem,
-    budget: SearchBudget,
-    allow_deep_preconditions: bool = False,
-) -> SearchOutcome:
+def bfs_plan(problem: PlanningProblem, budget: SearchBudget) -> SearchOutcome:
     """Breadth-first plan search, deterministic in action-name order.
 
     Child states are generated in sorted action order and deduplicated by
     canonical key, so a PlanFound outcome carries the shortest plan and,
     among those, the lexicographically least.  Preconditions beyond modal
-    depth 1 are refused unless explicitly allowed.
+    depth 1 are refused.
     """
-    validate_problem(problem, allow_deep=allow_deep_preconditions)
+    validate_problem(problem)
     return _bfs(
         problem.initial,
         problem.actions,

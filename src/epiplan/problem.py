@@ -22,14 +22,14 @@ class PlanningProblem:
     meta: Mapping[str, Any] = field(default_factory=dict)
 
 
-def validate_problem(problem: PlanningProblem, allow_deep: bool = False) -> None:
+def validate_problem(problem: PlanningProblem) -> None:
     """Raise InvalidProblem unless the instance is well formed.
 
     Checks: action names resolve to event models over the same agent count
     as the initial state; the goal and every precondition name only agents
-    of the initial state; every precondition has modal depth at most 1
-    (unless ``allow_deep``); the initial model and every action frame
-    satisfy the logic profile's frame conditions.
+    of the initial state; every precondition has modal depth at most 1;
+    the initial model and every action frame satisfy the logic profile's
+    frame conditions.
     """
     agents = problem.initial.model.agents
     if problem.goal.max_agent >= agents:
@@ -48,7 +48,7 @@ def validate_problem(problem: PlanningProblem, allow_deep: bool = False) -> None
                     f"initial state has {agents} agent(s)"
                 )
             depth = modal_depth(pre)
-            if depth > 1 and not allow_deep:
+            if depth > 1:
                 raise InvalidProblem(
                     f"action {name!r} event {e!r} has precondition depth {depth} > 1"
                 )

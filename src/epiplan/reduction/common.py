@@ -4,7 +4,6 @@ from __future__ import annotations
 from typing import Iterable
 
 from ..formula import Formula, and_, evaluate_at, know, not_, or_, prop
-from ..frames import FrameCondition, close_relation
 from ..kripke import EpistemicState, Pair
 
 
@@ -17,22 +16,6 @@ def cliques(*groups: Iterable[str]) -> set[Pair]:
             for v in members:
                 out.add((u, v))
     return out
-
-
-def reflexive(pairs: Iterable[Pair], worlds: Iterable[str]) -> frozenset[Pair]:
-    return close_relation(pairs, worlds, {FrameCondition.REFLEXIVE})
-
-
-def refl_sym(pairs: Iterable[Pair], worlds: Iterable[str]) -> frozenset[Pair]:
-    return close_relation(
-        pairs, worlds, {FrameCondition.REFLEXIVE, FrameCondition.SYMMETRIC}
-    )
-
-
-def refl_trans(pairs: Iterable[Pair], worlds: Iterable[str]) -> frozenset[Pair]:
-    return close_relation(
-        pairs, worlds, {FrameCondition.REFLEXIVE, FrameCondition.TRANSITIVE}
-    )
 
 
 def check_words(qa: str, qb: str) -> None:

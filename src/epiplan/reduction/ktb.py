@@ -17,9 +17,10 @@ from __future__ import annotations
 from ..action import EventModel, make_action
 from ..errors import IllegalFlavor, UnknownShorthand
 from ..formula import Formula, and_, conj, diamond, disj, know, not_, or_, prop
+from ..frames import PROFILES, closure
 from ..kripke import EpistemicState, make_model, restrict
 from ..pcp import PcpInstance
-from .common import chain_failed_state, check_words, refl_sym
+from .common import chain_failed_state, check_words
 
 AGENTS = 1
 PROFILE_NAME = "KTB"
@@ -128,7 +129,7 @@ def initial_state() -> EpistemicState:
         edges.add((group["#2"], group["ntF"]))
         edges.add((group["#1"], _w("lp")))
         edges.add((group["#2"], _w("lp")))
-    model = make_model(worlds, AGENTS, [refl_sym(edges, worlds)], val)
+    model = closure(make_model(worlds, AGENTS, [edges], val), PROFILES[PROFILE_NAME])
     return EpistemicState(model, _w("root"))
 
 
@@ -189,7 +190,7 @@ def family(qa: str, qb: str, flavor: str) -> EpistemicState:
             edges.add((group["#2"], group["end"]))
             anchor = last_cells[x][2] if q else _w(x)
             edges.update({(anchor, group["0"]), (anchor, group["1"]), (anchor, group["end"])})
-    model = make_model(worlds, AGENTS, [refl_sym(edges, worlds)], val)
+    model = closure(make_model(worlds, AGENTS, [edges], val), PROFILES[PROFILE_NAME])
     state = EpistemicState(model, _w("root"))
     if flavor in ("minus_hash1", "minus_hash2"):
         drop = set()
@@ -249,7 +250,7 @@ def add_block(index: int, block: tuple[str, str]) -> EventModel:
             edges.update({(prev, e01), (prev, _e("end"))})
         else:
             edges.update({(elst, e01), (elst, _e("end"))})
-    return make_action(events, AGENTS, [refl_sym(edges, events)], pre, _e("s"))
+    return closure(make_action(events, AGENTS, [edges], pre, _e("s")), PROFILES[PROFILE_NAME])
 
 
 def next_stage() -> EventModel:
@@ -270,8 +271,8 @@ def remove_symbol(d: str) -> EventModel:
         fail: or_(conj(tail(), not_(_P[d]), not_(_P["ntF"])), failed()),
         keep: _P["ntF"],
     }
-    edges = refl_sym({(main, fail), (main, keep)}, [main, fail, keep])
-    return make_action([main, fail, keep], AGENTS, [edges], pre, main)
+    action = make_action([main, fail, keep], AGENTS, [{(main, fail), (main, keep)}], pre, main)
+    return closure(action, PROFILES[PROFILE_NAME])
 
 
 def goal() -> Formula:

@@ -1,9 +1,11 @@
 """Two-agent compiler for equivalence-relation frames (profile S5).
 
 Both agents' relations are unions of disjoint cliques (every world not in
-a listed clique is its own singleton class), and the chain alternates the
-two agents' cliques with '#' separator worlds so every block symbol sits
-an even number of clique-hops from the root.  Auxiliary worlds (w_ntF,
+a listed clique is its own singleton class).  The cliques are symmetric
+and transitive already, so each frame is closed under ``KT`` only, which
+adds the singleton classes' self-loops.  The chain alternates the two
+agents' cliques with '#' separator worlds so every block symbol sits an
+even number of clique-hops from the root.  Auxiliary worlds (w_ntF,
 w_end) are duplicated per chain position because under equivalence
 relations a shared copy would glue unrelated cliques together.
 
@@ -15,9 +17,10 @@ from __future__ import annotations
 from ..action import EventModel, make_action
 from ..errors import IllegalFlavor, UnknownShorthand
 from ..formula import Formula, and_, conj, diamond, disj, know, not_, or_, prop
+from ..frames import PROFILES, closure
 from ..kripke import EpistemicState, make_model, restrict
 from ..pcp import PcpInstance
-from .common import check_words, cliques, reflexive
+from .common import check_words, cliques
 
 AGENTS = 2
 PROFILE_NAME = "S5"
@@ -103,9 +106,7 @@ def initial_state() -> EpistemicState:
     r1 = cliques([_w("root"), _w("empty"), _w("stg1"), _w("a"), _w("b")],
                  per_branch["a"], per_branch["b"])
     r2 = cliques([_w("a")] + per_branch["a"], [_w("b")] + per_branch["b"])
-    model = make_model(
-        worlds, AGENTS, [reflexive(r1, worlds), reflexive(r2, worlds)], val
-    )
+    model = closure(make_model(worlds, AGENTS, [r1, r2], val), PROFILES["KT"])
     return EpistemicState(model, _w("root"))
 
 
@@ -170,7 +171,7 @@ def family(qa: str, qb: str, flavor: str) -> EpistemicState:
             r1 |= cliques(tl)
             anchor = names[x][1][-1] if q else _w(x)
             r2 |= cliques(tl + [anchor])
-    model = make_model(worlds, AGENTS, [reflexive(r1, worlds), reflexive(r2, worlds)], val)
+    model = closure(make_model(worlds, AGENTS, [r1, r2], val), PROFILES["KT"])
     state = EpistemicState(model, _w("root"))
     if flavor == "minus_hash":
         drop = {names[x][1][-1] for x in "ab" if words[x]}
@@ -232,14 +233,7 @@ def add_block(index: int, block: tuple[str, str]) -> EventModel:
             # both of its roles, so its two carrier events must share the
             # first-relation clique with the tail events.
             r1 |= cliques([nlst, etl])
-    all_events = list(events)
-    return make_action(
-        all_events,
-        AGENTS,
-        [reflexive(r1, all_events), reflexive(r2, all_events)],
-        pre,
-        _e("s"),
-    )
+    return closure(make_action(events, AGENTS, [r1, r2], pre, _e("s")), PROFILES["KT"])
 
 
 def next_stage() -> EventModel:

@@ -24,9 +24,10 @@ from __future__ import annotations
 from ..action import EventModel, make_action
 from ..errors import IllegalFlavor, UnknownShorthand
 from ..formula import Formula, and_, conj, diamond, disj, know, not_, or_, prop
+from ..frames import PROFILES, closure
 from ..kripke import EpistemicState, make_model, restrict
 from ..pcp import PcpInstance
-from .common import check_words, refl_trans, reflexive
+from .common import check_words
 
 AGENTS = 1
 PROFILE_NAME = "S4"
@@ -120,7 +121,7 @@ def initial_state() -> EpistemicState:
             edges.add((group[bt], _w("lp")))
         edges.add((group["#"], _w(x)))
         edges.add((group["#"], _w("lp")))
-    model = make_model(worlds, AGENTS, [refl_trans(edges, worlds)], val)
+    model = closure(make_model(worlds, AGENTS, [edges], val), PROFILES[PROFILE_NAME])
     return EpistemicState(model, _w("root"))
 
 
@@ -170,7 +171,7 @@ def family(qa: str, qb: str, flavor: str) -> EpistemicState:
             edges.add((group["#"], _w(x)))
             if q:
                 edges.add((group["#"], chain_of[x][0]))
-    model = make_model(worlds, AGENTS, [refl_trans(edges, worlds)], val)
+    model = closure(make_model(worlds, AGENTS, [edges], val), PROFILES[PROFILE_NAME])
     state = EpistemicState(model, _w("root"))
     if flavor == "minus_hash":
         drop = {chain_of[x][-1] for x in "ab" if words[x]}
@@ -208,7 +209,7 @@ def add_block(index: int, block: tuple[str, str]) -> EventModel:
             edges.update({(prev, bit), (bit, hsh), (bit, ex)})
             prev = hsh
         edges.add((prev, ex))
-    return make_action(events, AGENTS, [refl_trans(edges, events)], pre, _e("s"))
+    return closure(make_action(events, AGENTS, [edges], pre, _e("s")), PROFILES[PROFILE_NAME])
 
 
 def next_stage() -> EventModel:
@@ -234,8 +235,8 @@ def remove_symbol(d: str) -> EventModel:
         fail: or_(and_(tail(), not_(_P[d])), damaged()),
         keep: term(),
     }
-    edges = reflexive({(main, fail), (main, keep)}, [main, fail, keep])
-    return make_action([main, fail, keep], AGENTS, [edges], pre, main)
+    action = make_action([main, fail, keep], AGENTS, [{(main, fail), (main, keep)}], pre, main)
+    return closure(action, PROFILES[PROFILE_NAME])
 
 
 def goal() -> Formula:

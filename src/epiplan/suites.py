@@ -23,9 +23,9 @@ from .formula import (
     or_,
     prop,
 )
-from .frames import PROFILES, FrameCondition, close_relation, closure, satisfies
+from .frames import PROFILES, FrameCondition, closure, satisfies
 from .kripke import EpistemicState, KripkeModel, make_model
-from .pcp import PcpInstance, brute_force_match, make_instance, matched_word
+from .pcp import PcpInstance, brute_force_match, make_instance
 from .planner import PlanFound, SearchBudget, bfs_plan, s5_single_agent_plan, verify_plan
 from .reduction import (
     Variant,
@@ -334,12 +334,10 @@ def random_action(rng: random.Random, agents: int, max_events: int = 3,
                   conds=()) -> EventModel:
     n = rng.randint(1, max_events)
     events = [f"e{i}" for i in range(n)]
-    rels = []
-    for _ in range(agents):
-        pairs = {(u, v) for u in events for v in events if rng.random() < 0.4}
-        rels.append(close_relation(pairs, events, conds) if conds else pairs)
+    rels = [{(u, v) for u in events for v in events if rng.random() < 0.4}
+            for _ in range(agents)]
     pre = {e: random_formula(rng, 1, agents) for e in events}
-    return make_action(events, agents, rels, pre, rng.choice(events))
+    return closure(make_action(events, agents, rels, pre, rng.choice(events)), conds)
 
 
 def mutate_bisimilar(rng: random.Random, state: EpistemicState) -> EpistemicState:
@@ -360,18 +358,13 @@ def mutate_bisimilar(rng: random.Random, state: EpistemicState) -> EpistemicStat
     dup = w + "_copy"
     while dup in m:
         dup += "_copy"
-    worlds = list(m.worlds) + [dup]
-    rels = []
-    for rel in m.relations:
-        pairs = set(rel)
-        pairs.update((dup, v) for (u, v) in rel if u == w)
-        pairs.update((u, dup) for (u, v) in rel if v == w)
-        if (w, w) in rel:
-            pairs.add((dup, dup))
-        rels.append(pairs)
-    val = {x: m.valuation_of(x) for x in m.worlds}
-    val[dup] = m.valuation_of(w)
-    return EpistemicState(make_model(worlds, m.agents, rels, val), state.designated)
+    k, n = m.index_of(w), len(m.worlds)
+    rows = tuple(
+        tuple(succ + (n,) if k in succ else succ for succ in row + (row[k],))
+        for row in m.rows
+    )
+    model = KripkeModel(m.worlds + (dup,), m.agents, rows, m.valuations + (m.valuations[k],))
+    return EpistemicState(model, state.designated)
 
 
 def _engine_properties(report: SuiteReport, rng: random.Random, rounds: int) -> None:
@@ -414,7 +407,7 @@ def _engine_properties(report: SuiteReport, rng: random.Random, rounds: int) -> 
         report.check(satisfies(closed, conds), "closure output violates its conditions")
         report.check(closure(closed, conds) == closed, "closure is not idempotent")
         report.check(
-            all(a <= b for a, b in zip(m.relations, closed.relations)),
+            all(set(a) <= set(b) for r, c in zip(m.rows, closed.rows) for a, b in zip(r, c)),
             "closure is not extensive",
         )
         # 5. canonical keys agree exactly with bisimilarity
@@ -443,10 +436,6 @@ def run_engine_properties(seed: int = DEFAULT_SEED, rounds: int = 1600) -> Suite
 # --- theorem correspondence -------------------------------------------------
 
 
-def _witness_depth(inst: PcpInstance, match) -> int:
-    return len(match) + 1 + len(matched_word(inst, match))
-
-
 def sample_theorem_instances(rng: random.Random, count: int,
                              max_witness_depth: int = 8) -> list[tuple[PcpInstance, tuple | None]]:
     """Instances (<= 3 blocks, words <= 3) with a solvable/unsolvable mix.
@@ -461,7 +450,7 @@ def sample_theorem_instances(rng: random.Random, count: int,
         inst = _random_instance(rng)
         match = brute_force_match(inst, 4)
         if match is not None:
-            if _witness_depth(inst, match) > max_witness_depth:
+            if len(match_to_plan(inst, match, Variant.K1)) > max_witness_depth:
                 continue
             if want_pos > 0 or rng.random() < 0.25:
                 out.append((inst, match))

@@ -11,7 +11,8 @@ from epiplan.action import (
     product_update,
 )
 from epiplan.bisim import bisimilar
-from epiplan.formula import know, parse, prop
+from epiplan.formula import evaluate_at, extension_mask, know, parse, prop
+from epiplan.kripke import EpistemicState, make_model
 from epiplan.pcp import make_instance
 from epiplan.reduction import k1
 
@@ -48,6 +49,31 @@ def test_applicability_examples():
     plain = k1.family("10", "0", "plain")
     assert not applicable(plain, ad1)
     assert not applicable(plain, k1.next_stage())
+
+
+def test_too_deep_precondition_raises_formula_too_deep():
+    # K p holds at u only (v lacks p and sees itself; w sees v)
+    m = make_model(["u", "v", "w"], 1, [{("u", "u"), ("v", "v"), ("w", "v")}],
+                   {"u": {"p"}, "w": {"p"}})
+    s = EpistemicState(m, "u")
+    deep = prop("p")
+    for _ in range(5_000):
+        deep = know(0, deep)
+    shallow = know(0, know(0, prop("p")))
+    pre = {"deep": deep, "shallow": shallow}
+    deep_first = make_action(["deep", "shallow"], 1, [set()], pre, "deep", depth_bound=None)
+    shallow_first = make_action(["deep", "shallow"], 1, [set()], pre, "shallow", depth_bound=None)
+    assert applicable(s, shallow_first)
+    for check in (lambda: applicable(s, deep_first), lambda: product_update(s, shallow_first)):
+        with pytest.raises(errors.FormulaTooDeep) as caught:
+            check()
+        assert caught.value.__cause__ is None and caught.value.__suppress_context__
+    # the masks the model memoized before the error still give right answers
+    for f in (prop("p"), know(0, prop("p")), shallow, parse("!K p & p"), parse("<K> !p")):
+        expected = sum(1 << i for i, w in enumerate(m.worlds) if evaluate_at(s, w, f))
+        assert extension_mask(m, f) == expected, f
+    kept = make_action(["e"], 1, [{("e", "e")}], {"e": know(0, prop("p"))}, "e")
+    assert product_update(s, kept).model.worlds == ("(u,e)",)
 
 
 def test_agent_mismatch():

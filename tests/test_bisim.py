@@ -6,7 +6,6 @@ from epiplan import errors
 from epiplan.bisim import (
     bisimilar,
     canonical_key,
-    canonical_key_hex,
     minimize_with_key,
     quotient,
 )
@@ -84,7 +83,6 @@ def test_key_matches_quotient_and_separates():
     assert canonical_key(s) == canonical_key(quotient(s))
     assert canonical_key(s) != canonical_key(k1.family("10", "1", "loop"))
     assert canonical_key(k1.initial_state()) != canonical_key(k1.family("", "", "loop"))
-    assert canonical_key_hex(s) == canonical_key(s).hex()
 
 
 def test_key_equality_iff_bisimilar_randomized():

@@ -3,7 +3,6 @@ import random
 from epiplan.frames import (
     PROFILES,
     FrameCondition,
-    close_relation,
     closure,
     custom_profile,
     profile,
@@ -55,7 +54,8 @@ def test_transitive_chain_gains_shortcut():
 
 
 def test_euclidean_closure():
-    rel = close_relation({("a", "b"), ("a", "c")}, ["a", "b", "c"], [E])
+    m = make_model(["a", "b", "c"], 1, [{("a", "b"), ("a", "c")}], {})
+    rel = closure(m, [E]).relations[0]
     assert ("b", "c") in rel and ("c", "b") in rel and ("b", "b") in rel
 
 

@@ -1,9 +1,12 @@
-"""Golden bytes: canonical keys and minimized CLI output must not drift.
+"""Golden bytes: canonical keys, compiled problems and CLI output must not drift.
 
 Key bytes may change only with a noted format bump, and the CLI documents
-are part of the interface.  The SHA-256 digests below were taken from the
-engine before its relation tables moved to integer rows; a change that
-alters any of them has to say so and print the new ones with
+are part of the interface; the compiled problems of the fixture instance
+pin each variant's initial model and action relations as built.  The key
+and CLI digests below were taken from the engine before its relation
+tables moved to integer rows, the compiled-problem digests from the
+engine whose frame closures still ran on name pairs; a change that alters
+any of them has to say so and print the new ones with
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
 from __future__ import annotations
@@ -37,6 +40,12 @@ PLANS = {
 
 FAMILY_SHA256 = "3b182930a9a6b8bad34d55fee2855dbc245acbc78b50281f469d68439e3be018"
 RANDOM_SHA256 = "1bdfc73a4ac25a4e34c33345b7a893d047c9c976219f8ca53bc57be3365255db"
+REDUCE_SHA256 = {
+    'K1': '999b1f7f0218120aaa0ee55393996f2b3f82a66e9c7fd7c28661803f43e591ae',
+    'KTB1': '449f3d8dc918b678f6eddf0ad5001243b006314335355a9535e18eb6d112b981',
+    'MultiS5': 'ac4a9de6d097a9ec2e62df599ef1a0a4ef10dc23a4f2ec195d99db6f28865816',
+    'S4_1': '153c05a6f4ecd5bd9a729eb921bdd68d958c7b7f2daadfb474c6ef35277926f7',
+}
 CLI_SHA256 = {
     'apply K1 three': 'f58426c789cff036b8f665a055a47427ac17d1e365859ad9d6db60f91b6136bd',
     'apply K1 two': '595f4f50f0f58b3a132ba02ae31ca23ed7ac5e79c89d1975e49c5d046c353cb1',
@@ -77,6 +86,16 @@ def random_digest() -> str:
     for seed in range(50):
         h.update(canonical_key(random_state(random.Random(seed))))
     return h.hexdigest()
+
+
+def reduce_digests() -> dict[str, str]:
+    """Per variant, the digest of the compiled fixture problem's canonical JSON."""
+    out = {}
+    for variant in Variant:
+        doc = problem_to_json(reduce_instance(make_instance(BLOCKS), variant))
+        text = json.dumps(doc, sort_keys=True)
+        out[variant.value] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return out
 
 
 def _stdout(*argv) -> str:
@@ -126,6 +145,10 @@ def test_canonical_key_bytes_are_pinned():
     assert random_digest() == RANDOM_SHA256
 
 
+def test_compiled_problems_are_pinned():
+    assert reduce_digests() == REDUCE_SHA256
+
+
 def test_minimized_cli_output_is_pinned():
     actual = cli_digests()
     assert sorted(actual) == sorted(CLI_SHA256)
@@ -136,6 +159,10 @@ def test_minimized_cli_output_is_pinned():
 if __name__ == "__main__":
     print(f"FAMILY_SHA256 = {family_digest()!r}")
     print(f"RANDOM_SHA256 = {random_digest()!r}")
+    print("REDUCE_SHA256 = {")
+    for name, digest in sorted(reduce_digests().items()):
+        print(f"    {name!r}: {digest!r},")
+    print("}")
     print("CLI_SHA256 = {")
     for name, digest in sorted(cli_digests().items()):
         print(f"    {name!r}: {digest!r},")

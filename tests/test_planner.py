@@ -96,7 +96,6 @@ def test_validate_problem_rejects_deep_preconditions():
     problem = PlanningProblem(EpistemicState(m, "w"), {"a": deep}, true_(), profile("K"))
     with pytest.raises(errors.InvalidProblem):
         validate_problem(problem)
-    validate_problem(problem, allow_deep=True)
 
 
 def test_validate_problem_rejects_frame_violations():

@@ -602,12 +602,17 @@ def test_frame_conditions_and_closure_match_checks_on_input_pairs(seed, agents):
     rng = random.Random(seed)
     worlds, pairs = _pair_sets(rng, agents)
     # the random relations, and the same relations closed under every
-    # condition set, so that each condition is met as well as missed
+    # condition set, so that each condition is met as well as missed; the
+    # closure runs on them as a model's frame and as an event model's
     inputs = [pairs]
     model = make_model(worlds, agents, pairs, {})
+    action = make_action(worlds, agents, pairs, {e: FalseF() for e in worlds}, worlds[-1])
     for conds in CONDITION_SETS:
         closed = tuple(ref_close(worlds, rel, conds) for rel in pairs)
         assert closure(model, conds).relations == closed
+        closed_action = closure(action, conds)
+        assert closed_action.relations == closed
+        assert replace(closed_action, rows=action.rows) == action
         inputs.append(closed)
     for rels in inputs:
         model = make_model(worlds, agents, rels, {})
