@@ -15,6 +15,13 @@ subformula's mask.  The update then visits only the world/event pairs it
 keeps, taken from the set bits of those masks, never all of them.  Goal
 checks (``formula.evaluate``) stay pointwise: they need one world, and
 there the short-circuiting walk beats building full masks.
+
+Both read the designated world by index.  The product's world names
+``"(u,e)"`` are a recipe over the state's names (``kripke._Names``),
+built only if something reads them.  Under an agent whose successor
+masks repeat (``KripkeModel.repeated_masks``), two kept pairs ``(i, e)``
+and ``(i', e)`` with equal masks have equal successor rows, so the update
+builds that row once and shares the tuple.
 """
 from __future__ import annotations
 
@@ -34,7 +41,8 @@ from .errors import (
     strings,
 )
 from .formula import Formula, extension_mask, formula_from_json, formula_to_json, modal_depth
-from .kripke import EpistemicState, KripkeModel, Pair, Rows, _pair_view, _successor_rows
+from .kripke import (EpistemicState, KripkeModel, Pair, Rows, _pair_view, _successor_rows,
+                     derived_model)
 
 __all__ = [
     "EventModel",
@@ -133,7 +141,7 @@ def applicable(state: EpistemicState, action: EventModel) -> bool:
     """
     model = _same_agents(state, action)
     mask = extension_mask(model, action.pre(action.designated))
-    return bool(mask >> model.index_of(state.designated) & 1)
+    return bool(mask >> state.designated_index & 1)
 
 
 def product_update(state: EpistemicState, action: EventModel) -> EpistemicState:
@@ -145,12 +153,14 @@ def product_update(state: EpistemicState, action: EventModel) -> EpistemicState:
     world component.  Only kept pairs are visited: they are read off the
     set bits of each precondition's mask, and the successors of ``(i, e)``
     under agent ``a`` off the set bits of ``succ_masks[a][i] & holds[f]``
-    for each successor event ``f`` of ``e``.
+    for each successor event ``f`` of ``e``; those depend on ``i`` only
+    through its mask, so where masks repeat one row serves every pair
+    with the same (mask, event).
     """
     model = _same_agents(state, action)
     holds = [extension_mask(model, pre) for pre in action.preconditions]
-    events, m = action.events, len(action.events)
-    u0, e0 = model.index_of(state.designated), action._index[action.designated]
+    m = len(action.events)
+    u0, e0 = state.designated_index, action._index[action.designated]
     if not holds[e0] >> u0 & 1:
         raise NotApplicable(f"designated precondition fails at {state.designated!r}")
     # kept pairs as codes i * m + e, ascending: world order, then event order;
@@ -162,16 +172,23 @@ def product_update(state: EpistemicState, action: EventModel) -> EpistemicState:
             codes.append((low.bit_length() - 1) * m + e)
             mask ^= low
     codes.sort()
-    slot = [0] * (len(model.worlds) * m)
+    slot = [0] * (len(model.valuations) * m)
     for k, code in enumerate(codes):
         slot[code] = k
     pairs = [divmod(code, m) for code in codes]
-    names, valuations = model.worlds, model.valuations
     rows = []
-    for succ_masks, event_row in zip(model.masks()[1], action.rows):
+    for succ_masks, event_row, repeats in zip(
+            model.masks()[1], action.rows, model.repeated_masks()):
         row = []
+        shared = {} if repeats else None
         for i, e in pairs:
-            succ, out = succ_masks[i], []
+            succ = succ_masks[i]
+            if shared is not None:
+                out = shared.get((succ, e))
+                if out is not None:
+                    row.append(out)
+                    continue
+            out = []
             for f in event_row[e]:
                 kept = succ & holds[f]
                 while kept:
@@ -179,12 +196,15 @@ def product_update(state: EpistemicState, action: EventModel) -> EpistemicState:
                     out.append(slot[(low.bit_length() - 1) * m + f])
                     kept ^= low
             out.sort()
-            row.append(tuple(out))
+            out = tuple(out)
+            if shared is not None:
+                shared[succ, e] = out
+            row.append(out)
         rows.append(tuple(row))
-    worlds = tuple(f"({names[i]},{events[e]})" for i, e in pairs)
-    vals = tuple(valuations[i] for i, _ in pairs)
-    new_model = KripkeModel(worlds, model.agents, tuple(rows), vals)
-    return EpistemicState(new_model, worlds[slot[u0 * m + e0]])
+    valuations = model.valuations
+    vals = tuple([valuations[i] for i, _ in pairs])
+    new_model = derived_model(model, pairs, tuple(rows), vals, action.events)
+    return EpistemicState.at(new_model, slot[u0 * m + e0])
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,12 @@ successor rows (``KripkeModel.rows``, the one stored relation),
 restricted to the generated part by ``kripke.reachable_rows``;
 successor-block sets are packed into bitmask integers, and one function
 turns the refinement into the rows of the quotient state that
-``quotient`` and ``minimize_with_key`` return.  No name pair is built.
+``quotient`` and ``minimize_with_key`` return.  No name pair is built,
+and no name read: the designated world is an index, and the quotient's
+world names (each block's first world) are a recipe over the state's,
+built only if read.  When the partition is discrete, as it is for most
+search products, the quotient is the generated part and keeps the rows
+that ``reachable_rows`` induced.
 
 Block numbering is canonical: each round renumbers blocks by sorting the
 signatures themselves (not by first occurrence), so the final numbering
@@ -29,7 +34,7 @@ from __future__ import annotations
 import struct
 
 from .errors import AgentMismatch
-from .kripke import EpistemicState, KripkeModel, reachable_rows
+from .kripke import EpistemicState, derived_model, reachable_rows
 
 __all__ = [
     "quotient",
@@ -75,13 +80,14 @@ def _canonical_refine(valuations, succ) -> tuple[list[int], int]:
 
 
 def _generated(state: EpistemicState):
-    """Valuations, rows and start index of the part generated by the designated world."""
+    """Kept indices, valuations, rows and start index of the designated world's generated part."""
     model = state.model
-    start = model.index_of(state.designated)
+    start = state.designated_index
     kept, rows = reachable_rows(model, start)
-    if len(kept) == len(model.worlds):
-        return kept, model.valuations, rows, start
-    return kept, [model.valuations[i] for i in kept], rows, kept.index(start)
+    vals = model.valuations
+    if len(kept) == len(vals):
+        return kept, vals, rows, start
+    return kept, tuple([vals[i] for i in kept]), rows, kept.index(start)
 
 
 def _minimize(state: EpistemicState):
@@ -95,20 +101,27 @@ def _minimize(state: EpistemicState):
 
 
 def _quotient_state(state: EpistemicState, minimized) -> EpistemicState:
-    """The quotient named by each block's first world, blocks in first-world order."""
+    """The quotient named by each block's first world, blocks in first-world order.
+
+    A discrete partition makes the quotient the generated part itself, so
+    its rows are the ones ``_generated`` induced.  Names are a recipe over
+    the state's names, built on first read (see ``kripke``).
+    """
     kept, vals, rows, start, block, count, rep = minimized
     model = state.model
-    if count == len(kept) == len(model.worlds):
-        return state
+    if count == len(kept):
+        if count == len(model.valuations):
+            return state
+        return EpistemicState.at(derived_model(model, kept, rows, vals), start)
     reps = sorted(rep)
     pos = {block[i]: k for k, i in enumerate(reps)}
     quotient_rows = tuple(
         tuple(tuple(sorted({pos[block[j]] for j in row[i]})) for i in reps) for row in rows
     )
-    names = tuple(model.worlds[kept[i]] for i in reps)
-    return EpistemicState(
-        KripkeModel(names, model.agents, quotient_rows, tuple(vals[i] for i in reps)),
-        names[pos[block[start]]],
+    quotient_vals = tuple([vals[i] for i in reps])
+    return EpistemicState.at(
+        derived_model(model, [kept[i] for i in reps], quotient_rows, quotient_vals),
+        pos[block[start]],
     )
 
 

@@ -287,7 +287,7 @@ def _eval_once(model: KripkeModel, i: int, f: Formula, memo: dict[Formula, bool]
 
 def evaluate(state: EpistemicState, f: Formula) -> bool:
     """Truth of ``f`` at the designated world of ``state`` (see ``evaluate_at``)."""
-    return evaluate_at(state, state.designated, f)
+    return _evaluate(state.model, state.designated_index, f)
 
 
 def evaluate_at(state: EpistemicState, world: str, f: Formula) -> bool:
@@ -300,8 +300,12 @@ def evaluate_at(state: EpistemicState, world: str, f: Formula) -> bool:
     """
     if world not in state.model:
         raise UnknownWorld(f"world {world!r} not in model")
+    return _evaluate(state.model, state.model.index_of(world), f)
+
+
+def _evaluate(model: KripkeModel, i: int, f: Formula) -> bool:
     try:
-        return _eval_once(state.model, state.model.index_of(world), f, {})
+        return _eval_once(model, i, f, {})
     except RecursionError:
         raise FormulaTooDeep("formula is nested too deeply to evaluate") from None
 
@@ -326,7 +330,7 @@ def extension_mask(model: KripkeModel, f: Formula) -> int:
     if hit is not None:
         return hit
     prop_masks, succ_masks = model.masks()
-    full = (1 << len(model.worlds)) - 1
+    full = (1 << len(model.valuations)) - 1
 
     def ext(g: Formula) -> int:
         hit = memo.get(g)

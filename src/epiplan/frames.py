@@ -1,15 +1,15 @@
 """Frame conditions, relational closures, and named logic profiles.
 
-Both checks and closures work on successor bitmasks, built from a
-frame's integer rows (``KripkeModel.rows``, ``EventModel.rows``); no
-name pair is read.  ``closure`` adds, per agent, the self-loops, then the
-reverse of every edge, then the transitive closure (Warshall over the
-masks).  Without ``EUCLIDEAN`` that one round is the least relation
-meeting the conditions jointly: each step keeps what the earlier ones
-made (a transitive closure keeps the self-loops, and the transitive
-closure of a symmetric relation is symmetric).  The Euclidean step has
-no such order with the others, so with it the round repeats until it
-adds nothing.
+Both checks and closures take a Kripke model or an event model and work
+on successor bitmasks, built from its integer rows (``KripkeModel.rows``,
+``EventModel.rows``) by ``kripke.successor_masks``; no name pair is read.
+``closure`` adds, per agent, the self-loops, then the reverse of every
+edge, then the transitive closure (Warshall over the masks).  Without
+``EUCLIDEAN`` that one round is the least relation meeting the
+conditions jointly: each step keeps what the earlier ones made (a
+transitive closure keeps the self-loops, and the transitive closure of a
+symmetric relation is symmetric).  The Euclidean step has no such order
+with the others, so with it the round repeats until it adds nothing.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from enum import Enum
 from typing import Any, Iterable, TypeVar
 
 from .errors import strings
-from .kripke import KripkeModel
+from .kripke import successor_masks
 
 F = TypeVar("F")
 
@@ -91,7 +91,7 @@ def _close_row(row, conds: frozenset[FrameCondition]):
     if conds == {FrameCondition.REFLEXIVE}:
         return tuple(succ if i in succ else tuple(sorted(succ + (i,)))
                      for i, succ in enumerate(row))
-    masks = [sum(1 << j for j in succ) for succ in row]
+    masks = successor_masks(row)
     if FrameCondition.REFLEXIVE in conds:
         closed = [m | 1 << i for i, m in enumerate(masks)]
     else:
@@ -148,10 +148,11 @@ def _satisfies_one(rows, masks: list[int], cond: FrameCondition) -> bool:
     raise ValueError(f"unknown condition {cond!r}")
 
 
-def satisfies(model: KripkeModel, conds: Iterable[FrameCondition]) -> bool:
-    """Whether every agent's relation satisfies every condition."""
+def satisfies(frame, conds: Iterable[FrameCondition]) -> bool:
+    """Whether every agent's relation of a Kripke model or event model meets every condition."""
+    masks = [successor_masks(row) for row in frame.rows]
     return all(
-        _satisfies_one(rows, masks, cond)
+        _satisfies_one(rows, row_masks, cond)
         for cond in conds
-        for rows, masks in zip(model.rows, model.masks()[1])
+        for rows, row_masks in zip(frame.rows, masks)
     )

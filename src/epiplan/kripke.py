@@ -10,7 +10,14 @@ the indices of agent ``a``'s successors of ``worlds[i]``, ascending.
 Names serve the boundary (JSON, CLI): ``_successor_rows`` turns name
 pairs into rows and ``_pair_view`` derives the ``relations`` pairs back
 (for event models too); ``reachable_rows`` is the one reachability walk
-and ``masks()`` derives bitmask rows.
+and ``successor_masks`` turns a row into bitmasks.
+
+The engine reads no name.  A state points at its designated world by
+index, and a model made from another one (a product, a quotient, a
+generated part) gets its world names from a ``_Names`` recipe that
+builds them on first read of ``worlds``: a search that never prints a
+state never builds its names.  The name index of a model is built on its
+first name lookup.
 """
 from __future__ import annotations
 
@@ -52,55 +59,132 @@ def _pair_view(names: Sequence[str], rows: Rows) -> tuple[frozenset[Pair], ...]:
                  for row in rows)
 
 
-@dataclass(frozen=True)
+def successor_masks(row: Sequence[Sequence[int]]) -> list[int]:
+    """One agent's successor row as bitmasks: entry i ORs ``1 << j`` over ``row[i]``."""
+    return [sum(1 << j for j in succ) for succ in row]
+
+
+class _Names:
+    """The world names of a derived model, built on first read.
+
+    ``source`` holds the names of the model derived from: a tuple, or a
+    ``_Names`` of its own.  World k of the derived model is named
+    ``source[picks[k]]``, or, when ``events`` is given, ``"(u,e)"`` for the
+    pair ``picks[k] = (i, f)`` with ``u = source[i]`` and ``e = events[f]``.
+    A recipe holds only names and indices, never the source model, so the
+    source's rows, masks and formula memo are freed with it.
+    """
+
+    __slots__ = ("source", "picks", "events", "names")
+
+    def __init__(self, source, picks: Sequence, events: Sequence[str] | None = None):
+        self.source, self.picks, self.events, self.names = source, picks, events, None
+
+    def build(self, source: tuple[str, ...]) -> tuple[str, ...]:
+        """The names over the built ``source`` names."""
+        if self.events is None:
+            return tuple([source[i] for i in self.picks])
+        events = self.events
+        return tuple([f"({source[i]},{events[e]})" for i, e in self.picks])
+
+    def resolve(self) -> tuple[str, ...]:
+        """The names, building each level of the recipe chain not yet built.
+
+        A loop, not recursion: the chain grows by a level per update of a
+        plan, and a plan may be longer than the recursion limit.
+        """
+        pending, names = [], self
+        while type(names) is _Names and names.names is None:
+            pending.append(names)
+            names = names.source
+        if type(names) is _Names:
+            names = names.names
+        for level in reversed(pending):
+            names = level.names = level.build(names)
+            level.source = level.picks = level.events = None
+        return names
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class KripkeModel:
     """A finite Kripke model: worlds, per-agent successor rows, valuation.
 
     ``rows[a][i]`` holds the successor indices of ``worlds[i]`` under
     agent ``a`` in ascending order, and ``valuations[i]`` the proposition
-    set of ``worlds[i]``.  Use :func:`make_model` to build a model from
-    name pairs; it validates and normalizes the input.
+    set of ``worlds[i]``; ``len(valuations)`` is the world count, read
+    without the names.  Use :func:`make_model` to build a model from name
+    pairs; it validates and normalizes the input.  The first argument is
+    the tuple of world names, or, for models the engine derives, a
+    ``_Names`` recipe that ``worlds`` builds on first read.  Equality and
+    hashing are by worlds, agents, rows and valuations, as for a plain
+    record; the hash leaves the names out, so it builds none.
     """
 
-    worlds: tuple[str, ...]
+    _worlds: tuple[str, ...] | _Names
     agents: int
     rows: Rows
     valuations: tuple[frozenset[str], ...]
-    _index: dict = field(init=False, compare=False, repr=False, default=None)
-    _masks: tuple = field(init=False, compare=False, repr=False, default=None)
-    _memo: dict = field(init=False, compare=False, repr=False, default=None)
+    _index: dict = field(init=False, default=None)
+    _masks: tuple = field(init=False, default=None)
+    _repeats: tuple = field(init=False, default=None)
+    _memo: dict = field(init=False, default=None)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_index", {w: i for i, w in enumerate(self.worlds)})
+    @property
+    def worlds(self) -> tuple[str, ...]:
+        names = self._worlds
+        if type(names) is _Names:
+            names = names.resolve()
+            object.__setattr__(self, "_worlds", names)
+        return names
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.agents == other.agents and self.rows == other.rows
+                and self.valuations == other.valuations and self.worlds == other.worlds)
+
+    def __hash__(self):
+        return hash((self.agents, self.rows, self.valuations))
+
+    def __repr__(self):
+        return (f"KripkeModel(worlds={self.worlds!r}, agents={self.agents!r}, "
+                f"rows={self.rows!r}, valuations={self.valuations!r})")
 
     @property
     def relations(self) -> tuple[frozenset[Pair], ...]:
         """Per agent, the relation as name pairs (derived afresh on each access)."""
         return _pair_view(self.worlds, self.rows)
 
+    def _names_index(self) -> dict[str, int]:
+        index = self._index
+        if index is None:
+            index = {w: i for i, w in enumerate(self.worlds)}
+            object.__setattr__(self, "_index", index)
+        return index
+
     def __contains__(self, world: str) -> bool:
-        return world in self._index
+        return world in self._names_index()
 
     def valuation_of(self, world: str) -> frozenset[str]:
-        return self.valuations[self._index[world]]
+        return self.valuations[self._names_index()[world]]
 
     def successors(self, agent: int, world: str) -> tuple[str, ...]:
         """Successors of ``world`` under agent ``agent``, in world order."""
         worlds = self.worlds
-        return tuple(worlds[j] for j in self.rows[agent][self._index[world]])
+        return tuple(worlds[j] for j in self.rows[agent][self._names_index()[world]])
 
     def index_of(self, world: str) -> int:
-        return self._index[world]
+        return self._names_index()[world]
 
     def masks(self):
         """Bitmask view for batch evaluation: (prop masks, successor masks).
 
         ``prop_masks[p]`` has bit i set when worlds[i] satisfies p;
-        ``succ_masks[a][i]`` ORs ``1 << j`` over ``rows[a][i]``.  Built
-        lazily and cached.  Next to them the model keeps ``_memo``, the
-        extension mask of each subformula evaluated on it so far (filled
-        by ``formula.extension_mask``); it lives and dies with the model,
-        so every action tried at one search node shares it.
+        ``succ_masks[a]`` is ``successor_masks(rows[a])``.  Built lazily
+        and cached.  Next to them the model keeps ``_memo``, the extension
+        mask of each subformula evaluated on it so far (filled by
+        ``formula.extension_mask``); it lives and dies with the model, so
+        every action tried at one search node shares it.
         """
         cached = self._masks
         if cached is None:
@@ -109,15 +193,41 @@ class KripkeModel:
                 bit = 1 << i
                 for p in val:
                     prop_masks[p] = prop_masks.get(p, 0) | bit
-            succ_masks = [[sum(1 << j for j in succ) for succ in row] for row in self.rows]
-            cached = (prop_masks, succ_masks)
+            cached = (prop_masks, [successor_masks(row) for row in self.rows])
             object.__setattr__(self, "_masks", cached)
+        return cached
+
+    def repeated_masks(self) -> tuple[bool, ...]:
+        """Per agent, whether successor masks repeat across the worlds.
+
+        True when at most half as many distinct masks as worlds occur, as in
+        S5 cliques, where every world of a clique has the clique's mask.
+        ``action.product_update`` then builds one successor row per
+        (mask, event) and shares it.  With fewer repeats, such as the empty
+        masks of a tree's leaves, the lookups cost more than the rows they
+        save.  Cached.
+        """
+        cached = self._repeats
+        if cached is None:
+            cached = tuple(2 * len(set(succ)) <= len(succ) for succ in self.masks()[1])
+            object.__setattr__(self, "_repeats", cached)
         return cached
 
     @property
     def valuation(self) -> dict[str, frozenset[str]]:
         """Valuation as a mapping (a fresh dict each call)."""
         return {w: v for w, v in zip(self.worlds, self.valuations)}
+
+
+def derived_model(source: KripkeModel, picks: Sequence, rows: Rows,
+                  valuations: tuple[frozenset[str], ...],
+                  events: Sequence[str] | None = None) -> KripkeModel:
+    """A model with ``source``'s agents whose names come from ``source``'s on first read.
+
+    World k is named ``source.worlds[picks[k]]``, or ``"(u,e)"`` for a pair
+    ``picks[k] = (i, f)`` when ``events`` names the events (see ``_Names``).
+    """
+    return KripkeModel(_Names(source._worlds, picks, events), source.agents, rows, valuations)
 
 
 def reachable_rows(model: KripkeModel, start: int) -> tuple[Sequence[int], Rows]:
@@ -127,7 +237,7 @@ def reachable_rows(model: KripkeModel, start: int) -> tuple[Sequence[int], Rows]
     and transitively.  When every world is reachable the result is
     ``range(n)`` and ``model.rows`` itself.
     """
-    n = len(model.worlds)
+    n = len(model.valuations)
     rows = model.rows
     seen = [False] * n
     seen[start] = True
@@ -146,10 +256,8 @@ def reachable_rows(model: KripkeModel, start: int) -> tuple[Sequence[int], Rows]
 
 
 def _submodel(model: KripkeModel, kept: Sequence[int], rows: Rows) -> KripkeModel:
-    worlds, vals = model.worlds, model.valuations
-    return KripkeModel(
-        tuple(worlds[i] for i in kept), model.agents, rows, tuple(vals[i] for i in kept)
-    )
+    vals = model.valuations
+    return derived_model(model, kept, rows, tuple([vals[i] for i in kept]))
 
 
 def make_model(
@@ -179,16 +287,41 @@ def make_model(
     return KripkeModel(world_list, agent_count, rows, vals)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class EpistemicState:
-    """A pointed model: a Kripke model plus its designated (actual) world."""
+    """A pointed model: a Kripke model plus its designated (actual) world.
+
+    The state stores the designated world's index, ``designated_index``,
+    which is all the engine reads; ``designated``, the world's name, is
+    read from the model's names.  ``EpistemicState(model, name)`` checks
+    the name; ``EpistemicState.at(model, index)`` is the engine's
+    constructor and checks nothing.  Equality and hashing are by model and
+    designated index, which within one model is the same as by name.
+    """
 
     model: KripkeModel
-    designated: str
+    designated_index: int
 
-    def __post_init__(self):
-        if self.designated not in self.model:
-            raise UnknownWorld(f"designated world {self.designated!r} not in model")
+    def __init__(self, model: KripkeModel, designated: str):
+        if designated not in model:
+            raise UnknownWorld(f"designated world {designated!r} not in model")
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "designated_index", model.index_of(designated))
+
+    @classmethod
+    def at(cls, model: KripkeModel, index: int) -> EpistemicState:
+        """The state of ``model`` pointed at its world ``index``."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "model", model)
+        object.__setattr__(state, "designated_index", index)
+        return state
+
+    @property
+    def designated(self) -> str:
+        return self.model.worlds[self.designated_index]
+
+    def __repr__(self):
+        return f"EpistemicState(model={self.model!r}, designated={self.designated!r})"
 
 
 def pointed(model: KripkeModel, designated: str) -> EpistemicState:
@@ -212,10 +345,11 @@ def generated_submodel(state: EpistemicState) -> EpistemicState:
     and transitively; the designated world is preserved.
     """
     model = state.model
-    kept, rows = reachable_rows(model, model.index_of(state.designated))
-    if len(kept) == len(model.worlds):
+    start = state.designated_index
+    kept, rows = reachable_rows(model, start)
+    if len(kept) == len(model.valuations):
         return state
-    return EpistemicState(_submodel(model, kept, rows), state.designated)
+    return EpistemicState.at(_submodel(model, kept, rows), kept.index(start))
 
 
 # --- JSON encoding -------------------------------------------------------

@@ -12,19 +12,24 @@ the search below is complete.
 
 Each search keeps a memo from a product's raw identity, the triple
 ``(rows, valuations, designated index)``, to its canonical key, and a
-product already in the memo is counted as a dedup hit without being
-minimized again.  This is sound because ``minimize_with_key`` is a pure
-function of that triple: it reads no world name, and the agent count is
-``len(rows)``.  Every key the search computes is in ``visited`` before
-the next child is built, so a memo hit is always a dedup hit.  The memo
-holds the minimized start state and one entry per ``minimize_with_key``
-call, the product that missed.  It compares whole tuples, never a
-digest, and dies with the search.  Each entry keeps that product's rows
-and valuations alive, including products that turn out to be key
-duplicates, so its memory grows with the products minimized (up to
-nodes times actions, each at product size), not with the nodes kept.
-With ``paranoid_bisim_check`` a memo hit is still checked with
-``bisimilar``.
+product already in the memo is counted as a dedup hit
+(``SearchStats.memo_hits`` counts these) without being minimized again.
+This is sound because ``minimize_with_key`` is a pure function of that
+triple: it reads no world name, and the agent count is ``len(rows)``.
+Every key the search computes is in ``visited`` before the next child is
+built, so a memo hit is always a dedup hit.  The memo compares whole
+tuples, never a digest.  It holds two BFS layers: the entries made while
+expanding the nodes of the current depth and those of the previous one
+(the start state counts as made at depth 0); when the popped depth grows,
+the older layer is dropped.  Eviction changes no count, plan or key: a
+hit is a dedup hit either way, and a miss recomputes the same key.  So
+the memo's memory follows the products minimized in the last two layers
+(each entry keeps that product's rows and valuations alive), not every
+product the search built.  With ``paranoid_bisim_check`` a memo hit is
+still checked with ``bisimilar``.
+
+The loop reads no world name: states point at their designated world by
+index, and product and quotient names are built only if read.
 """
 from __future__ import annotations
 
@@ -65,9 +70,12 @@ class SearchBudget:
 
 @dataclass
 class SearchStats:
+    """Search counts; ``memo_hits`` are the dedup hits the product memo served."""
+
     nodes: int = 0
     dedup_hits: int = 0
     depth: int = 0
+    memo_hits: int = 0
 
 
 @dataclass(frozen=True)
@@ -120,7 +128,7 @@ SearchOutcome = PlanFound | NoPlanExhausted | BoundReached
 def _identity(state: EpistemicState) -> tuple:
     """What ``minimize_with_key`` reads of a state: rows, valuations, designated index."""
     model = state.model
-    return model.rows, model.valuations, model.index_of(state.designated)
+    return model.rows, model.valuations, state.designated_index
 
 
 def _bfs(
@@ -139,7 +147,8 @@ def _bfs(
     visited: dict[bytes, EpistemicState | None] = {
         start_key: start if paranoid else None
     }
-    keys = {_identity(start): start_key}
+    # the product memo by layer: entries made expanding the popped depth, and the one before
+    keys, older_keys, layer = {_identity(start): start_key}, {}, 0
     queue: deque[tuple[EpistemicState, tuple[str, ...]]] = deque([(start, ())])
     truncated = False
     while queue:
@@ -148,18 +157,21 @@ def _bfs(
         if len(plan) >= max_depth:
             truncated = True
             continue
+        if len(plan) != layer:
+            keys, older_keys, layer = {}, keys, len(plan)
         for name in names:
             action = actions[name]
             if not applicable(state, action):
                 continue
             product = product_update(state, action)
             identity = _identity(product)
-            key = keys.get(identity)
+            key = keys.get(identity) or older_keys.get(identity)
             if key is None:
                 child, key = minimize_with_key(product)
                 keys[identity] = key
             else:
                 child = product
+                stats.memo_hits += 1
             if key in visited:
                 stats.dedup_hits += 1
                 if paranoid:
@@ -235,7 +247,7 @@ def s5_single_agent_plan(problem: PlanningProblem) -> SearchOutcome:
         raise NotEuclidean("initial model's relation is not Euclidean")
     validate_problem(problem)
     start = quotient(problem.initial)
-    bound = len(start.model.worlds)
+    bound = len(start.model.valuations)
     outcome = _bfs(
         start,
         problem.actions,

@@ -8,7 +8,7 @@ from .action import EventModel, action_from_json, action_to_json
 from .errors import InvalidProblem, field_of, shaped
 from .formula import Formula, formula_from_json, formula_to_json, modal_depth
 from .frames import LogicProfile, profile_from_json, profile_to_json, satisfies
-from .kripke import EpistemicState, KripkeModel, state_from_json, state_to_json
+from .kripke import EpistemicState, state_from_json, state_to_json
 
 
 @dataclass(frozen=True)
@@ -56,8 +56,7 @@ def validate_problem(problem: PlanningProblem) -> None:
     if not satisfies(problem.initial.model, conds):
         raise InvalidProblem("initial model violates the logic profile's frame conditions")
     for name, action in problem.actions.items():
-        empty = (frozenset(),) * len(action.events)
-        if not satisfies(KripkeModel(action.events, action.agents, action.rows, empty), conds):
+        if not satisfies(action, conds):
             raise InvalidProblem(
                 f"action {name!r} violates the logic profile's frame conditions"
             )

@@ -110,6 +110,20 @@ def test_product_update_world_order_and_valuation():
     assert firsts == ["(w_root,e_s)"]
 
 
+def test_product_update_shares_the_rows_of_repeated_masks():
+    from epiplan.reduction import sat_to_ep
+
+    # the sat_to_ep hub frame is total: every world has one successor mask
+    problem = sat_to_ep(parse("p | q | r"))
+    s = product_update(problem.initial, problem.actions["delete_q"])
+    (row,) = s.model.rows
+    assert row == ((0, 1, 2),) * 3 and all(succ is row[0] for succ in row)
+    assert s.model.repeated_masks() == (True,)
+    # on a path every mask is distinct: no row is shared
+    path = make_model(["a", "b", "c"], 1, [{("a", "b"), ("b", "c")}], {})
+    assert path.repeated_masks() == (False,)
+
+
 def test_apply_plan():
     inst = make_instance([("1", "101"), ("10", "00"), ("011", "11")])
     actions = k1.build_actions(inst)

@@ -65,6 +65,19 @@ def test_verify_and_apply(capsys, fixtures):
     assert code == 1 and doc["failure_at"] == 0
 
 
+def test_plan_stats_report_memo_hits(capsys, fixtures):
+    code, doc = run(capsys, "reduce", "--pcp", fixtures["pcp"], "--variant", "K1")
+    problem_path = fixtures["tmp"] / "prob.json"
+    problem_path.write_text(json.dumps(doc))
+    argv = ["--verbose", "plan", "--problem", problem_path, "--max-depth", "4", "--max-nodes", "60"]
+    code = main([str(a) for a in argv])
+    captured = capsys.readouterr()
+    stats = json.loads(captured.out)["stats"]
+    assert code == 2 and set(stats) == {"nodes", "dedup_hits", "depth", "memo_hits"}
+    assert stats["memo_hits"] <= stats["dedup_hits"]
+    assert f"memo_hits={stats['memo_hits']}" in captured.err
+
+
 def test_solve_pcp_match_decoding(capsys, fixtures):
     code, doc = run(
         capsys,

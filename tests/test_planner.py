@@ -218,5 +218,33 @@ def test_paranoid_mode_checks_every_dedup_hit_memo_hit_or_not(monkeypatch):
     assert isinstance(outcome, NoPlanExhausted)
     assert (outcome.stats.nodes, outcome.stats.dedup_hits) == (1, 2)
     memo_hits = calls["product_update"] - (calls["minimize_with_key"] - 1)
-    assert memo_hits == 1
+    assert memo_hits == outcome.stats.memo_hits == 1
+    assert outcome.to_json()["stats"]["memo_hits"] == 1
     assert calls["bisimilar"] == outcome.stats.dedup_hits
+
+
+def test_searches_build_no_world_names(monkeypatch):
+    from epiplan import kripke
+    from epiplan.action import apply_plan
+
+    built = []
+    original = kripke._Names.build
+
+    def counted(self, source):
+        built.append(len(self.picks))
+        return original(self, source)
+
+    monkeypatch.setattr(kripke._Names, "build", counted)
+    for variant in Variant:
+        problem = reduce_instance(EASY, variant)
+        outcome = bfs_plan(problem, budget(depth=4, nodes=300))
+        assert outcome.stats.nodes > 1
+    assert isinstance(s5_single_agent_plan(sat_to_ep(parse("(p | q) & (!p | !q)"))), PlanFound)
+    assert built == []
+    # names are built once read: one level per update of the plan
+    problem = reduce_instance(EASY, Variant.K1)
+    plan = bfs_plan(problem, budget()).plan
+    final = apply_plan(problem.initial, problem.actions, list(plan))
+    assert built == []
+    assert final.designated.startswith("((((")
+    assert len(built) == len(plan)

@@ -21,8 +21,10 @@ not just its partition.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import pickle
 import random
 import re
 import struct
@@ -366,11 +368,18 @@ def test_bisimilar_and_key_equality_match_pair_elimination(seed, agents):
 @settings(max_examples=200, deadline=None)
 @given(seeds, agent_counts)
 def test_quotient_is_a_minimal_bisimilar_idempotent_state(seed, agents):
-    s = _state(random.Random(seed), agents)
-    q = quotient(s)
+    rng = random.Random(seed)
+    s = _state(rng, agents)
+    action = random_action(rng, agents)
+    if rng.random() < 0.5 and applicable(s, action):
+        s = product_update(s, action)
+    q, (minimized, _) = quotient(s), minimize_with_key(s)
+    # read before the state's own names, so they are built through the recipes
+    names = (q.model.worlds, q.designated, minimized.model.worlds, minimized.designated)
+    assert names[:2] == names[2:]
     assert ref_bisimilar(s, q)
     assert quotient(q) == q
-    assert minimize_with_key(s)[0] == q
+    assert minimized == q
     assert ref_generated(q)[0] == q.model.worlds
     same = ref_bisimulation(q.model, q.model)
     assert all(u == v for u, v in same)
@@ -380,8 +389,8 @@ def test_quotient_is_a_minimal_bisimilar_idempotent_state(seed, agents):
     firsts = tuple(
         w for k, w in enumerate(reachable) if not any((v, w) in alike for v in reachable[:k])
     )
-    assert q.model.worlds == firsts
-    assert (q.designated, s.designated) in alike
+    assert names[0] == firsts
+    assert (names[1], s.designated) in alike
 
 
 @settings(max_examples=200, deadline=None)
@@ -393,23 +402,68 @@ def test_generated_submodel_matches_a_walk_over_pairs(seed, agents):
     assert g.designated == s.designated
 
 
+@functools.cache
+def _compiled_multi_s5() -> PlanningProblem:
+    return reduce_instance(make_instance([("1", "101"), ("10", "00")]), Variant.MULTI_S5)
+
+
+def _update_source(rng: random.Random, agents: int):
+    """A start state and a draw of actions for it.
+
+    Half the time a random state under random actions; otherwise a state
+    whose successor masks repeat, so the update shares rows: every relation
+    total, the ``sat_to_ep`` initial state (one agent) or a compiled MultiS5
+    state, the last two under their own actions.
+    """
+    kind = rng.randrange(6)
+    if kind < 3:
+        state = random_state(rng, agents=agents, max_worlds=6)
+        if kind == 2:
+            m = state.model
+            total = frozenset(itertools.product(m.worlds, m.worlds))
+            state = EpistemicState(
+                make_model(m.worlds, agents, [total] * agents, m.valuation), state.designated)
+        return state, lambda: random_action(rng, agents, max_events=5)
+    if kind < 5:
+        problem = sat_to_ep(random_formula(rng, 3, 0))
+    else:
+        problem = _compiled_multi_s5()
+    names = sorted(problem.actions)
+    return problem.initial, lambda: problem.actions[rng.choice(names)]
+
+
 @settings(max_examples=200, deadline=None)
 @given(seeds, agent_counts)
 def test_product_update_matches_the_pairwise_product(seed, agents):
     rng = random.Random(seed)
-    s = random_state(rng, agents=agents, max_worlds=6)
-    # several actions on one state: the later ones read the masks that the
-    # earlier ones left in the model's memo
+    state, draw = _update_source(rng, agents)
+    # a chain of updates with no name read, one or two actions per state: the
+    # later ones read the masks that the earlier ones left in the model's memo
+    steps = []
     for _ in range(rng.randint(2, 4)):
-        action = random_action(rng, agents, max_events=5)
+        for _ in range(rng.randint(1, 2)):
+            action = draw()
+            ok = applicable(state, action)
+            steps.append((state, action, ok, product_update(state, action) if ok else None))
+        state = next((p for _, _, ok, p in reversed(steps) if ok), state)
+    # names are read only now, built through every level of the chain at once;
+    # a pickled copy carries the unbuilt recipe and builds the same names
+    copy = pickle.loads(pickle.dumps(state))
+    assert (copy.model.worlds, copy.designated) == (state.model.worlds, state.designated)
+    assert copy == state
+    for s, action, ok, p in steps:
         pre = dict(zip(action.events, action.preconditions))[action.designated]
-        ok = applicable(s, action)
         assert ok == ref_eval(s.model, s.designated, pre)
         if ok:
-            p = product_update(s, action)
             assert (p.model.worlds, p.model.relations, p.model.valuations, p.designated) == (
                 ref_product(s, action)
             )
+            # the same state built from its names
+            m = p.model
+            named = EpistemicState(
+                make_model(m.worlds, m.agents, m.relations, m.valuation), p.designated)
+            assert named == p and hash(named) == hash(p)
+            assert state_to_json(named) == state_to_json(p)
 
 
 @settings(max_examples=300, deadline=None)
