@@ -31,7 +31,7 @@ from .formula import (
     true_,
 )
 from .frames import FrameCondition, LogicProfile, closure, custom_profile, profile, satisfies
-from .kripke import EpistemicState, KripkeModel, generated_submodel, make_model, pointed, restrict
+from .kripke import EpistemicState, KripkeModel, generated_submodel, make_model, restrict
 from .pcp import PcpInstance, brute_force_match, make_instance, matched_word
 from .planner import (
     BoundReached,

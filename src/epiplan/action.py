@@ -224,7 +224,7 @@ def apply_plan(
     """Left fold of product updates over the plan.
 
     With ``minimize`` the state is quotiented by bisimulation after each
-    step, which preserves applicability and goal truth.
+    step: that keeps applicability and goal truth, and bounds state size.
     """
     for name in plan:
         if name not in actions:

@@ -4,15 +4,15 @@ The refinement is round-by-round splitting: start from valuation classes
 and split each block by its worlds' per-agent sets of successor blocks
 until a round splits nothing.  Everything runs on the models' integer
 successor rows (``KripkeModel.rows``, the one stored relation),
-restricted to the generated part by ``kripke.reachable_rows``;
+restricted to the generated part by ``kripke.generated_part``;
 successor-block sets are packed into bitmask integers, and one function
 turns the refinement into the rows of the quotient state that
 ``quotient`` and ``minimize_with_key`` return.  No name pair is built,
 and no name read: the designated world is an index, and the quotient's
 world names (each block's first world) are a recipe over the state's,
 built only if read.  When the partition is discrete, as it is for most
-search products, the quotient is the generated part and keeps the rows
-that ``reachable_rows`` induced.
+search products, the quotient is the generated part's own state, built
+by ``kripke.part_state`` from the rows ``generated_part`` induced.
 
 Block numbering is canonical: each round renumbers blocks by sorting the
 signatures themselves (not by first occurrence), so the final numbering
@@ -34,7 +34,7 @@ from __future__ import annotations
 import struct
 
 from .errors import AgentMismatch
-from .kripke import EpistemicState, derived_model, reachable_rows
+from .kripke import EpistemicState, derived_model, generated_part, part_state
 
 __all__ = [
     "quotient",
@@ -79,40 +79,28 @@ def _canonical_refine(valuations, succ) -> tuple[list[int], int]:
     return rank, count
 
 
-def _generated(state: EpistemicState):
-    """Kept indices, valuations, rows and start index of the designated world's generated part."""
-    model = state.model
-    start = state.designated_index
-    kept, rows = reachable_rows(model, start)
-    vals = model.valuations
-    if len(kept) == len(vals):
-        return kept, vals, rows, start
-    return kept, tuple([vals[i] for i in kept]), rows, kept.index(start)
-
-
 def _minimize(state: EpistemicState):
     """The generated part, its canonical blocks, and each block's first world."""
-    kept, vals, rows, start = _generated(state)
+    part = generated_part(state)
+    _, vals, rows, _ = part
     block, count = _canonical_refine(vals, rows)
     rep = [0] * count
     for i in reversed(range(len(vals))):
         rep[block[i]] = i
-    return kept, vals, rows, start, block, count, rep
+    return part, block, count, rep
 
 
 def _quotient_state(state: EpistemicState, minimized) -> EpistemicState:
     """The quotient named by each block's first world, blocks in first-world order.
 
-    A discrete partition makes the quotient the generated part itself, so
-    its rows are the ones ``_generated`` induced.  Names are a recipe over
-    the state's names, built on first read (see ``kripke``).
+    A discrete partition makes the quotient the generated part itself
+    (``kripke.part_state``).  Names are a recipe over the state's names,
+    built on first read (see ``kripke``).
     """
-    kept, vals, rows, start, block, count, rep = minimized
-    model = state.model
+    part, block, count, rep = minimized
+    kept, vals, rows, start = part
     if count == len(kept):
-        if count == len(model.valuations):
-            return state
-        return EpistemicState.at(derived_model(model, kept, rows, vals), start)
+        return part_state(state, part)
     reps = sorted(rep)
     pos = {block[i]: k for k, i in enumerate(reps)}
     quotient_rows = tuple(
@@ -120,7 +108,7 @@ def _quotient_state(state: EpistemicState, minimized) -> EpistemicState:
     )
     quotient_vals = tuple([vals[i] for i in reps])
     return EpistemicState.at(
-        derived_model(model, [kept[i] for i in reps], quotient_rows, quotient_vals),
+        derived_model(state.model, [kept[i] for i in reps], quotient_rows, quotient_vals),
         pos[block[start]],
     )
 
@@ -142,7 +130,7 @@ def minimize_with_key(state: EpistemicState) -> tuple[EpistemicState, bytes]:
     agent, its sorted successor-block ids as fixed-width big-endian ints.
     """
     minimized = _minimize(state)
-    _, vals, rows, start, block, count, rep = minimized
+    (_, vals, rows, start), block, count, rep = minimized
     pack, get = struct.pack, block.__getitem__
     discrete = count == len(vals)
     encoded = {}
@@ -179,8 +167,8 @@ def bisimilar(s1: EpistemicState, s2: EpistemicState) -> bool:
         raise AgentMismatch(
             f"agent counts differ: {s1.model.agents} vs {s2.model.agents}"
         )
-    kept1, vals1, rows1, start1 = _generated(s1)
-    _, vals2, rows2, start2 = _generated(s2)
+    kept1, vals1, rows1, start1 = generated_part(s1)
+    _, vals2, rows2, start2 = generated_part(s2)
     off = len(kept1)
     rows = [
         row1 + tuple(tuple(j + off for j in succ) for succ in row2)

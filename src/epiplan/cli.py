@@ -104,7 +104,7 @@ def cmd_apply(args) -> int:
     problem = problem_from_json(_load(args.problem))
     state = state_from_json(_load(args.state)) if args.state else problem.initial
     plan = _parse_plan(args.plan)
-    result = apply_plan(state, problem.actions, plan, minimize=args.minimize)
+    result = apply_plan(state, problem.actions, plan)
     if isinstance(result, FailureAt):
         _emit({"failure_at": result.index, "action": result.action})
         return 1

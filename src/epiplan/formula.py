@@ -247,42 +247,38 @@ def propositions(f: Formula) -> frozenset[str]:
     return frozenset(g.name for g in seen if type(g) is Prop)
 
 
-def _eval(model: KripkeModel, i: int, f: Formula) -> bool:
-    """Truth of ``f`` at the world with index ``i``."""
+def _eval(model: KripkeModel, i: int, f: Formula, memo: dict[Formula, bool] | None) -> bool:
+    """Truth of ``f`` at the world with index ``i``.
+
+    ``memo``, when given, keeps the value at ``i`` of each ``Know`` met at
+    ``i``; the walk passes ``None`` below a ``Know``, where the world changes.
+    """
     t = type(f)
     if t is Not:
-        return not _eval(model, i, f.sub)
+        return not _eval(model, i, f.sub, memo)
     if t is And:
-        return _eval(model, i, f.left) and _eval(model, i, f.right)
+        return _eval(model, i, f.left, memo) and _eval(model, i, f.right, memo)
     if t is Prop:
         return f.name in model.valuations[i]
     if t is Know:
-        if not 0 <= f.agent < model.agents:
-            raise UnknownAgent(
-                f"agent {f.agent} out of range for model with {model.agents} agent(s)"
-            )
+        if memo is not None and f in memo:
+            return memo[f]
+        value = True
         for j in model.rows[f.agent][i]:
-            if not _eval(model, j, f.sub):
-                return False
-        return True
+            if not _eval(model, j, f.sub, None):
+                value = False
+                break
+        if memo is not None:
+            memo[f] = value
+        return value
     if t is FalseF:
         return False
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _eval_once(model: KripkeModel, i: int, f: Formula, memo: dict[Formula, bool]) -> bool:
-    """``_eval`` at ``i``; ``memo`` keeps the value at ``i`` of each ``Know`` met there."""
-    t = type(f)
-    if t is Not:
-        return not _eval_once(model, i, f.sub, memo)
-    if t is And:
-        return _eval_once(model, i, f.left, memo) and _eval_once(model, i, f.right, memo)
-    if t is Know:
-        hit = memo.get(f)
-        if hit is None:
-            hit = memo[f] = _eval(model, i, f)
-        return hit
-    return _eval(model, i, f)
+def _check_agents(model: KripkeModel, f: Formula) -> None:
+    if f.max_agent >= model.agents:
+        raise UnknownAgent(f"agent {f.max_agent} out of range: model has {model.agents} agent(s)")
 
 
 def evaluate(state: EpistemicState, f: Formula) -> bool:
@@ -297,6 +293,8 @@ def evaluate_at(state: EpistemicState, world: str, f: Formula) -> bool:
     ``world`` once per call.  Sound because a node is one formula (nodes are
     hash-consed) and a ``Know``'s value at a world depends only on the
     model, the world and the node; below a ``Know`` the walk keeps nothing.
+    The agents ``f`` names are checked before the walk (``UnknownAgent``),
+    so the answer never depends on where the walk stops.
     """
     if world not in state.model:
         raise UnknownWorld(f"world {world!r} not in model")
@@ -304,8 +302,9 @@ def evaluate_at(state: EpistemicState, world: str, f: Formula) -> bool:
 
 
 def _evaluate(model: KripkeModel, i: int, f: Formula) -> bool:
+    _check_agents(model, f)
     try:
-        return _eval_once(model, i, f, {})
+        return _eval(model, i, f, {})
     except RecursionError:
         raise FormulaTooDeep("formula is nested too deeply to evaluate") from None
 
@@ -317,8 +316,9 @@ def extension_mask(model: KripkeModel, f: Formula) -> int:
     (``model._memo``), so every call on one model, such as the
     applicability tests and product updates of all actions at one search
     node, computes each distinct subformula once (sound as in
-    ``evaluate_at``: a node is one formula).  ``evaluate`` does not come
-    here: for one world its short-circuit walk is faster than full masks.
+    ``evaluate_at``: a node is one formula).  A memo miss checks the agents
+    ``f`` names (``UnknownAgent``).  ``evaluate`` does not come here: for
+    one world its short-circuit walk is faster than full masks.
     A formula nested too deeply for the recursion raises ``FormulaTooDeep``;
     the masks memoized before that are complete, so the memo stays sound.
     """
@@ -329,6 +329,7 @@ def extension_mask(model: KripkeModel, f: Formula) -> int:
     hit = memo.get(f)
     if hit is not None:
         return hit
+    _check_agents(model, f)
     prop_masks, succ_masks = model.masks()
     full = (1 << len(model.valuations)) - 1
 
@@ -343,10 +344,6 @@ def extension_mask(model: KripkeModel, f: Formula) -> int:
         elif isinstance(g, And):
             out = ext(g.left) & ext(g.right)
         elif isinstance(g, Know):
-            if not 0 <= g.agent < model.agents:
-                raise UnknownAgent(
-                    f"agent {g.agent} out of range for model with {model.agents} agent(s)"
-                )
             outside = ~ext(g.sub)
             out = sum(1 << i for i, succ in enumerate(succ_masks[g.agent]) if not succ & outside)
         elif isinstance(g, FalseF):

@@ -9,8 +9,9 @@ A model stores its relation once, as integer rows: ``rows[a][i]`` holds
 the indices of agent ``a``'s successors of ``worlds[i]``, ascending.
 Names serve the boundary (JSON, CLI): ``_successor_rows`` turns name
 pairs into rows and ``_pair_view`` derives the ``relations`` pairs back
-(for event models too); ``reachable_rows`` is the one reachability walk
-and ``successor_masks`` turns a row into bitmasks.
+(for event models too); ``reachable_rows`` is the one reachability walk,
+``generated_part`` the one generated-part routine (``part_state`` builds
+its state) and ``successor_masks`` turns a row into bitmasks.
 
 The engine reads no name.  A state points at its designated world by
 index, and a model made from another one (a product, a quotient, a
@@ -255,11 +256,6 @@ def reachable_rows(model: KripkeModel, start: int) -> tuple[Sequence[int], Rows]
     return kept, _induced_rows(rows, kept)
 
 
-def _submodel(model: KripkeModel, kept: Sequence[int], rows: Rows) -> KripkeModel:
-    vals = model.valuations
-    return derived_model(model, kept, rows, tuple([vals[i] for i in kept]))
-
-
 def make_model(
     worlds: Iterable[str],
     agent_count: int,
@@ -324,10 +320,6 @@ class EpistemicState:
         return f"EpistemicState(model={self.model!r}, designated={self.designated!r})"
 
 
-def pointed(model: KripkeModel, designated: str) -> EpistemicState:
-    return EpistemicState(model, designated)
-
-
 def restrict(model: KripkeModel, keep: Iterable[str]) -> KripkeModel:
     """Induced submodel on ``keep`` (relations and valuation restricted)."""
     keep_set = set(keep)
@@ -335,21 +327,36 @@ def restrict(model: KripkeModel, keep: Iterable[str]) -> KripkeModel:
         if w not in model:
             raise DanglingWorldRef(f"cannot keep unknown world {w!r}")
     kept = [i for i, w in enumerate(model.worlds) if w in keep_set]
-    return _submodel(model, kept, _induced_rows(model.rows, kept))
+    return derived_model(model, kept, _induced_rows(model.rows, kept),
+                         tuple([model.valuations[i] for i in kept]))
 
 
-def generated_submodel(state: EpistemicState) -> EpistemicState:
-    """Restrict to worlds reachable from the designated world.
+def generated_part(state: EpistemicState):
+    """Kept indices, valuations, rows and start index of the designated world's generated part.
 
-    Reachability is over the union of all agents' relations, reflexively
-    and transitively; the designated world is preserved.
+    The part holds the worlds ``reachable_rows`` reaches; when that is every
+    world, it is the model's own valuations and rows.
     """
     model = state.model
     start = state.designated_index
     kept, rows = reachable_rows(model, start)
-    if len(kept) == len(model.valuations):
+    vals = model.valuations
+    if len(kept) == len(vals):
+        return kept, vals, rows, start
+    return kept, tuple([vals[i] for i in kept]), rows, kept.index(start)
+
+
+def part_state(state: EpistemicState, part) -> EpistemicState:
+    """The state of ``part``, a ``generated_part(state)``: ``state`` itself when it is whole."""
+    kept, vals, rows, start = part
+    if len(kept) == len(state.model.valuations):
         return state
-    return EpistemicState.at(_submodel(model, kept, rows), kept.index(start))
+    return EpistemicState.at(derived_model(state.model, kept, rows, vals), start)
+
+
+def generated_submodel(state: EpistemicState) -> EpistemicState:
+    """Restrict to worlds reachable from the designated world, which is kept."""
+    return part_state(state, generated_part(state))
 
 
 # --- JSON encoding -------------------------------------------------------

@@ -1,10 +1,12 @@
 """Shared machinery for the instance compilers."""
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Callable, Iterable
 
+from ..action import EventModel
 from ..formula import Formula, and_, evaluate_at, know, not_, or_, prop
 from ..kripke import EpistemicState, Pair
+from ..pcp import PcpInstance
 
 
 def cliques(*groups: Iterable[str]) -> set[Pair]:
@@ -22,6 +24,16 @@ def check_words(qa: str, qb: str) -> None:
     for word in (qa, qb):
         if any(c not in "01" for c in word):
             raise ValueError(f"word {word!r} is not over the alphabet {{0,1}}")
+
+
+def action_table(inst: PcpInstance, add_block: Callable, next_stage: Callable,
+                 remove_symbol: Callable, alphabet: Iterable[str]) -> dict[str, EventModel]:
+    """A compiler's actions: ``ad_i`` per block, ``next_stage``, ``remove_s`` per symbol."""
+    actions = {f"ad_{i}": add_block(i, block) for i, block in enumerate(inst.blocks, start=1)}
+    actions["next_stage"] = next_stage()
+    for s in alphabet:
+        actions[f"remove_{s}"] = remove_symbol(s)
+    return actions
 
 
 def chain_failed_state(state: EpistemicState, failed: Formula, symb: Formula) -> bool:

@@ -18,7 +18,7 @@ from ..errors import IllegalFlavor, UnknownShorthand
 from ..formula import Formula, and_, diamond, know, not_, or_, prop
 from ..kripke import EpistemicState, make_model
 from ..pcp import PcpInstance
-from .common import chain_failed_state, check_words
+from .common import action_table, chain_failed_state, check_words
 
 AGENTS = 1
 PROFILE_NAME = "K"
@@ -219,11 +219,7 @@ def goal() -> Formula:
 
 
 def build_actions(inst: PcpInstance) -> dict[str, EventModel]:
-    actions = {f"ad_{i}": add_block(i, block) for i, block in enumerate(inst.blocks, start=1)}
-    actions["next_stage"] = next_stage()
-    for bt in REMOVAL_ALPHABET:
-        actions[f"remove_{bt}"] = remove_symbol(bt)
-    return actions
+    return action_table(inst, add_block, next_stage, remove_symbol, REMOVAL_ALPHABET)
 
 
 def failed_state(state: EpistemicState) -> bool:

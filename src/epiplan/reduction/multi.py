@@ -20,7 +20,7 @@ from ..formula import Formula, and_, conj, diamond, disj, know, not_, or_, prop
 from ..frames import PROFILES, closure
 from ..kripke import EpistemicState, make_model, restrict
 from ..pcp import PcpInstance
-from .common import check_words, cliques
+from .common import action_table, check_words, cliques
 
 AGENTS = 2
 PROFILE_NAME = "S5"
@@ -275,11 +275,7 @@ def goal() -> Formula:
 
 
 def build_actions(inst: PcpInstance) -> dict[str, EventModel]:
-    actions = {f"ad_{i}": add_block(i, block) for i, block in enumerate(inst.blocks, start=1)}
-    actions["next_stage"] = next_stage()
-    for bt in REMOVAL_ALPHABET:
-        actions[f"remove_{bt}"] = remove_symbol(bt)
-    return actions
+    return action_table(inst, add_block, next_stage, remove_symbol, REMOVAL_ALPHABET)
 
 
 def failed_state(state: EpistemicState) -> bool:

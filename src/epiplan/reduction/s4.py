@@ -27,7 +27,7 @@ from ..formula import Formula, and_, conj, diamond, disj, know, not_, or_, prop
 from ..frames import PROFILES, closure
 from ..kripke import EpistemicState, make_model, restrict
 from ..pcp import PcpInstance
-from .common import check_words
+from .common import action_table, check_words
 
 AGENTS = 1
 PROFILE_NAME = "S4"
@@ -244,11 +244,7 @@ def goal() -> Formula:
 
 
 def build_actions(inst: PcpInstance) -> dict[str, EventModel]:
-    actions = {f"ad_{i}": add_block(i, block) for i, block in enumerate(inst.blocks, start=1)}
-    actions["next_stage"] = next_stage()
-    for d in REMOVAL_ALPHABET:
-        actions[f"remove_{d}"] = remove_symbol(d)
-    return actions
+    return action_table(inst, add_block, next_stage, remove_symbol, REMOVAL_ALPHABET)
 
 
 def failed_state(state: EpistemicState) -> bool:

@@ -65,6 +65,29 @@ def test_verify_and_apply(capsys, fixtures):
     assert code == 1 and doc["failure_at"] == 0
 
 
+def test_apply_minimizes_the_final_state_once(capsys, fixtures, monkeypatch):
+    from epiplan import bisim
+
+    code, doc = run(capsys, "reduce", "--pcp", fixtures["pcp"], "--variant", "K1")
+    problem_path = fixtures["tmp"] / "prob.json"
+    problem_path.write_text(json.dumps(doc))
+    calls = []
+    original = bisim._minimize
+
+    def counted(state):
+        calls.append(state)
+        return original(state)
+
+    monkeypatch.setattr(bisim, "_minimize", counted)
+    keys = set()
+    for flags in (["--minimize"], []):
+        calls.clear()
+        code, doc = run(capsys, "apply", "--problem", problem_path, "--plan", "ad_1,ad_3", *flags)
+        assert code == 0 and len(calls) == 1, flags
+        keys.add(doc["key"])
+    assert len(keys) == 1
+
+
 def test_plan_stats_report_memo_hits(capsys, fixtures):
     code, doc = run(capsys, "reduce", "--pcp", fixtures["pcp"], "--variant", "K1")
     problem_path = fixtures["tmp"] / "prob.json"
@@ -185,6 +208,20 @@ def test_plan_with_a_missing_agent_exits_3(capsys, tmp_path):
         captured = capsys.readouterr()
         assert code == 3 and captured.out == "", goal
         assert captured.err.startswith("error:") and "names agent" in captured.err
+
+
+def test_check_with_a_missing_agent_exits_3(capsys, tmp_path):
+    from epiplan.kripke import EpistemicState, make_model
+
+    state = EpistemicState(make_model(["w"], 1, [{("w", "w")}], {"w": {"p"}}), "w")
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(state_to_json(state)))
+    for text in ("p | K{3} q", "!p & K{3} q", "p | <K{1}> p"):
+        for where in ([], ["--world", "w"]):
+            code = main(["check", "--state", str(path), *where, "--formula", text])
+            captured = capsys.readouterr()
+            assert code == 3 and captured.out == "", (text, where)
+            assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
 # --- malformed documents ------------------------------------------------

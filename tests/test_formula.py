@@ -142,6 +142,16 @@ def test_unknown_agent():
         evaluate(s, know(3, prop("p")))
 
 
+def test_unknown_agent_raises_where_the_walk_would_stop_before_it():
+    # each formula's truth is settled before the walk reaches the missing agent
+    s = EpistemicState(make_model(["w"], 1, [{("w", "w")}], {"w": {"p"}}), "w")
+    for text in ("p | K{3} q", "!p & K{3} q", "p | <K{1}> p"):
+        with pytest.raises(errors.UnknownAgent):
+            evaluate(s, parse(text))
+        with pytest.raises(errors.UnknownAgent):
+            evaluate_at(s, "w", parse(text))
+
+
 def test_formula_too_deep_to_evaluate_raises_formula_too_deep():
     # a reflexive world, so the walk goes down every one of the 50 000 levels
     s = EpistemicState(make_model(["w"], 1, [{("w", "w")}], {"w": {"p"}}), "w")
