@@ -174,6 +174,8 @@ def cmd_sat2ep(args) -> int:
 
 
 def cmd_verify_lemmas(args) -> int:
+    if args.cases is not None and args.cases < 1:
+        raise ValueError(f"--cases must be at least 1, got {args.cases}")
     names = sorted(suites.SUITES) if args.suite == "all" else [args.suite]
     reports = []
     for name in names:

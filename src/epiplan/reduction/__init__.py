@@ -13,12 +13,17 @@ variant's compiler module is its whole spec; every one defines
   the stored word rather than after it;
 - ``REMOVALS_NEED_BOTH_ROWS``: whether a removal applies only while both
   rows still hold symbols;
-- ``initial_state()``, ``family(qa, qb, flavor)`` (the named block-sequence
-  states the lemma suites compare product updates against),
+- ``family(qa, qb, flavor)`` (the named block-sequence states the lemma
+  suites compare product updates against), ``initial_state()``,
   ``add_block(index, block)``, ``next_stage()``, ``remove_symbol(s)``,
   ``build_actions(inst)`` and ``goal()``;
-- ``shorthand(name, arg)`` and ``failed_state(state)``, the witness-path
-  check for a failed removal.
+- ``failed_state(state)``, the witness-path check for a failed removal.
+
+``initial_state()`` is derived, not built: ``common.with_empty`` adds the
+``w_empty`` marker ("nothing applied yet") to ``family("", "", "loop")``,
+the empty-word stage-one state, and closes it under ``PROFILE_NAME``.
+The named formulas (``symb``, ``tail``, ``failed``, ...) are plain module
+functions.
 
 Witness plans and the suites' removal phases are derived from these
 constants, so no code outside a compiler module tests which variant it

@@ -4,8 +4,9 @@ from __future__ import annotations
 from typing import Callable, Iterable
 
 from ..action import EventModel
-from ..formula import Formula, and_, evaluate_at, know, not_, or_, prop
-from ..kripke import EpistemicState, Pair
+from ..formula import Formula, and_, diamond, evaluate_at, know, not_, or_, prop
+from ..frames import PROFILES, closure
+from ..kripke import EpistemicState, KripkeModel, Pair
 from ..pcp import PcpInstance
 
 
@@ -18,6 +19,33 @@ def cliques(*groups: Iterable[str]) -> set[Pair]:
             for v in members:
                 out.add((u, v))
     return out
+
+
+def with_empty(state: EpistemicState, profile_name: str) -> EpistemicState:
+    """The start state: ``state`` plus ``w_empty``, the "nothing applied yet" marker.
+
+    ``w_empty`` (valuation ``{empty}``) is appended after the other worlds
+    and joins the designated world's agent-0 row; the model is then closed
+    under ``PROFILES[profile_name]``, which puts ``w_empty`` into the
+    designated world's class wherever the frames are symmetric.
+    """
+    model = state.model
+    root, n = state.designated_index, len(model.valuations)
+    rows = [[*row, ()] for row in model.rows]
+    rows[0][root] += (n,)
+    grown = KripkeModel(model.worlds + ("w_empty",), model.agents, tuple(map(tuple, rows)),
+                        model.valuations + (frozenset({"empty"}),))
+    return EpistemicState.at(closure(grown, PROFILES[profile_name]), root)
+
+
+def _e(*parts: str) -> str:
+    """An event name: ``e_p`` for one part, ``e_{p,q,...}`` for several."""
+    return "e_" + (parts[0] if len(parts) == 1 else "{" + ",".join(parts) + "}")
+
+
+def loop_marker(x: str) -> Formula:
+    """A world of branch ``x`` that sees the loop marker ``lp``."""
+    return and_(prop(x), diamond(0, prop("lp")))
 
 
 def check_words(qa: str, qb: str) -> None:

@@ -14,11 +14,11 @@ goal recognize chain worlds as part of a row.
 from __future__ import annotations
 
 from ..action import EventModel, make_action
-from ..errors import IllegalFlavor, UnknownShorthand
+from ..errors import IllegalFlavor
 from ..formula import Formula, and_, diamond, know, not_, or_, prop
 from ..kripke import EpistemicState, make_model
 from ..pcp import PcpInstance
-from .common import action_table, chain_failed_state, check_words
+from .common import _e, action_table, chain_failed_state, check_words, loop_marker, with_empty
 
 AGENTS = 1
 PROFILE_NAME = "K"
@@ -58,45 +58,8 @@ def failed() -> Formula:
     return and_(or_(_P["a"], _P["b"]), _k(not_(_P["ntF"])))
 
 
-def loop_marker(x: str) -> Formula:
-    return and_(_P[x], _maybe(_P["lp"]))
-
-
-_SHORTHANDS = {
-    "symb": lambda arg: symb(),
-    "tail": lambda arg: tail(),
-    "last": lambda arg: last(),
-    "failed": lambda arg: failed(),
-    "loop": lambda arg: loop_marker(arg),
-}
-
-
-def shorthand(name: str, arg: str | None = None) -> Formula:
-    if name in ("loop_a", "loop_b"):
-        name, arg = "loop", name[-1]
-    if name not in _SHORTHANDS:
-        raise UnknownShorthand(f"no shorthand {name!r} in variant K1")
-    if name == "loop" and arg not in ("a", "b"):
-        raise UnknownShorthand("loop needs a branch argument 'a' or 'b'")
-    return _SHORTHANDS[name](arg)
-
-
 def initial_state() -> EpistemicState:
-    worlds = [_w("root"), _w("empty"), _w("stg1"), _w("a"), _w("b"), _w("end"), _w("ntF"), _w("lp")]
-    val: dict[str, set[str]] = {w: {w[2:]} for w in worlds}
-    edges = {(_w("root"), _w("empty")), (_w("root"), _w("stg1")),
-             (_w("root"), _w("a")), (_w("root"), _w("b"))}
-    for x in "ab":
-        for bt in "01":
-            loop = _w(bt, x)
-            worlds.append(loop)
-            val[loop] = {bt, x}
-            edges.add((_w(x), loop))
-            edges.update({(loop, _w("ntF")), (loop, _w("end")), (loop, _w("lp"))})
-            edges.update({(_w("0", x), loop), (_w("1", x), loop)})
-        edges.update({(_w(x), _w("end")), (_w(x), _w("ntF"))})
-    model = make_model(worlds, AGENTS, [edges], val)
-    return EpistemicState(model, _w("root"))
+    return with_empty(family("", "", "loop"), PROFILE_NAME)
 
 
 def family(qa: str, qb: str, flavor: str) -> EpistemicState:
@@ -142,10 +105,6 @@ def family(qa: str, qb: str, flavor: str) -> EpistemicState:
             edges.update({(anchor, _w("0", x)), (anchor, _w("1", x)), (anchor, _w("end"))})
     model = make_model(worlds, AGENTS, [edges], val)
     return EpistemicState(model, _w("root"))
-
-
-def _e(*parts: str) -> str:
-    return "e_" + (parts[0] if len(parts) == 1 else "{" + ",".join(parts) + "}")
 
 
 def add_block(index: int, block: tuple[str, str]) -> EventModel:

@@ -20,7 +20,7 @@ from ..formula import Formula, and_, conj, diamond, disj, know, not_, or_, prop
 from ..frames import PROFILES, closure
 from ..kripke import EpistemicState, make_model, restrict
 from ..pcp import PcpInstance
-from .common import action_table, chain_failed_state, check_words
+from .common import _e, action_table, chain_failed_state, check_words, loop_marker, with_empty
 
 AGENTS = 1
 PROFILE_NAME = "KTB"
@@ -63,10 +63,6 @@ def last() -> Formula:
     return conj(not_(_P["end"]), _maybe(_P["end"]), _k(not_(_P["lp"])))
 
 
-def loop_marker(x: str) -> Formula:
-    return and_(_P[x], _maybe(_P["lp"]))
-
-
 def tail() -> Formula:
     branch = or_(_P["a"], _P["b"])
     cases = [and_(not_(symb()), _k(not_(nxt("a"))))]
@@ -78,23 +74,6 @@ def failed() -> Formula:
     return and_(or_(_P["a"], _P["b"]), _k(not_(_P["ntF"])))
 
 
-def shorthand(name: str, arg: str | None = None) -> Formula:
-    table = {"symb": symb, "last": last, "tail": tail, "failed": failed}
-    if name in table:
-        return table[name]()
-    if name in ("loop_a", "loop_b"):
-        name, arg = "loop", name[-1]
-    if name == "loop":
-        if arg not in ("a", "b"):
-            raise UnknownShorthand("loop needs a branch argument 'a' or 'b'")
-        return loop_marker(arg)
-    if name == "nxt":
-        if arg is None:
-            raise UnknownShorthand("nxt needs a symbol argument")
-        return nxt(arg)
-    raise UnknownShorthand(f"no shorthand {name!r} in variant KTB1")
-
-
 def _w(*parts: str) -> str:
     if len(parts) == 1:
         return f"w_{parts[0]}"
@@ -104,33 +83,7 @@ def _w(*parts: str) -> str:
 
 
 def initial_state() -> EpistemicState:
-    worlds = [_w(p) for p in ("root", "empty", "stg1", "a", "b", "lp")]
-    val: dict[str, set[str]] = {w: {w[2:]} for w in worlds}
-    edges = {(_w("root"), _w("empty")), (_w("root"), _w("stg1")),
-             (_w("root"), _w("a")), (_w("root"), _w("b"))}
-    for x in "ab":
-        group = {}
-        for p in ("0", "1", "#1", "#2", "ntF", "end"):
-            w = _w(p, x)
-            worlds.append(w)
-            val[w] = {p, x}
-            group[p] = w
-        for bt in "01":
-            edges.add((_w(x), group[bt]))
-            edges.add((group[bt], group["#1"]))
-            edges.add((group["#2"], group[bt]))
-            edges.add((group[bt], group["ntF"]))
-            edges.add((group[bt], _w("lp")))
-        edges.add((group["#1"], group["#2"]))
-        edges.add((group["#2"], group["end"]))
-        edges.add((_w(x), group["end"]))
-        edges.add((_w(x), group["ntF"]))
-        edges.add((group["#1"], group["ntF"]))
-        edges.add((group["#2"], group["ntF"]))
-        edges.add((group["#1"], _w("lp")))
-        edges.add((group["#2"], _w("lp")))
-    model = closure(make_model(worlds, AGENTS, [edges], val), PROFILES[PROFILE_NAME])
-    return EpistemicState(model, _w("root"))
+    return with_empty(family("", "", "loop"), PROFILE_NAME)
 
 
 def family(qa: str, qb: str, flavor: str) -> EpistemicState:
@@ -202,10 +155,6 @@ def family(qa: str, qb: str, flavor: str) -> EpistemicState:
         keep = [w for w in model.worlds if w not in drop]
         state = EpistemicState(restrict(model, keep), _w("root"))
     return state
-
-
-def _e(*parts: str) -> str:
-    return "e_" + (parts[0] if len(parts) == 1 else "{" + ",".join(parts) + "}")
 
 
 def add_block(index: int, block: tuple[str, str]) -> EventModel:

@@ -3,11 +3,13 @@
 Both agents' relations are unions of disjoint cliques (every world not in
 a listed clique is its own singleton class).  The cliques are symmetric
 and transitive already, so each frame is closed under ``KT`` only, which
-adds the singleton classes' self-loops.  The chain alternates the two
-agents' cliques with '#' separator worlds so every block symbol sits an
-even number of clique-hops from the root.  Auxiliary worlds (w_ntF,
-w_end) are duplicated per chain position because under equivalence
-relations a shared copy would glue unrelated cliques together.
+adds the singleton classes' self-loops; only the start state, which puts
+w_empty into the root's agent-0 clique, is closed under S5.  The chain
+alternates the two agents' cliques with '#' separator worlds so every
+block symbol sits an even number of clique-hops from the root.
+Auxiliary worlds (w_ntF, w_end) are duplicated per chain position
+because under equivalence relations a shared copy would glue unrelated
+cliques together.
 
 Agent 0 here plays the role of the relation that owns the root clique;
 agent 1 owns the branch cliques.
@@ -16,11 +18,11 @@ from __future__ import annotations
 
 from ..action import EventModel, make_action
 from ..errors import IllegalFlavor, UnknownShorthand
-from ..formula import Formula, and_, conj, diamond, disj, know, not_, or_, prop
+from ..formula import Formula, and_, conj, diamond, disj, evaluate_at, know, not_, or_, prop
 from ..frames import PROFILES, closure
 from ..kripke import EpistemicState, make_model, restrict
 from ..pcp import PcpInstance
-from .common import action_table, check_words, cliques
+from .common import _e, action_table, check_words, cliques, with_empty
 
 AGENTS = 2
 PROFILE_NAME = "S5"
@@ -74,17 +76,6 @@ def okstate() -> Formula:
     )
 
 
-def shorthand(name: str, arg: str | None = None) -> Formula:
-    table = {"ag1": ag1, "ag2": ag2, "symb": symb, "last": last, "okstate": okstate}
-    if name in table:
-        return table[name]()
-    if name == "tail":
-        if arg not in ("1", "2"):
-            raise UnknownShorthand("tail takes argument 1 or 2")
-        return tail(int(arg))
-    raise UnknownShorthand(f"no shorthand {name!r} in variant MultiS5")
-
-
 def _w(*parts: str) -> str:
     if len(parts) == 1:
         return f"w_{parts[0]}"
@@ -92,22 +83,7 @@ def _w(*parts: str) -> str:
 
 
 def initial_state() -> EpistemicState:
-    worlds = [_w(p) for p in ("root", "empty", "stg1", "a", "b")]
-    val: dict[str, set[str]] = {w: {w[2:]} for w in worlds}
-    per_branch: dict[str, list[str]] = {}
-    for x in "ab":
-        group = []
-        for p in ("0", "1", "#", "ntF", "end"):
-            w = _w(p, x)
-            worlds.append(w)
-            val[w] = {p, x}
-            group.append(w)
-        per_branch[x] = group
-    r1 = cliques([_w("root"), _w("empty"), _w("stg1"), _w("a"), _w("b")],
-                 per_branch["a"], per_branch["b"])
-    r2 = cliques([_w("a")] + per_branch["a"], [_w("b")] + per_branch["b"])
-    model = closure(make_model(worlds, AGENTS, [r1, r2], val), PROFILES["KT"])
-    return EpistemicState(model, _w("root"))
+    return with_empty(family("", "", "loop"), PROFILE_NAME)
 
 
 def _chain_names(x: str, q: str):
@@ -178,10 +154,6 @@ def family(qa: str, qb: str, flavor: str) -> EpistemicState:
         keep = [w for w in model.worlds if w not in drop]
         state = EpistemicState(restrict(model, keep), _w("root"))
     return state
-
-
-def _e(*parts: str) -> str:
-    return "e_" + (parts[0] if len(parts) == 1 else "{" + ",".join(parts) + "}")
 
 
 def add_block(index: int, block: tuple[str, str]) -> EventModel:
@@ -286,8 +258,6 @@ def failed_state(state: EpistemicState) -> bool:
     whose clique would continue the alternation, that no w_ntF copy is
     reachable any more.
     """
-    from ..formula import evaluate_at
-
     model = state.model
     root = state.designated
     if not evaluate_at(state, root, and_(_P["root"], _k(0, not_(_P["stg1"])))):

@@ -23,11 +23,11 @@ from __future__ import annotations
 
 from ..action import EventModel, make_action
 from ..errors import IllegalFlavor, UnknownShorthand
-from ..formula import Formula, and_, conj, diamond, disj, know, not_, or_, prop
+from ..formula import Formula, and_, conj, diamond, disj, evaluate_at, know, not_, or_, prop
 from ..frames import PROFILES, closure
 from ..kripke import EpistemicState, make_model, restrict
 from ..pcp import PcpInstance
-from .common import action_table, check_words
+from .common import _e, action_table, check_words, loop_marker, with_empty
 
 AGENTS = 1
 PROFILE_NAME = "S4"
@@ -65,10 +65,6 @@ def tail() -> Formula:
     )
 
 
-def loop_marker(x: str) -> Formula:
-    return and_(_P[x], _maybe(_P["lp"]))
-
-
 def term() -> Formula:
     """A branch terminus: branch-labelled but not a chain symbol."""
     return and_(or_(_P["a"], _P["b"]), not_(symb()))
@@ -77,23 +73,6 @@ def term() -> Formula:
 def damaged() -> Formula:
     """A chain symbol that can no longer see any branch terminus."""
     return and_(symb(), _k(not_(term())))
-
-
-def shorthand(name: str, arg: str | None = None) -> Formula:
-    table = {"symb": symb, "tail": tail, "term": term, "damaged": damaged}
-    if name in table:
-        return table[name]()
-    if name in ("loop_a", "loop_b"):
-        name, arg = "loop", name[-1]
-    if name == "loop":
-        if arg not in ("a", "b"):
-            raise UnknownShorthand("loop needs a branch argument 'a' or 'b'")
-        return loop_marker(arg)
-    if name == "nxt":
-        if arg is None:
-            raise UnknownShorthand("nxt needs a symbol argument")
-        return nxt(arg)
-    raise UnknownShorthand(f"no shorthand {name!r} in variant S4_1")
 
 
 def _w(*parts: str) -> str:
@@ -105,24 +84,7 @@ def _w(*parts: str) -> str:
 
 
 def initial_state() -> EpistemicState:
-    worlds = [_w(p) for p in ("root", "empty", "stg1", "a", "b", "lp")]
-    val: dict[str, set[str]] = {w: {w[2:]} for w in worlds}
-    edges = {(_w("root"), _w("empty")), (_w("root"), _w("stg1"))}
-    for x in "ab":
-        group = {}
-        for p in ("0", "1", "#"):
-            w = _w(p, x)
-            worlds.append(w)
-            val[w] = {p, x}
-            group[p] = w
-        for bt in "01":
-            edges.add((_w("root"), group[bt]))
-            edges.update({(group[bt], group["#"]), (group["#"], group[bt])})
-            edges.add((group[bt], _w("lp")))
-        edges.add((group["#"], _w(x)))
-        edges.add((group["#"], _w("lp")))
-    model = closure(make_model(worlds, AGENTS, [edges], val), PROFILES[PROFILE_NAME])
-    return EpistemicState(model, _w("root"))
+    return with_empty(family("", "", "loop"), PROFILE_NAME)
 
 
 def family(qa: str, qb: str, flavor: str) -> EpistemicState:
@@ -178,10 +140,6 @@ def family(qa: str, qb: str, flavor: str) -> EpistemicState:
         keep = [w for w in model.worlds if w not in drop]
         state = EpistemicState(restrict(model, keep), _w("root"))
     return state
-
-
-def _e(*parts: str) -> str:
-    return "e_" + (parts[0] if len(parts) == 1 else "{" + ",".join(parts) + "}")
 
 
 def add_block(index: int, block: tuple[str, str]) -> EventModel:
@@ -248,8 +206,6 @@ def build_actions(inst: PcpInstance) -> dict[str, EventModel]:
 
 
 def failed_state(state: EpistemicState) -> bool:
-    from ..formula import evaluate_at
-
     model = state.model
     root = state.designated
     if not evaluate_at(state, root, and_(_P["root"], _k(not_(_P["stg1"])))):

@@ -436,9 +436,15 @@ def run_engine_properties(seed: int = DEFAULT_SEED, rounds: int = 1600) -> Suite
 # --- theorem correspondence -------------------------------------------------
 
 
+# Theorem instances: block words of at most _THEOREM_WORD symbols, matches
+# of at most _THEOREM_MATCH blocks.
+_THEOREM_WORD = 3
+_THEOREM_MATCH = 4
+
+
 def sample_theorem_instances(rng: random.Random, count: int,
                              max_witness_depth: int = 8) -> list[tuple[PcpInstance, tuple | None]]:
-    """Instances (<= 3 blocks, words <= 3) with a solvable/unsolvable mix.
+    """Instances (<= 3 blocks, words <= _THEOREM_WORD) with a solvable/unsolvable mix.
 
     Positive instances are redrawn until their witness plan fits the depth
     the bounded search can exhaust comfortably; that keeps the agreement
@@ -447,8 +453,8 @@ def sample_theorem_instances(rng: random.Random, count: int,
     out: list[tuple[PcpInstance, tuple | None]] = []
     want_pos = count // 2
     while len(out) < count:
-        inst = _random_instance(rng)
-        match = brute_force_match(inst, 4)
+        inst = _random_instance(rng, max_word=_THEOREM_WORD)
+        match = brute_force_match(inst, _THEOREM_MATCH)
         if match is not None:
             if len(match_to_plan(inst, match, Variant.K1)) > max_witness_depth:
                 continue
@@ -487,8 +493,11 @@ def _theorem_k1(report: SuiteReport, rng: random.Random, instances: int,
                     f"found plan invalid or longer than the witness on {inst.blocks}",
                 )
         else:
-            # four block additions, the stage switch, and up to 4x3 removals
-            depth = 4 + 1 + 12
+            # the block additions, the stage switch, and per stored symbol
+            # its bit and separator removals
+            symbols = _THEOREM_MATCH * _THEOREM_WORD
+            removals = len(module(Variant.K1).REMOVAL_ALPHABET) - 1
+            depth = _THEOREM_MATCH + 1 + symbols * removals
             outcome = bfs_plan(
                 problem, SearchBudget(max_depth=depth, max_nodes=negative_nodes)
             )

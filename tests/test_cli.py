@@ -172,6 +172,14 @@ def test_verify_lemmas_cases_sets_each_suites_size(capsys, monkeypatch):
     assert doc[0]["cases"] == runner(pairs=2).cases
 
 
+@pytest.mark.parametrize("suite,cases", [("k1", "0"), ("engine", "0"), ("theorem", "-3")])
+def test_verify_lemmas_rejects_cases_below_one(capsys, suite, cases):
+    code = main(["verify-lemmas", "--suite", suite, "--cases", cases])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("error:") and "--cases" in captured.err
+
+
 def test_input_error_exit_code(capsys, tmp_path):
     code = main(["check", "--state", str(tmp_path / "missing.json"), "--formula", "p"])
     capsys.readouterr()

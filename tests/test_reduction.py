@@ -1,4 +1,4 @@
-"""Compiler-level checks: counts, shorthands, oracles, witnesses, failure."""
+"""Compiler-level checks: counts, named formulas, oracles, witnesses, failure."""
 import pytest
 
 from epiplan import errors, reduction
@@ -7,6 +7,7 @@ from epiplan.bisim import bisimilar, canonical_key
 from epiplan.formula import and_, diamond, evaluate, know, not_, or_, parse, prop
 from epiplan.frames import PROFILES, satisfies
 from epiplan.pcp import brute_force_match, make_instance, matched_word
+from epiplan.planner import BoundReached, SearchBudget, bfs_plan
 from epiplan.problem import problem_from_json, problem_to_json, validate_problem
 from epiplan.reduction import (
     Variant,
@@ -34,17 +35,17 @@ def test_k1_goal_formula():
     assert goal == and_(know(0, not_(prop("empty"))), know(0, and_(tail, not_(failed))))
 
 
-def test_shorthands():
-    k1, multi = module(Variant.K1), module(Variant.MULTI_S5)
-    assert k1.shorthand("failed") == and_(or_(prop("a"), prop("b")), know(0, not_(prop("ntF"))))
-    assert k1.shorthand("loop_a") == and_(prop("a"), diamond(0, prop("lp")))
-    assert module(Variant.S4_1).shorthand("nxt", "#") == or_(prop("0"), prop("1"))
-    assert module(Variant.KTB1).shorthand("nxt", "0") == prop("#1")
-    assert multi.shorthand("ag1") == parse("root | 0 | 1")
+def test_named_formulas():
+    k1, multi, ktb = module(Variant.K1), module(Variant.MULTI_S5), module(Variant.KTB1)
+    assert k1.failed() == and_(or_(prop("a"), prop("b")), know(0, not_(prop("ntF"))))
+    assert k1.loop_marker("a") == and_(prop("a"), diamond(0, prop("lp")))
+    assert module(Variant.S4_1).nxt("#") == or_(prop("0"), prop("1"))
+    assert ktb.nxt("0") == prop("#1")
+    assert multi.ag1() == parse("root | 0 | 1")
     with pytest.raises(errors.UnknownShorthand):
-        k1.shorthand("nope")
+        ktb.nxt("7")
     with pytest.raises(errors.UnknownShorthand):
-        multi.shorthand("tail", "7")
+        multi.tail(7)
 
 
 def test_oracle_flavors():
@@ -61,6 +62,18 @@ def test_oracle_flavors():
         module(Variant.MULTI_S5).family("", "", "minus_hash2")
     with pytest.raises(ValueError):
         k1.family("12", "", "plain")
+
+
+@pytest.mark.parametrize("variant,hits", [
+    (Variant.K1, 10), (Variant.MULTI_S5, 183), (Variant.KTB1, 68), (Variant.S4_1, 39),
+])
+def test_bounded_search_counts_on_the_example(variant, hits):
+    # Pins the search from each compiled start state: a change to a
+    # compiler, the product update or dedup moves these counts.
+    outcome = bfs_plan(reduce_instance(EXAMPLE, variant), SearchBudget(max_depth=6, max_nodes=300))
+    assert isinstance(outcome, BoundReached)
+    assert (outcome.nodes, outcome.depth) == (300, 5)
+    assert (outcome.stats.dedup_hits, outcome.stats.memo_hits) == (hits, hits)
 
 
 def test_initial_state_not_bisimilar_to_empty_loop_family():
@@ -188,7 +201,7 @@ def test_keys_of_lemma_pairs_coincide():
 VARIANT_INTERFACE = (
     "AGENTS", "PROFILE_NAME", "FLAVORS", "REMOVAL_ALPHABET", "PREPENDS_BLOCKS",
     "REMOVALS_NEED_BOTH_ROWS", "initial_state", "family", "add_block", "next_stage",
-    "remove_symbol", "build_actions", "goal", "shorthand", "failed_state",
+    "remove_symbol", "build_actions", "goal", "failed_state",
 )
 
 
