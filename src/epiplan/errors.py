@@ -55,7 +55,7 @@ class FormulaSyntaxError(EngineError):
 
 
 class FormulaTooDeep(EngineError):
-    """A formula nests deeper than evaluation can recurse."""
+    """A formula nests deeper than pointwise evaluation (``evaluate``) can recurse."""
 
 
 class NotAMatch(EngineError):
@@ -63,10 +63,6 @@ class NotAMatch(EngineError):
 
 
 class IllegalFlavor(EngineError):
-    pass
-
-
-class UnknownShorthand(EngineError):
     pass
 
 

@@ -21,7 +21,7 @@ import operator
 import re
 import threading
 import weakref
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Container, Iterator
 
 from .errors import (FormulaSyntaxError, FormulaTooDeep, MalformedDocument, UnknownAgent,
                      UnknownWorld, field_of)
@@ -230,20 +230,34 @@ def modal_depth(f: Formula) -> int:
     return f.depth
 
 
-def propositions(f: Formula) -> frozenset[str]:
-    """All proposition names mentioned in ``f``."""
-    seen: set[Formula] = set()
+def subformulas(f: Formula, done: Container[Formula]) -> Iterator[Formula]:
+    """Each distinct subformula of ``f`` not in ``done``, each after its children.
+
+    The caller puts every yielded node into ``done`` before it takes the
+    next one; a node in ``done`` is not yielded and the walk does not
+    descend below it.  The stack is explicit, so any depth is walked.
+    """
     stack = [f]
     while stack:
         g = stack.pop()
-        if g in seen:
+        if g in done:
             continue
-        seen.add(g)
         t = type(g)
         if t is And:
-            stack += (g.left, g.right)
-        elif t is Not or t is Know:
-            stack.append(g.sub)
+            if g.left not in done or g.right not in done:
+                stack += (g, g.right, g.left)
+                continue
+        elif (t is Not or t is Know) and g.sub not in done:
+            stack += (g, g.sub)
+            continue
+        yield g
+
+
+def propositions(f: Formula) -> frozenset[str]:
+    """All proposition names mentioned in ``f``."""
+    seen: set[Formula] = set()
+    for g in subformulas(f, seen):
+        seen.add(g)
     return frozenset(g.name for g in seen if type(g) is Prop)
 
 
@@ -312,15 +326,13 @@ def _evaluate(model: KripkeModel, i: int, f: Formula) -> bool:
 def extension_mask(model: KripkeModel, f: Formula) -> int:
     """Satisfying worlds of ``f`` as a bitmask over world indices.
 
-    Computed bottom-up with a memo on subformulas that the model keeps
-    (``model._memo``), so every call on one model, such as the
-    applicability tests and product updates of all actions at one search
-    node, computes each distinct subformula once (sound as in
+    A fold over ``subformulas`` with the memo the model keeps
+    (``model._memo``) as its ``done`` set, so every call on one model, such
+    as the applicability tests and product updates of all actions at one
+    search node, computes each distinct subformula once (sound as in
     ``evaluate_at``: a node is one formula).  A memo miss checks the agents
     ``f`` names (``UnknownAgent``).  ``evaluate`` does not come here: for
     one world its short-circuit walk is faster than full masks.
-    A formula nested too deeply for the recursion raises ``FormulaTooDeep``;
-    the masks memoized before that are complete, so the memo stays sound.
     """
     memo = model._memo
     if memo is None:
@@ -332,31 +344,23 @@ def extension_mask(model: KripkeModel, f: Formula) -> int:
     _check_agents(model, f)
     prop_masks, succ_masks = model.masks()
     full = (1 << len(model.valuations)) - 1
-
-    def ext(g: Formula) -> int:
-        hit = memo.get(g)
-        if hit is not None:
-            return hit
-        if isinstance(g, Prop):
+    for g in subformulas(f, memo):
+        t = type(g)
+        if t is Prop:
             out = prop_masks.get(g.name, 0)
-        elif isinstance(g, Not):
-            out = full & ~ext(g.sub)
-        elif isinstance(g, And):
-            out = ext(g.left) & ext(g.right)
-        elif isinstance(g, Know):
-            outside = ~ext(g.sub)
+        elif t is Not:
+            out = full & ~memo[g.sub]
+        elif t is And:
+            out = memo[g.left] & memo[g.right]
+        elif t is Know:
+            outside = ~memo[g.sub]
             out = sum(1 << i for i, succ in enumerate(succ_masks[g.agent]) if not succ & outside)
-        elif isinstance(g, FalseF):
+        elif t is FalseF:
             out = 0
         else:
             raise TypeError(f"not a formula: {g!r}")
         memo[g] = out
-        return out
-
-    try:
-        return ext(f)
-    except RecursionError:
-        raise FormulaTooDeep("formula is nested too deeply to evaluate") from None
+    return memo[f]
 
 
 # --- text syntax ---------------------------------------------------------

@@ -28,13 +28,18 @@ class PcpInstance:
         return len(self.blocks)
 
 
+def check_words(*words: str) -> None:
+    """ValueError unless every word is over the alphabet {0,1}."""
+    for word in words:
+        if any(c not in "01" for c in word):
+            raise ValueError(f"word {word!r} is not over the alphabet {{0,1}}")
+
+
 def make_instance(blocks: Iterable[Sequence[str]]) -> PcpInstance:
     out = []
     for pair in blocks:
         a, b = pair
-        for word in (a, b):
-            if any(c not in "01" for c in word):
-                raise ValueError(f"word {word!r} is not over the alphabet {{0,1}}")
+        check_words(a, b)
         out.append((a, b))
     if not out:
         raise ValueError("an instance needs at least one block")

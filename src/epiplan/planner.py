@@ -36,7 +36,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .action import applicable, product_update
+from .action import FailureAt, applicable, apply_plan, product_update
 from .bisim import bisimilar, minimize_with_key, quotient
 from .errors import NotEuclidean, NotSingleAgent
 from .formula import evaluate
@@ -216,8 +216,6 @@ def bfs_plan(problem: PlanningProblem, budget: SearchBudget) -> SearchOutcome:
 
 def verify_plan(problem: PlanningProblem, plan) -> bool:
     """Whether the plan applies from the initial state and reaches the goal."""
-    from .action import FailureAt, apply_plan
-
     result = apply_plan(problem.initial, problem.actions, list(plan), minimize=True)
     if isinstance(result, FailureAt):
         return False

@@ -48,12 +48,6 @@ def loop_marker(x: str) -> Formula:
     return and_(prop(x), diamond(0, prop("lp")))
 
 
-def check_words(qa: str, qb: str) -> None:
-    for word in (qa, qb):
-        if any(c not in "01" for c in word):
-            raise ValueError(f"word {word!r} is not over the alphabet {{0,1}}")
-
-
 def action_table(inst: PcpInstance, add_block: Callable, next_stage: Callable,
                  remove_symbol: Callable, alphabet: Iterable[str]) -> dict[str, EventModel]:
     """A compiler's actions: ``ad_i`` per block, ``next_stage``, ``remove_s`` per symbol."""

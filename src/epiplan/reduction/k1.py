@@ -17,8 +17,8 @@ from ..action import EventModel, make_action
 from ..errors import IllegalFlavor
 from ..formula import Formula, and_, diamond, know, not_, or_, prop
 from ..kripke import EpistemicState, make_model
-from ..pcp import PcpInstance
-from .common import _e, action_table, chain_failed_state, check_words, loop_marker, with_empty
+from ..pcp import PcpInstance, check_words
+from .common import _e, action_table, chain_failed_state, loop_marker, with_empty
 
 AGENTS = 1
 PROFILE_NAME = "K"

@@ -15,12 +15,12 @@ of the loop-flavor family here, attached at the last #2 world.
 from __future__ import annotations
 
 from ..action import EventModel, make_action
-from ..errors import IllegalFlavor, UnknownShorthand
+from ..errors import IllegalFlavor
 from ..formula import Formula, and_, conj, diamond, disj, know, not_, or_, prop
 from ..frames import PROFILES, closure
 from ..kripke import EpistemicState, make_model, restrict
-from ..pcp import PcpInstance
-from .common import _e, action_table, chain_failed_state, check_words, loop_marker, with_empty
+from ..pcp import PcpInstance, check_words
+from .common import _e, action_table, chain_failed_state, loop_marker, with_empty
 
 AGENTS = 1
 PROFILE_NAME = "KTB"
@@ -50,7 +50,7 @@ def nxt(d: str) -> Formula:
         return _P["#2"]
     if d in ("#2", "a", "b"):
         return or_(_P["0"], _P["1"])
-    raise UnknownShorthand(f"nxt takes one of 0, 1, #1, #2, a, b; got {d!r}")
+    raise ValueError(f"nxt takes one of 0, 1, #1, #2, a, b; got {d!r}")
 
 
 def symb() -> Formula:

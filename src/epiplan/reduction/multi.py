@@ -17,12 +17,12 @@ agent 1 owns the branch cliques.
 from __future__ import annotations
 
 from ..action import EventModel, make_action
-from ..errors import IllegalFlavor, UnknownShorthand
+from ..errors import IllegalFlavor
 from ..formula import Formula, and_, conj, diamond, disj, evaluate_at, know, not_, or_, prop
 from ..frames import PROFILES, closure
 from ..kripke import EpistemicState, make_model, restrict
-from ..pcp import PcpInstance
-from .common import _e, action_table, check_words, cliques, with_empty
+from ..pcp import PcpInstance, check_words
+from .common import _e, action_table, cliques, with_empty
 
 AGENTS = 2
 PROFILE_NAME = "S5"
@@ -32,14 +32,6 @@ PREPENDS_BLOCKS = False
 FLAVORS = ("plain", "loop", "minus_hash")
 
 _P = {name: prop(name) for name in ("0", "1", "#", "a", "b", "root", "stg1", "empty", "end", "ntF")}
-
-
-def _k(agent: int, f: Formula) -> Formula:
-    return know(agent, f)
-
-
-def _maybe(agent: int, f: Formula) -> Formula:
-    return diamond(agent, f)
 
 
 def ag1() -> Formula:
@@ -55,23 +47,23 @@ def symb() -> Formula:
 
 
 def last() -> Formula:
-    return and_(ag2(), _maybe(1, _P["end"]))
+    return and_(ag2(), diamond(1, _P["end"]))
 
 
 def tail(i: int) -> Formula:
     if i == 1:
-        return and_(ag1(), _k(0, not_(ag2())))
+        return and_(ag1(), know(0, not_(ag2())))
     if i == 2:
-        return and_(ag2(), _k(1, not_(ag1())))
-    raise UnknownShorthand("tail takes argument 1 or 2")
+        return and_(ag2(), know(1, not_(ag1())))
+    raise ValueError("tail takes argument 1 or 2")
 
 
 def okstate() -> Formula:
     return or_(
-        and_(or_(_P["0"], _P["1"]), _maybe(0, _P["ntF"])),
+        and_(or_(_P["0"], _P["1"]), diamond(0, _P["ntF"])),
         and_(
             conj(or_(_P["a"], _P["b"]), not_(_P["0"]), not_(_P["1"])),
-            _maybe(1, _P["ntF"]),
+            diamond(1, _P["ntF"]),
         ),
     )
 
@@ -160,7 +152,7 @@ def add_block(index: int, block: tuple[str, str]) -> EventModel:
     words = {"a": block[0], "b": block[1]}
     events = [_e("s"), _e("st")]
     pre: dict[str, Formula] = {
-        _e("s"): and_(_P["root"], _maybe(0, _P["stg1"])),
+        _e("s"): and_(_P["root"], diamond(0, _P["stg1"])),
         _e("st"): _P["stg1"],
     }
     r1 = cliques([_e("s"), _e("st"), _e("a"), _e("b"), "e_a^eps", "e_b^eps"])
@@ -172,25 +164,25 @@ def add_block(index: int, block: tuple[str, str]) -> EventModel:
         n1, n2, nlst = f"e_ntF^{{{x},1}}", f"e_ntF^{{{x},2}}", f"e_ntF^{{{x},lst}}"
         events.extend([ex, eps, elst, esmb, etl, n1, n2, nlst])
         pre[ex] = conj(_P[x], ag2(), not_(_P["#"]), not_(last()))
-        pre[eps] = conj(_P[x], ag2(), not_(_P["#"]), last(), _k(0, not_(_P["end"])))
-        pre[elst] = conj(_P[x], _P["#"], last(), _k(0, not_(_P["end"])))
+        pre[eps] = conj(_P[x], ag2(), not_(_P["#"]), last(), know(0, not_(_P["end"])))
+        pre[elst] = conj(_P[x], _P["#"], last(), know(0, not_(_P["end"])))
         pre[esmb] = conj(_P[x], symb(), not_(last()))
-        pre[etl] = conj(_P[x], _maybe(0, _P["end"]), disj(symb(), _P["ntF"], _P["end"]))
-        pre[n1] = conj(_P[x], _P["ntF"], _k(0, not_(_P["end"])))
-        pre[n2] = conj(_P[x], _P["ntF"], _k(0, not_(_P["end"])))
-        pre[nlst] = conj(_P[x], _P["ntF"], _maybe(0, _P["end"]))
+        pre[etl] = conj(_P[x], diamond(0, _P["end"]), disj(symb(), _P["ntF"], _P["end"]))
+        pre[n1] = conj(_P[x], _P["ntF"], know(0, not_(_P["end"])))
+        pre[n2] = conj(_P[x], _P["ntF"], know(0, not_(_P["end"])))
+        pre[nlst] = conj(_P[x], _P["ntF"], diamond(0, _P["end"]))
         bits = [_e(x, str(j)) for j in range(1, len(word) + 1)]
         hashes = [_e(x, str(j), "#") for j in range(1, len(word) + 1)]
         ntf_bits = [f"e_ntF({x},{j})" for j in range(1, len(word) + 1)]
         ntf_hashes = [f"e_ntF({x},{j},#)" for j in range(1, len(word))]
         events.extend(bits + hashes + ntf_bits + ntf_hashes)
         for j in range(len(word)):
-            pre[bits[j]] = conj(_P[x], prop(word[j]), _maybe(0, _P["end"]))
-            pre[hashes[j]] = conj(_P[x], _P["#"], _maybe(0, _P["end"]))
-            pre[ntf_bits[j]] = conj(_P[x], _P["ntF"], _maybe(0, _P["end"]))
+            pre[bits[j]] = conj(_P[x], prop(word[j]), diamond(0, _P["end"]))
+            pre[hashes[j]] = conj(_P[x], _P["#"], diamond(0, _P["end"]))
+            pre[ntf_bits[j]] = conj(_P[x], _P["ntF"], diamond(0, _P["end"]))
             r1 |= cliques([bits[j], hashes[j], ntf_bits[j]])
         for j in range(len(word) - 1):
-            pre[ntf_hashes[j]] = conj(_P[x], _P["ntF"], _maybe(0, _P["end"]))
+            pre[ntf_hashes[j]] = conj(_P[x], _P["ntF"], diamond(0, _P["end"]))
             r2 |= cliques([bits[j + 1], hashes[j], ntf_hashes[j]])
         # n1 rides along with the symbol events so that carried-over chain
         # worlds keep their ntF companions in the first relation.
@@ -211,9 +203,9 @@ def add_block(index: int, block: tuple[str, str]) -> EventModel:
 def next_stage() -> EventModel:
     pre = or_(
         conj(
-            or_(not_(_P["root"]), and_(_k(0, not_(_P["empty"])), _maybe(0, _P["stg1"]))),
+            or_(not_(_P["root"]), and_(know(0, not_(_P["empty"])), diamond(0, _P["stg1"]))),
             not_(_P["stg1"]),
-            not_(and_(_maybe(0, _P["0"]), _maybe(0, _P["1"]))),
+            not_(and_(diamond(0, _P["0"]), diamond(0, _P["1"]))),
         ),
         _P["ntF"],
     )
@@ -224,16 +216,16 @@ def next_stage() -> EventModel:
 def remove_symbol(bt: str) -> EventModel:
     name = f"e^{bt}"
     pre = disj(
-        and_(_P["root"], _k(0, not_(_P["stg1"]))),
+        and_(_P["root"], know(0, not_(_P["stg1"]))),
         and_(
             _P["ntF"],
             or_(
-                and_(_maybe(0, ag1()), _maybe(0, ag2())),
-                and_(_maybe(1, ag1()), _maybe(1, ag2())),
+                and_(diamond(0, ag1()), diamond(0, ag2())),
+                and_(diamond(1, ag1()), diamond(1, ag2())),
             ),
         ),
-        and_(ag1(), not_(conj(tail(1), _P[bt], _maybe(0, _P["ntF"])))),
-        and_(ag2(), not_(conj(tail(2), _P[bt], _maybe(1, _P["ntF"])))),
+        and_(ag1(), not_(conj(tail(1), _P[bt], diamond(0, _P["ntF"])))),
+        and_(ag2(), not_(conj(tail(2), _P[bt], diamond(1, _P["ntF"])))),
     )
     loop = {(name, name)}
     return make_action([name], AGENTS, [loop, loop], {name: pre}, name)
@@ -241,8 +233,8 @@ def remove_symbol(bt: str) -> EventModel:
 
 def goal() -> Formula:
     return and_(
-        _k(0, not_(_P["empty"])),
-        _k(0, or_(not_(or_(_P["a"], _P["b"])), and_(tail(2), _maybe(1, _P["ntF"])))),
+        know(0, not_(_P["empty"])),
+        know(0, or_(not_(or_(_P["a"], _P["b"])), and_(tail(2), diamond(1, _P["ntF"])))),
     )
 
 
@@ -260,7 +252,7 @@ def failed_state(state: EpistemicState) -> bool:
     """
     model = state.model
     root = state.designated
-    if not evaluate_at(state, root, and_(_P["root"], _k(0, not_(_P["stg1"])))):
+    if not evaluate_at(state, root, and_(_P["root"], know(0, not_(_P["stg1"])))):
         return False
     branch = or_(_P["a"], _P["b"])
     marks = [_P[p] for p in ("a", "b", "0", "1", "#")]
@@ -269,7 +261,7 @@ def failed_state(state: EpistemicState) -> bool:
         comp = 1 if parity % 2 == 1 else 0
         if not any(evaluate_at(state, w, m) for m in marks):
             return False
-        return evaluate_at(state, w, _k(comp, not_(_P["ntF"])))
+        return evaluate_at(state, w, know(comp, not_(_P["ntF"])))
 
     frontier = [w for w in model.successors(0, root) if w != root
                 and evaluate_at(state, w, branch)]

@@ -22,12 +22,12 @@ removal suffix is identical to the other variants.
 from __future__ import annotations
 
 from ..action import EventModel, make_action
-from ..errors import IllegalFlavor, UnknownShorthand
+from ..errors import IllegalFlavor
 from ..formula import Formula, and_, conj, diamond, disj, evaluate_at, know, not_, or_, prop
 from ..frames import PROFILES, closure
 from ..kripke import EpistemicState, make_model, restrict
-from ..pcp import PcpInstance
-from .common import _e, action_table, check_words, loop_marker, with_empty
+from ..pcp import PcpInstance, check_words
+from .common import _e, action_table, loop_marker, with_empty
 
 AGENTS = 1
 PROFILE_NAME = "S4"
@@ -52,7 +52,7 @@ def nxt(d: str) -> Formula:
         return _P["#"]
     if d in ("#", "a", "b"):
         return or_(_P["0"], _P["1"])
-    raise UnknownShorthand(f"nxt takes one of 0, 1, #, a, b; got {d!r}")
+    raise ValueError(f"nxt takes one of 0, 1, #, a, b; got {d!r}")
 
 
 def symb() -> Formula:

@@ -13,6 +13,7 @@ from ..formula import (
     modal_depth,
     not_,
     propositions,
+    subformulas,
 )
 from ..frames import profile
 from ..kripke import EpistemicState, make_model
@@ -24,26 +25,18 @@ _HUB = "0"
 def _possibilify(f: Formula) -> Formula:
     """Replace every proposition p with <K> p, building each distinct node once."""
     done: dict[Formula, Formula] = {}
-    stack = [f]
-    while stack:
-        g = stack[-1]
+    for g in subformulas(f, done):
         t = type(g)
-        if t is Not and g.sub not in done:
-            stack.append(g.sub)
-        elif t is And and (g.left not in done or g.right not in done):
-            stack += [h for h in (g.right, g.left) if h not in done]
+        if t is Prop:
+            done[g] = diamond(0, g)
+        elif t is Not:
+            done[g] = Not(done[g.sub])
+        elif t is And:
+            done[g] = And(done[g.left], done[g.right])
+        elif t is FalseF:
+            done[g] = g
         else:
-            stack.pop()
-            if t is Prop:
-                done[g] = diamond(0, g)
-            elif t is Not:
-                done[g] = Not(done[g.sub])
-            elif t is And:
-                done[g] = And(done[g.left], done[g.right])
-            elif t is FalseF:
-                done[g] = g
-            else:
-                raise TypeError(f"not a propositional formula: {g!r}")
+            raise TypeError(f"not a propositional formula: {g!r}")
     return done[f]
 
 

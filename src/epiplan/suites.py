@@ -15,13 +15,18 @@ from typing import Callable
 from .action import EventModel, applicable, make_action, product_update
 from .bisim import bisimilar, canonical_key, quotient
 from .formula import (
+    And,
+    FalseF,
     Formula,
+    Not,
+    Prop,
     and_,
     evaluate,
     know,
     not_,
     or_,
     prop,
+    propositions,
 )
 from .frames import PROFILES, FrameCondition, closure, satisfies
 from .kripke import EpistemicState, KripkeModel, make_model
@@ -74,11 +79,8 @@ def _timed(fn: Callable[[SuiteReport, random.Random], None], name: str, seed: in
 
 
 def _random_instance(rng: random.Random, max_blocks: int = 3, max_word: int = 3) -> PcpInstance:
-    blocks = []
-    for _ in range(rng.randint(1, max_blocks)):
-        a = "".join(rng.choice("01") for _ in range(rng.randint(0, max_word)))
-        b = "".join(rng.choice("01") for _ in range(rng.randint(0, max_word)))
-        blocks.append((a, b))
+    blocks = [(_random_word(rng, max_word), _random_word(rng, max_word))
+              for _ in range(rng.randint(1, max_blocks))]
     return make_instance(blocks)
 
 
@@ -518,8 +520,6 @@ def run_theorem_k1(seed: int = DEFAULT_SEED, instances: int = 20,
 
 
 def _truth_table_satisfiable(f: Formula) -> bool:
-    from .formula import And, FalseF, Not, Prop, propositions
-
     names = sorted(propositions(f))
 
     def ev(g: Formula, bits: int) -> bool:

@@ -37,6 +37,8 @@ from epiplan.formula import (
     or_,
     parse,
     prop,
+    propositions,
+    subformulas,
     to_text,
     true_,
 )
@@ -235,6 +237,49 @@ def test_stored_depth_matches_reference(f):
 @given(formulas)
 def test_stored_max_agent_matches_reference(f):
     assert f.max_agent == _reference_max_agent(f)
+
+
+def _children(f):
+    if isinstance(f, And):
+        return (f.left, f.right)
+    if isinstance(f, (Not, Know)):
+        return (f.sub,)
+    return ()
+
+
+def _reference_subformulas(f, done=frozenset()):
+    """Every node reached from ``f`` without entering a node in ``done``."""
+    if f in done:
+        return set()
+    return {f}.union(*(_reference_subformulas(c, done) for c in _children(f)))
+
+
+def _reference_propositions(f):
+    if isinstance(f, Prop):
+        return {f.name}
+    return set().union(*map(_reference_propositions, _children(f)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(formulas, st.data())
+def test_subformulas_yields_each_node_once_after_its_children(f, data):
+    every = sorted(_reference_subformulas(f), key=to_text)
+    done = set(data.draw(st.lists(st.sampled_from(every))))
+    given_done = frozenset(done)
+    walked = []
+    for g in subformulas(f, done):
+        assert g not in done
+        assert all(c in done for c in _children(g)), g
+        done.add(g)
+        walked.append(g)
+    assert len(walked) == len(set(walked))
+    assert set(walked) == _reference_subformulas(f, given_done)
+
+
+@settings(max_examples=200, deadline=None)
+@given(formulas)
+def test_propositions_matches_reference(f):
+    assert propositions(f) == _reference_propositions(f)
 
 
 def test_negative_agents_are_rejected_at_construction():

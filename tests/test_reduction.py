@@ -42,9 +42,9 @@ def test_named_formulas():
     assert module(Variant.S4_1).nxt("#") == or_(prop("0"), prop("1"))
     assert ktb.nxt("0") == prop("#1")
     assert multi.ag1() == parse("root | 0 | 1")
-    with pytest.raises(errors.UnknownShorthand):
+    with pytest.raises(ValueError):
         ktb.nxt("7")
-    with pytest.raises(errors.UnknownShorthand):
+    with pytest.raises(ValueError):
         multi.tail(7)
 
 
