@@ -1,36 +1,46 @@
 """Coarsest bisimulations, quotients, and canonical state fingerprints.
 
-The refinement is round-by-round splitting: start from valuation classes
-and split each block by its worlds' per-agent sets of successor blocks
-until a round splits nothing.  Everything runs on the models' integer
-successor rows (``KripkeModel.rows``, the one stored relation),
-restricted to the generated part by ``kripke.generated_part``;
-successor-block sets are packed into bitmask integers, and one function
-turns the refinement into the rows of the quotient state that
-``quotient`` and ``minimize_with_key`` return.  No name pair is built,
-and no name read: the designated world is an index, and the quotient's
-world names (each block's first world) are a recipe over the state's,
-built only if read.  When the partition is discrete, as it is for most
-search products, the quotient is the generated part's own state, built
-by ``kripke.part_state`` from the rows ``generated_part`` induced.
+The refinement starts from valuation classes and splits blocks by their
+worlds' per-agent sets of successor blocks until a round splits nothing.
+Everything runs on the models' integer successor rows
+(``KripkeModel.rows``, the one stored relation), restricted to the
+generated part by ``kripke.generated_part``; successor-block sets are
+packed into bitmask integers, and one function turns the refinement into
+the rows of the quotient state that ``quotient`` and
+``minimize_with_key`` return.  No name pair is built, and no name read:
+the designated world is an index, and the quotient's world names (each
+block's first world) are a recipe over the state's, built only if read.
+When the partition is discrete, as it is for most search products, the
+quotient is the generated part's own state, built by
+``kripke.part_state`` from the rows ``generated_part`` induced.
 
-Block numbering is canonical: each round renumbers blocks by sorting the
-signatures themselves (not by first occurrence), so the final numbering
-depends only on the isomorphism class of the reachable model.  That is
-what makes ``canonical_key`` collision-free: equal keys hold exactly for
+Block numbering is canonical: ids follow the order of the signatures
+themselves (not of first occurrence), so the final numbering depends
+only on the isomorphism class of the reachable model.  That is what
+makes ``canonical_key`` collision-free: equal keys hold exactly for
 bisimilar states, because bisimilar states have isomorphic minimized
 generated submodels and the key serializes that minimized model in
 canonical block order.
 
-A signature starts with the world's block id, so a round sorts worlds by
-their old block first.  Hence a singleton block stays one block whatever
-its successors, and its signature is its id alone (one id's signatures
-still share a shape, so the sort is unchanged); and after a round that
-leaves every block a singleton, the next would renumber nothing, so
-refinement stops there.  Neither shortcut changes any block id.
+A world's signature is its block id, then per agent the bitmask of its
+successors' blocks.  Sorting all signatures orders worlds by old block
+first, so the pieces of a block take consecutive ids, in the old blocks'
+order, and within a block the pieces follow their masks.  Refinement
+therefore goes block by block, with the worlds kept grouped by block in
+id order: a block of two or more worlds is grouped by its worlds' masks,
+and its pieces are numbered in sorted-mask order after the pieces of all
+lower blocks.  That gives the ids of one sort over all signatures, with
+no sort across blocks.  A singleton block keeps its place and is not
+signed; refinement stops when a round splits no block or every block is
+a singleton, where a further round would renumber nothing.
+
+Each distinct valuation has a sort key (its sorted names) and key bytes
+(length-prefixed UTF-8), both from ``_valuation_code``, a memo by value
+that keeps at most 4 096 sets; the first blocks and the key read it.
 """
 from __future__ import annotations
 
+import functools
 import struct
 
 from .errors import AgentMismatch
@@ -44,39 +54,68 @@ __all__ = [
 ]
 
 
+@functools.lru_cache(maxsize=4096)
+def _valuation_code(val: frozenset[str]) -> tuple[tuple[str, ...], bytes]:
+    """A valuation's sort key (its names, sorted) and its key bytes.
+
+    The bytes are the name count, then per name its UTF-8 length and
+    bytes, counts as big-endian 4-byte ints.  Memoized by value, so equal
+    sets held by distinct objects share an entry; at most 4 096 sets are
+    kept, and an evicted one is encoded again.
+    """
+    names = tuple(sorted(val))
+    out = [struct.pack(">I", len(names))]
+    for name in names:
+        raw = name.encode("utf-8")
+        out += (struct.pack(">I", len(raw)), raw)
+    return names, b"".join(out)
+
+
 def _canonical_refine(valuations, succ) -> tuple[list[int], int]:
     """Refine to the coarsest autobisimulation with canonical block ids.
 
     ``valuations`` are per-index proposition sets, ``succ`` per-agent
     integer successor rows.  Returns (block id per index, block count);
     ids are ordered by signature value, so they are independent of world
-    naming and ordering.
+    naming and ordering.  A world's per-agent masks are packed into one
+    int, agent 0's highest, each as wide as the block count, so the ints
+    compare as the tuples of masks do.
     """
     n = len(valuations)
-    first = {v: r for r, v in enumerate(sorted(set(valuations), key=sorted))}
-    rank = [first[v] for v in valuations]
-    count = len(first)
-    while count < n:
-        size = [0] * count
-        for r in rank:
-            size[r] += 1
-        sigs = []
-        for i, r in enumerate(rank):
-            if size[r] == 1:
-                sigs.append((r,))
-                continue
-            entry = [r]
-            for row in succ:
-                m = 0
-                for j in row[i]:
-                    m |= 1 << rank[j]
-                entry.append(m)
-            sigs.append(tuple(entry))
-        by_sig = {s: r for r, s in enumerate(sorted(set(sigs)))}
-        if len(by_sig) == count:
+    classes: dict = {}
+    for i, v in enumerate(valuations):
+        classes.setdefault(v, []).append(i)
+    blocks = [classes[v] for v in sorted(classes, key=lambda v: _valuation_code(v)[0])]
+    rank = [0] * n
+    while True:
+        for r, members in enumerate(blocks):
+            for i in members:
+                rank[i] = r
+        if len(blocks) == n:
             break
-        rank, count = [by_sig[s] for s in sigs], len(by_sig)
-    return rank, count
+        bit = [1 << r for r in rank]
+        width = len(blocks)
+        split = []
+        for members in blocks:
+            if len(members) == 1:
+                split.append(members)
+                continue
+            pieces: dict = {}
+            for i in members:
+                sig = 0
+                for row in succ:
+                    sig <<= width
+                    for j in row[i]:
+                        sig |= bit[j]
+                pieces.setdefault(sig, []).append(i)
+            if len(pieces) == 1:
+                split.append(members)
+            else:
+                split += [pieces[sig] for sig in sorted(pieces)]
+        if len(split) == len(blocks):
+            break
+        blocks = split
+    return rank, len(blocks)
 
 
 def _minimize(state: EpistemicState):
@@ -131,25 +170,23 @@ def minimize_with_key(state: EpistemicState) -> tuple[EpistemicState, bytes]:
     """
     minimized = _minimize(state)
     (_, vals, rows, start), block, count, rep = minimized
-    pack, get = struct.pack, block.__getitem__
+    get = block.__getitem__
     discrete = count == len(vals)
-    encoded = {}
-    out = bytearray(pack(">III", state.model.agents, count, block[start]))
+    ints = [state.model.agents, count, block[start]]
+    ends = []
     for i in rep:
-        val = vals[i]
-        if val not in encoded:
-            names = [p.encode("utf-8") for p in sorted(val)]
-            encoded[val] = pack(">I", len(names)) + b"".join(
-                [pack(">I", len(raw)) + raw for raw in names])
-        out += encoded[val]
-        ints = []
         for row in rows:
             # a discrete block map is injective: no successor block repeats
             ranks = sorted(map(get, row[i]) if discrete else set(map(get, row[i])))
             ints.append(len(ranks))
             ints += ranks
-        out += pack(f">{len(ints)}I", *ints)
-    return _quotient_state(state, minimized), bytes(out)
+        ends.append(4 * len(ints))
+    packed = struct.pack(f">{len(ints)}I", *ints)
+    out, at = [packed[:12]], 12
+    for i, end in zip(rep, ends):
+        out += (_valuation_code(vals[i])[1], packed[at:end])
+        at = end
+    return _quotient_state(state, minimized), b"".join(out)
 
 
 def canonical_key(state: EpistemicState) -> bytes:

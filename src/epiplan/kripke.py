@@ -235,22 +235,24 @@ def reachable_rows(model: KripkeModel, start: int) -> tuple[Sequence[int], Rows]
     """Indices reachable from ``start`` (in world order) and the rows they induce.
 
     Reachability is over the union of all agents' relations, reflexively
-    and transitively.  When every world is reachable the result is
-    ``range(n)`` and ``model.rows`` itself.
+    and transitively.  The walk stops once every world has been seen; the
+    result is then ``range(n)`` and ``model.rows`` itself.
     """
     n = len(model.valuations)
     rows = model.rows
     seen = [False] * n
     seen[start] = True
     stack = [start]
-    while stack:
+    unseen = n - 1
+    while stack and unseen:
         i = stack.pop()
         for row in rows:
             for j in row[i]:
                 if not seen[j]:
                     seen[j] = True
                     stack.append(j)
-    if all(seen):
+                    unseen -= 1
+    if not unseen:
         return range(n), rows
     kept = [i for i in range(n) if seen[i]]
     return kept, _induced_rows(rows, kept)

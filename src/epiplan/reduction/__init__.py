@@ -21,7 +21,8 @@ variant's compiler module is its whole spec; every one defines
 
 ``initial_state()`` is derived, not built: ``common.with_empty`` adds the
 ``w_empty`` marker ("nothing applied yet") to ``family("", "", "loop")``,
-the empty-word stage-one state, and closes it under ``PROFILE_NAME``.
+the empty-word stage-one state, with the edges ``PROFILE_NAME``'s frame
+conditions force on it.
 The named formulas (``symb``, ``tail``, ``failed``, ...) are plain module
 functions.
 

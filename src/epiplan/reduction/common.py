@@ -5,7 +5,7 @@ from typing import Callable, Iterable
 
 from ..action import EventModel
 from ..formula import Formula, and_, diamond, evaluate_at, know, not_, or_, prop
-from ..frames import PROFILES, closure
+from ..frames import PROFILES, FrameCondition
 from ..kripke import EpistemicState, KripkeModel, Pair
 from ..pcp import PcpInstance
 
@@ -25,17 +25,30 @@ def with_empty(state: EpistemicState, profile_name: str) -> EpistemicState:
     """The start state: ``state`` plus ``w_empty``, the "nothing applied yet" marker.
 
     ``w_empty`` (valuation ``{empty}``) is appended after the other worlds
-    and joins the designated world's agent-0 row; the model is then closed
-    under ``PROFILES[profile_name]``, which puts ``w_empty`` into the
+    and joins the designated world's agent-0 row.  ``state`` already meets
+    ``PROFILES[profile_name]``, a preset built from reflexivity, symmetry
+    and transitivity, so only what the new edge forces is added: under
+    reflexivity ``w_empty``'s self-loops; under transitivity an agent-0
+    edge to ``w_empty`` from every world that sees the designated one;
+    under symmetry the edges back.  That puts ``w_empty`` into the
     designated world's class wherever the frames are symmetric.
     """
+    conds = PROFILES[profile_name]
     model = state.model
     root, n = state.designated_index, len(model.valuations)
-    rows = [[*row, ()] for row in model.rows]
-    rows[0][root] += (n,)
+    loop = (n,) if FrameCondition.REFLEXIVE in conds else ()
+    rows = [[*row, loop] for row in model.rows]
+    first = rows[0]
+    seers = [root]
+    if FrameCondition.TRANSITIVE in conds:
+        seers = [u for u, succ in enumerate(model.rows[0]) if u == root or root in succ]
+    for u in seers:
+        first[u] += (n,)
+    if FrameCondition.SYMMETRIC in conds:
+        first[n] = (*seers, *loop)
     grown = KripkeModel(model.worlds + ("w_empty",), model.agents, tuple(map(tuple, rows)),
                         model.valuations + (frozenset({"empty"}),))
-    return EpistemicState.at(closure(grown, PROFILES[profile_name]), root)
+    return EpistemicState.at(grown, root)
 
 
 def _e(*parts: str) -> str:

@@ -3,8 +3,8 @@
 Both agents' relations are unions of disjoint cliques (every world not in
 a listed clique is its own singleton class).  The cliques are symmetric
 and transitive already, so each frame is closed under ``KT`` only, which
-adds the singleton classes' self-loops; only the start state, which puts
-w_empty into the root's agent-0 clique, is closed under S5.  The chain
+adds the singleton classes' self-loops; only the start state puts
+w_empty into the root's agent-0 clique, as S5 forces.  The chain
 alternates the two agents' cliques with '#' separator worlds so every
 block symbol sits an even number of clique-hops from the root.
 Auxiliary worlds (w_ntF, w_end) are duplicated per chain position

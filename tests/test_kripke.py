@@ -8,6 +8,7 @@ from epiplan.kripke import (
     make_model,
     model_from_json,
     model_to_json,
+    reachable_rows,
     restrict,
     state_from_json,
     state_to_json,
@@ -67,6 +68,29 @@ def test_generated_submodel():
     # the initial state is already generated
     s = k1.initial_state()
     assert generated_submodel(s) == s
+
+
+def test_reachable_rows_stops_once_every_world_is_seen():
+    # a chain: the walk finds the last world on the last edge it reads
+    chain = make_model(["a", "b", "c", "d"], 1, [{("a", "b"), ("b", "c"), ("c", "d")}], {})
+    kept, rows = reachable_rows(chain, 0)
+    assert kept == range(4) and rows is chain.rows
+    # the last world is found under the second agent, from the last world popped
+    two = make_model(["a", "b", "c"], 2, [{("a", "b"), ("b", "a")}, {("b", "c")}], {})
+    kept, rows = reachable_rows(two, 0)
+    assert kept == range(3) and rows is two.rows
+    # one world, no edge
+    alone = make_model(["a"], 1, [set()], {})
+    kept, rows = reachable_rows(alone, 0)
+    assert kept == range(1) and rows is alone.rows
+    # a partial walk keeps its induced rows
+    kept, rows = reachable_rows(chain, 2)
+    assert list(kept) == [2, 3] and rows == (((1,), ()),)
+    kept, rows = reachable_rows(two, 1)
+    assert list(kept) == [0, 1, 2] and rows is two.rows
+    side = make_model(["a", "b", "c", "d"], 2, [{("a", "c"), ("c", "c")}, {("c", "a"), ("b", "d")}], {})
+    kept, rows = reachable_rows(side, 2)
+    assert list(kept) == [0, 2] and rows == (((1,), (1,)), ((), (0,)))
 
 
 def test_generated_submodel_preserves_evaluation():

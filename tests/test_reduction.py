@@ -1,11 +1,14 @@
 """Compiler-level checks: counts, named formulas, oracles, witnesses, failure."""
+import random
+
 import pytest
 
 from epiplan import errors, reduction
 from epiplan.action import FailureAt, applicable, apply_plan, product_update
 from epiplan.bisim import bisimilar, canonical_key
 from epiplan.formula import and_, diamond, evaluate, know, not_, or_, parse, prop
-from epiplan.frames import PROFILES, satisfies
+from epiplan.frames import PROFILES, closure, satisfies
+from epiplan.kripke import EpistemicState, KripkeModel
 from epiplan.pcp import brute_force_match, make_instance, matched_word
 from epiplan.planner import BoundReached, SearchBudget, bfs_plan
 from epiplan.problem import problem_from_json, problem_to_json, validate_problem
@@ -17,6 +20,8 @@ from epiplan.reduction import (
     reduce_instance,
     sat_to_ep,
 )
+from epiplan.reduction.common import with_empty
+from epiplan.suites import random_state
 
 EXAMPLE = make_instance([("1", "101"), ("10", "00"), ("011", "11")])
 
@@ -161,6 +166,34 @@ def test_frames_validated_for_closed_variants():
         problem = reduce_instance(EXAMPLE, variant)
         assert satisfies(problem.initial.model, PROFILES[name])
         validate_problem(problem)
+
+
+def _closed_with_empty(state, profile_name):
+    """``common.with_empty`` by a full closure of the grown model."""
+    model = state.model
+    root, n = state.designated_index, len(model.valuations)
+    rows = [[*row, ()] for row in model.rows]
+    rows[0][root] += (n,)
+    grown = KripkeModel(model.worlds + ("w_empty",), model.agents, tuple(map(tuple, rows)),
+                        model.valuations + (frozenset({"empty"}),))
+    return EpistemicState.at(closure(grown, PROFILES[profile_name]), root)
+
+
+def test_start_state_adds_only_what_w_empty_forces():
+    for variant in Variant:
+        mod = module(variant)
+        start = mod.initial_state()
+        assert start == _closed_with_empty(mod.family("", "", "loop"), mod.PROFILE_NAME)
+        assert start.designated == "w_root" and start.model.worlds[-1] == "w_empty"
+    # any state that meets a preset, pointed anywhere
+    rng = random.Random(5)
+    for _ in range(300):
+        name = rng.choice(sorted(PROFILES))
+        s = random_state(rng, agents=rng.randint(1, 3), max_worlds=6)
+        closed = EpistemicState.at(closure(s.model, PROFILES[name]), s.designated_index)
+        grown = with_empty(closed, name)
+        assert grown == _closed_with_empty(closed, name), name
+        assert satisfies(grown.model, PROFILES[name])
 
 
 def test_problem_json_round_trip():

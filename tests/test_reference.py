@@ -17,7 +17,9 @@ give the same verdict, plan and counts as ``bfs_plan``.
 One reference does read rows: ``ref_refine`` is the plain round-by-round
 refinement (every world re-signed every round, stop on a round that splits
 nothing), kept to pin the engine's exact block numbering and key bytes,
-not just its partition.
+not just its partition: on random states, on every state a bounded search
+of each compiled example minimizes, and on valuations whose names sort
+differently from their encoded bytes.
 """
 from __future__ import annotations
 
@@ -42,7 +44,9 @@ from epiplan.action import (
     make_action,
     product_update,
 )
-from epiplan.bisim import _canonical_refine, bisimilar, canonical_key, minimize_with_key, quotient
+from epiplan import planner
+from epiplan.bisim import (_canonical_refine, _valuation_code, bisimilar, canonical_key,
+                           minimize_with_key, quotient)
 from epiplan.formula import (And, FalseF, Formula, Know, Not, Prop, and_, conj, diamond, disj,
                              evaluate, evaluate_at, extension_mask, know, not_, or_, parse, prop,
                              to_text)
@@ -117,17 +121,20 @@ def ref_bisimilar(s1, s2) -> bool:
 def ref_generated(state):
     """(worlds, relations, valuations) of the part reachable from the designated world."""
     model = state.model
+    pairs = model.relations
+    succ: dict = {}
+    for rel in pairs:
+        for u, v in rel:
+            succ.setdefault(u, []).append(v)
     reach, frontier = {state.designated}, [state.designated]
     while frontier:
-        w = frontier.pop()
-        for rel in model.relations:
-            for u, v in rel:
-                if u == w and v not in reach:
-                    reach.add(v)
-                    frontier.append(v)
+        for v in succ.get(frontier.pop(), ()):
+            if v not in reach:
+                reach.add(v)
+                frontier.append(v)
     worlds = tuple(w for w in model.worlds if w in reach)
     relations = tuple(
-        frozenset((u, v) for u, v in rel if u in reach and v in reach) for rel in model.relations
+        frozenset((u, v) for u, v in rel if u in reach and v in reach) for rel in pairs
     )
     return worlds, relations, tuple(_valuation(model, w) for w in worlds)
 
@@ -698,6 +705,19 @@ def test_json_round_trips_keep_documents_and_keys(seed, agents):
     assert make_action(worlds, agents, shuffled, pre, worlds[0]).relations == pairs
 
 
+def _check_union(s1, s2) -> bool:
+    """The joint refinement ``bisimilar`` runs on two generated parts, against
+    ``ref_refine`` on their union; returns whether the two states are bisimilar."""
+    g1, g2 = generated_submodel(s1).model, generated_submodel(s2).model
+    u = _union(g1, g2)
+    block, count = _canonical_refine(u.valuations, u.rows)
+    assert (block, count) == ref_refine(u.valuations, u.rows)
+    start1, start2 = g1.index_of(s1.designated), g2.index_of(s2.designated)
+    same = block[start1] == block[len(g1.worlds) + start2]
+    assert bisimilar(s1, s2) == same
+    return same
+
+
 @settings(max_examples=300, deadline=None)
 @given(seeds, agent_counts)
 def test_refinement_numbering_and_key_bytes_match_full_rounds(seed, agents):
@@ -716,11 +736,66 @@ def test_refinement_numbering_and_key_bytes_match_full_rounds(seed, agents):
         g = generated_submodel(state).model
         assert _canonical_refine(g.valuations, g.rows) == ref_refine(g.valuations, g.rows)
         assert minimize_with_key(state)[1] == ref_key(state)
-    # the joint refinement ``bisimilar`` runs on two generated parts
     for s1, s2 in ((s, padded), (s, other), (padded, stray)):
-        g1, g2 = generated_submodel(s1).model, generated_submodel(s2).model
-        u = _union(g1, g2)
-        block, count = _canonical_refine(u.valuations, u.rows)
-        assert (block, count) == ref_refine(u.valuations, u.rows)
-        start1, start2 = g1.index_of(s1.designated), g2.index_of(s2.designated)
-        assert bisimilar(s1, s2) == (block[start1] == block[len(g1.worlds) + start2])
+        _check_union(s1, s2)
+
+
+def test_compiled_search_states_match_full_rounds(monkeypatch):
+    # every state a bounded search on each compiled example minimizes
+    inst = make_instance([("1", "101"), ("10", "00"), ("011", "11")])
+    for variant in Variant:
+        states = []
+
+        def spy(state):
+            states.append(state)
+            return minimize_with_key(state)
+
+        monkeypatch.setattr(planner, "minimize_with_key", spy)
+        bfs_plan(reduce_instance(inst, variant), SearchBudget(max_depth=5, max_nodes=80))
+        monkeypatch.undo()
+        assert len(states) >= 80, variant
+        merged = 0
+        for state in states:
+            g = generated_submodel(state).model
+            block, count = _canonical_refine(g.valuations, g.rows)
+            assert (block, count) == ref_refine(g.valuations, g.rows), variant
+            merged += count < len(g.worlds)
+            assert minimize_with_key(state)[1] == ref_key(state), variant
+        # pairs of search states, and each state with its own quotient
+        pairs = list(zip(states, states[1:])) + [(s, quotient(s)) for s in states[::5]]
+        hits = sum(_check_union(s1, s2) for s1, s2 in pairs)
+        assert 0 < hits < len(pairs), variant
+        if variant is Variant.S4_1:
+            assert merged, "some search state is not minimal"
+
+
+def _leaves(valuations) -> EpistemicState:
+    """A root (valuation ``{r}``) that sees one leaf per valuation, in order."""
+    worlds = ["root"] + [f"l{k}" for k in range(len(valuations))]
+    rows = ((tuple(range(1, len(worlds))),) + ((),) * len(valuations),)
+    return EpistemicState(KripkeModel(tuple(worlds), 1, rows, (frozenset({"r"}), *valuations)), "root")
+
+
+def test_valuation_codes_give_reference_key_bytes():
+    # names whose sorted order differs from the order of their encoded bytes
+    # (count and length prefixes first), non-ASCII ones among them
+    odd = [{"ab"}, {"b"}, {"a", "c"}, {"é"}, {"z", "日本"}, {"\U0001F600"}, {"e\u0301"}, set()]
+    s = _leaves([frozenset(v) for v in odd])
+    m = s.model
+    assert _canonical_refine(m.valuations, m.rows) == ref_refine(m.valuations, m.rows)
+    assert minimize_with_key(s)[1] == ref_key(s)
+    # equal valuations held by distinct set objects share one block
+    twins = [frozenset(["p", "ü"]), frozenset(["ü", "p"]), frozenset(["q"])]
+    assert twins[0] == twins[1] and twins[0] is not twins[1]
+    s = _leaves(twins)
+    q, key = minimize_with_key(s)
+    assert key == ref_key(s) and len(q.model.worlds) == 3
+    # fresh sets, each freed before the next is made, whose ids may repeat
+    for k in range(200):
+        s = _leaves([frozenset({f"v{k}"}), frozenset({f"v{k}", "é" * (k % 3)})])
+        assert minimize_with_key(s)[1] == ref_key(s), k
+    # more distinct valuations in one state than the memo keeps
+    bound = _valuation_code.cache_info().maxsize
+    s = _leaves([frozenset({f"p{k:05}", "ñ" * (k % 4)}) for k in range(bound + 50)])
+    assert minimize_with_key(s)[1] == ref_key(s)
+    assert _valuation_code.cache_info().currsize <= bound
