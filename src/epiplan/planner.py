@@ -70,12 +70,18 @@ class SearchBudget:
 
 @dataclass
 class SearchStats:
-    """Search counts; ``memo_hits`` are the dedup hits the product memo served."""
+    """Search counts; ``memo_hits`` are the dedup hits the product memo served.
+
+    ``stop_reason`` says why the search ended: ``"goal"`` (a goal state was
+    found), ``"exhausted"`` (no state was left to expand), ``"depth"`` (the
+    depth budget cut the frontier) or ``"nodes"`` (the node budget ran out).
+    """
 
     nodes: int = 0
     dedup_hits: int = 0
     depth: int = 0
     memo_hits: int = 0
+    stop_reason: str = ""
 
 
 @dataclass(frozen=True)
@@ -142,6 +148,7 @@ def _bfs(
     stats = SearchStats(nodes=1)
     start, start_key = minimize_with_key(start)
     if evaluate(start, goal):
+        stats.stop_reason = "goal"
         return PlanFound((), start_key, stats)
     names = sorted(actions)
     visited: dict[bytes, EpistemicState | None] = {
@@ -185,13 +192,17 @@ def _bfs(
             stats.nodes += 1
             stats.depth = max(stats.depth, len(child_plan))
             if evaluate(child, goal):
+                stats.stop_reason = "goal"
                 return PlanFound(child_plan, key, stats)
             visited[key] = child if paranoid else None
             if stats.nodes >= max_nodes:
+                stats.stop_reason = "nodes"
                 return BoundReached(len(child_plan), stats.nodes, stats)
             queue.append((child, child_plan))
     if truncated:
+        stats.stop_reason = "depth"
         return BoundReached(max_depth, stats.nodes, stats)
+    stats.stop_reason = "exhausted"
     return NoPlanExhausted(stats)
 
 
@@ -257,5 +268,6 @@ def s5_single_agent_plan(problem: PlanningProblem) -> SearchOutcome:
     if isinstance(outcome, BoundReached):
         # The depth cutoff equals the state-space diameter, so hitting it
         # with an unexplored frontier still means exhaustion.
+        outcome.stats.stop_reason = "exhausted"
         return NoPlanExhausted(outcome.stats)
     return outcome

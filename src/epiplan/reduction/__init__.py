@@ -26,6 +26,18 @@ conditions force on it.
 The named formulas (``symb``, ``tail``, ``failed``, ...) are plain module
 functions.
 
+Only the add-block actions depend on the instance.  Everything else is
+built once per process (``functools.cache``): the named formulas and
+``loop_marker``, ``goal()``, ``next_stage()``, ``remove_symbol(s)`` for
+each ``s`` in ``REMOVAL_ALPHABET`` (any other symbol raises
+``ValueError``) and ``initial_state()``.  Each call returns the same
+object.  ``initial_state()`` is one shared, immutable state; its model's
+lazy masks and subformula memo are pure functions of the model.  Under
+the compiled actions the memo stays bounded: every precondition comes
+from a finite family per variant, and no block index enters one.
+``family``, ``add_block``, ``build_actions`` and ``sat_to_ep`` build
+afresh on every call.
+
 Witness plans and the suites' removal phases are derived from these
 constants, so no code outside a compiler module tests which variant it
 runs.

@@ -1,6 +1,7 @@
 """Shared machinery for the instance compilers."""
 from __future__ import annotations
 
+from functools import cache
 from typing import Callable, Iterable
 
 from ..action import EventModel
@@ -56,8 +57,11 @@ def _e(*parts: str) -> str:
     return "e_" + (parts[0] if len(parts) == 1 else "{" + ",".join(parts) + "}")
 
 
+@cache
 def loop_marker(x: str) -> Formula:
     """A world of branch ``x`` that sees the loop marker ``lp``."""
+    if x not in ("a", "b"):
+        raise ValueError(f"loop_marker takes branch a or b; got {x!r}")
     return and_(prop(x), diamond(0, prop("lp")))
 
 

@@ -13,6 +13,8 @@ goal recognize chain worlds as part of a row.
 """
 from __future__ import annotations
 
+from functools import cache
+
 from ..action import EventModel, make_action
 from ..errors import IllegalFlavor
 from ..formula import Formula, and_, diamond, know, not_, or_, prop
@@ -42,22 +44,27 @@ def _w(*parts: str) -> str:
     return "w_" + (parts[0] if len(parts) == 1 else "{" + ",".join(parts) + "}")
 
 
+@cache
 def symb() -> Formula:
     return or_(_P["0"], _P["1"])
 
 
+@cache
 def tail() -> Formula:
     return and_(or_(_P["a"], _P["b"]), _k(not_(symb())))
 
 
+@cache
 def last() -> Formula:
     return and_(_maybe(_P["end"]), _k(not_(_P["lp"])))
 
 
+@cache
 def failed() -> Formula:
     return and_(or_(_P["a"], _P["b"]), _k(not_(_P["ntF"])))
 
 
+@cache
 def initial_state() -> EpistemicState:
     return with_empty(family("", "", "loop"), PROFILE_NAME)
 
@@ -147,6 +154,7 @@ def add_block(index: int, block: tuple[str, str]) -> EventModel:
     return make_action(events, AGENTS, [edges], pre, _e("s"))
 
 
+@cache
 def next_stage() -> EventModel:
     pre = or_(
         or_(
@@ -158,8 +166,11 @@ def next_stage() -> EventModel:
     return make_action(["e_nx"], AGENTS, [{("e_nx", "e_nx")}], {"e_nx": pre}, "e_nx")
 
 
+@cache
 def remove_symbol(bt: str) -> EventModel:
     """Stage-two action deleting bit ``bt`` from both chain ends."""
+    if bt not in REMOVAL_ALPHABET:
+        raise ValueError(f"variant K1 has no removal symbol {bt!r}")
     main, fail, keep = f"e^{bt}", f"e^{bt}_fail", f"e^{bt}_ntF"
     pre = {
         main: or_(
@@ -173,6 +184,7 @@ def remove_symbol(bt: str) -> EventModel:
     return make_action([main, fail, keep], AGENTS, [edges], pre, main)
 
 
+@cache
 def goal() -> Formula:
     return and_(_k(not_(_P["empty"])), _k(and_(tail(), not_(failed()))))
 

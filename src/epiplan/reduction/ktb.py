@@ -14,6 +14,8 @@ of the loop-flavor family here, attached at the last #2 world.
 """
 from __future__ import annotations
 
+from functools import cache
+
 from ..action import EventModel, make_action
 from ..errors import IllegalFlavor
 from ..formula import Formula, and_, conj, diamond, disj, know, not_, or_, prop
@@ -43,6 +45,7 @@ def _maybe(f: Formula) -> Formula:
     return diamond(0, f)
 
 
+@cache
 def nxt(d: str) -> Formula:
     if d in ("0", "1"):
         return _P["#1"]
@@ -53,16 +56,19 @@ def nxt(d: str) -> Formula:
     raise ValueError(f"nxt takes one of 0, 1, #1, #2, a, b; got {d!r}")
 
 
+@cache
 def symb() -> Formula:
     return disj(_P["0"], _P["1"], _P["#1"], _P["#2"])
 
 
+@cache
 def last() -> Formula:
     # The extra !end guard is required under reflexivity: an end world can
     # reach itself, so <K> end alone would mark it as a chain end.
     return conj(not_(_P["end"]), _maybe(_P["end"]), _k(not_(_P["lp"])))
 
 
+@cache
 def tail() -> Formula:
     branch = or_(_P["a"], _P["b"])
     cases = [and_(not_(symb()), _k(not_(nxt("a"))))]
@@ -70,6 +76,7 @@ def tail() -> Formula:
     return and_(branch, disj(*cases))
 
 
+@cache
 def failed() -> Formula:
     return and_(or_(_P["a"], _P["b"]), _k(not_(_P["ntF"])))
 
@@ -82,6 +89,7 @@ def _w(*parts: str) -> str:
     return "w_{" + ",".join(parts) + "}"
 
 
+@cache
 def initial_state() -> EpistemicState:
     return with_empty(family("", "", "loop"), PROFILE_NAME)
 
@@ -202,6 +210,7 @@ def add_block(index: int, block: tuple[str, str]) -> EventModel:
     return closure(make_action(events, AGENTS, [edges], pre, _e("s")), PROFILES[PROFILE_NAME])
 
 
+@cache
 def next_stage() -> EventModel:
     pre = or_(
         conj(_P["root"], _k(not_(_P["empty"])), _maybe(_P["stg1"])),
@@ -210,7 +219,10 @@ def next_stage() -> EventModel:
     return make_action(["e_nx"], AGENTS, [{("e_nx", "e_nx")}], {"e_nx": pre}, "e_nx")
 
 
+@cache
 def remove_symbol(d: str) -> EventModel:
+    if d not in REMOVAL_ALPHABET:
+        raise ValueError(f"variant KTB1 has no removal symbol {d!r}")
     main, fail, keep = f"e^{d}", f"e^{d}_fail", f"e^{d}_ntF"
     pre = {
         main: or_(
@@ -224,6 +236,7 @@ def remove_symbol(d: str) -> EventModel:
     return closure(action, PROFILES[PROFILE_NAME])
 
 
+@cache
 def goal() -> Formula:
     return and_(
         _k(not_(_P["empty"])),

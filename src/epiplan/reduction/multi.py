@@ -16,6 +16,8 @@ agent 1 owns the branch cliques.
 """
 from __future__ import annotations
 
+from functools import cache
+
 from ..action import EventModel, make_action
 from ..errors import IllegalFlavor
 from ..formula import Formula, and_, conj, diamond, disj, evaluate_at, know, not_, or_, prop
@@ -34,22 +36,27 @@ FLAVORS = ("plain", "loop", "minus_hash")
 _P = {name: prop(name) for name in ("0", "1", "#", "a", "b", "root", "stg1", "empty", "end", "ntF")}
 
 
+@cache
 def ag1() -> Formula:
     return disj(_P["root"], _P["0"], _P["1"])
 
 
+@cache
 def ag2() -> Formula:
     return and_(or_(_P["a"], _P["b"]), not_(disj(_P["0"], _P["1"], _P["ntF"], _P["end"])))
 
 
+@cache
 def symb() -> Formula:
     return disj(_P["0"], _P["1"], _P["#"])
 
 
+@cache
 def last() -> Formula:
     return and_(ag2(), diamond(1, _P["end"]))
 
 
+@cache
 def tail(i: int) -> Formula:
     if i == 1:
         return and_(ag1(), know(0, not_(ag2())))
@@ -58,22 +65,13 @@ def tail(i: int) -> Formula:
     raise ValueError("tail takes argument 1 or 2")
 
 
-def okstate() -> Formula:
-    return or_(
-        and_(or_(_P["0"], _P["1"]), diamond(0, _P["ntF"])),
-        and_(
-            conj(or_(_P["a"], _P["b"]), not_(_P["0"]), not_(_P["1"])),
-            diamond(1, _P["ntF"]),
-        ),
-    )
-
-
 def _w(*parts: str) -> str:
     if len(parts) == 1:
         return f"w_{parts[0]}"
     return f"w_{parts[0]}({','.join(parts[1:])})"
 
 
+@cache
 def initial_state() -> EpistemicState:
     return with_empty(family("", "", "loop"), PROFILE_NAME)
 
@@ -200,6 +198,7 @@ def add_block(index: int, block: tuple[str, str]) -> EventModel:
     return closure(make_action(events, AGENTS, [r1, r2], pre, _e("s")), PROFILES["KT"])
 
 
+@cache
 def next_stage() -> EventModel:
     pre = or_(
         conj(
@@ -213,7 +212,10 @@ def next_stage() -> EventModel:
     return make_action(["e_nx"], AGENTS, [loop, loop], {"e_nx": pre}, "e_nx")
 
 
+@cache
 def remove_symbol(bt: str) -> EventModel:
+    if bt not in REMOVAL_ALPHABET:
+        raise ValueError(f"variant MultiS5 has no removal symbol {bt!r}")
     name = f"e^{bt}"
     pre = disj(
         and_(_P["root"], know(0, not_(_P["stg1"]))),
@@ -231,6 +233,7 @@ def remove_symbol(bt: str) -> EventModel:
     return make_action([name], AGENTS, [loop, loop], {name: pre}, name)
 
 
+@cache
 def goal() -> Formula:
     return and_(
         know(0, not_(_P["empty"])),

@@ -21,6 +21,8 @@ removal suffix is identical to the other variants.
 """
 from __future__ import annotations
 
+from functools import cache
+
 from ..action import EventModel, make_action
 from ..errors import IllegalFlavor
 from ..formula import Formula, and_, conj, diamond, disj, evaluate_at, know, not_, or_, prop
@@ -47,6 +49,7 @@ def _maybe(f: Formula) -> Formula:
     return diamond(0, f)
 
 
+@cache
 def nxt(d: str) -> Formula:
     if d in ("0", "1"):
         return _P["#"]
@@ -55,21 +58,25 @@ def nxt(d: str) -> Formula:
     raise ValueError(f"nxt takes one of 0, 1, #, a, b; got {d!r}")
 
 
+@cache
 def symb() -> Formula:
     return disj(_P["0"], _P["1"], _P["#"])
 
 
+@cache
 def tail() -> Formula:
     return and_(
         symb(), disj(*(and_(_P[d], _k(not_(nxt(d)))) for d in ("0", "1", "#")))
     )
 
 
+@cache
 def term() -> Formula:
     """A branch terminus: branch-labelled but not a chain symbol."""
     return and_(or_(_P["a"], _P["b"]), not_(symb()))
 
 
+@cache
 def damaged() -> Formula:
     """A chain symbol that can no longer see any branch terminus."""
     return and_(symb(), _k(not_(term())))
@@ -83,6 +90,7 @@ def _w(*parts: str) -> str:
     return "w_{" + ",".join(parts) + "}"
 
 
+@cache
 def initial_state() -> EpistemicState:
     return with_empty(family("", "", "loop"), PROFILE_NAME)
 
@@ -170,6 +178,7 @@ def add_block(index: int, block: tuple[str, str]) -> EventModel:
     return closure(make_action(events, AGENTS, [edges], pre, _e("s")), PROFILES[PROFILE_NAME])
 
 
+@cache
 def next_stage() -> EventModel:
     pre = or_(
         conj(not_(_P["stg1"]), _k(not_(_P["empty"])), _maybe(_P["stg1"])),
@@ -178,7 +187,10 @@ def next_stage() -> EventModel:
     return make_action(["e_nx"], AGENTS, [{("e_nx", "e_nx")}], {"e_nx": pre}, "e_nx")
 
 
+@cache
 def remove_symbol(d: str) -> EventModel:
+    if d not in REMOVAL_ALPHABET:
+        raise ValueError(f"variant S4_1 has no removal symbol {d!r}")
     main, fail, keep = f"e^{d}", f"e^{d}_fail", f"e^{d}_term"
     pre = {
         main: or_(
@@ -197,6 +209,7 @@ def remove_symbol(d: str) -> EventModel:
     return closure(action, PROFILES[PROFILE_NAME])
 
 
+@cache
 def goal() -> Formula:
     return conj(_k(not_(_P["empty"])), _k(not_(_P["stg1"])), _k(not_(symb())))
 

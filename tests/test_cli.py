@@ -96,9 +96,10 @@ def test_plan_stats_report_memo_hits(capsys, fixtures):
     code = main([str(a) for a in argv])
     captured = capsys.readouterr()
     stats = json.loads(captured.out)["stats"]
-    assert code == 2 and set(stats) == {"nodes", "dedup_hits", "depth", "memo_hits"}
+    assert code == 2 and set(stats) == {"nodes", "dedup_hits", "depth", "memo_hits", "stop_reason"}
     assert stats["memo_hits"] <= stats["dedup_hits"]
     assert f"memo_hits={stats['memo_hits']}" in captured.err
+    assert f"stop_reason={stats['stop_reason']!r}" in captured.err
 
 
 def test_solve_pcp_match_decoding(capsys, fixtures):

@@ -144,6 +144,36 @@ def test_stats_and_outcome_json():
     assert BoundReached(1, 1, outcome.stats).exit_code == 2
 
 
+def test_stop_reason_names_what_ended_the_search(monkeypatch):
+    from epiplan import planner
+
+    problem = reduce_instance(EASY, Variant.K1)
+    trivial = PlanningProblem(problem.initial, problem.actions, true_(), problem.logic)
+    assert bfs_plan(trivial, budget()).stats.stop_reason == "goal"
+    assert bfs_plan(problem, budget()).stats.stop_reason == "goal"
+    exhausted = bfs_plan(sat_to_ep(parse("p & !p")), budget())
+    assert isinstance(exhausted, NoPlanExhausted) and exhausted.stats.stop_reason == "exhausted"
+    unsolvable = reduce_instance(UNSOLVABLE, Variant.K1)
+    by_depth = bfs_plan(unsolvable, SearchBudget(max_depth=2, max_nodes=100000))
+    assert by_depth.stats.stop_reason == "depth" and by_depth.stats.nodes < 100000
+    by_nodes = bfs_plan(unsolvable, SearchBudget(max_depth=30, max_nodes=5))
+    assert by_nodes.stats.stop_reason == "nodes" and by_nodes.depth < 30
+    assert by_nodes.to_json()["stats"]["stop_reason"] == "nodes"
+    # The S5 solver's depth cut is the state-space diameter, so a depth
+    # stop there is exhaustion; on S5 inputs the cut is never reached, so
+    # the inner search is made to report one.
+    original = planner._bfs
+
+    def cut_at_depth(*args, **kw):
+        outcome = original(*args, **kw)
+        outcome.stats.stop_reason = "depth"
+        return BoundReached(kw["max_depth"], outcome.stats.nodes, outcome.stats)
+
+    monkeypatch.setattr(planner, "_bfs", cut_at_depth)
+    outcome = s5_single_agent_plan(sat_to_ep(parse("p & !p")))
+    assert isinstance(outcome, NoPlanExhausted) and outcome.stats.stop_reason == "exhausted"
+
+
 def _one_world_problem(goal, actions=None):
     from epiplan.kripke import EpistemicState, make_model
 

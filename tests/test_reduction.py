@@ -1,14 +1,15 @@
 """Compiler-level checks: counts, named formulas, oracles, witnesses, failure."""
+import json
 import random
 
 import pytest
 
 from epiplan import errors, reduction
-from epiplan.action import FailureAt, applicable, apply_plan, product_update
+from epiplan.action import FailureAt, action_to_json, applicable, apply_plan, product_update
 from epiplan.bisim import bisimilar, canonical_key
 from epiplan.formula import and_, diamond, evaluate, know, not_, or_, parse, prop
 from epiplan.frames import PROFILES, closure, satisfies
-from epiplan.kripke import EpistemicState, KripkeModel
+from epiplan.kripke import EpistemicState, KripkeModel, state_to_json
 from epiplan.pcp import brute_force_match, make_instance, matched_word
 from epiplan.planner import BoundReached, SearchBudget, bfs_plan
 from epiplan.problem import problem_from_json, problem_to_json, validate_problem
@@ -51,6 +52,71 @@ def test_named_formulas():
         ktb.nxt("7")
     with pytest.raises(ValueError):
         multi.tail(7)
+    with pytest.raises(ValueError):
+        k1.loop_marker("c")
+
+
+@pytest.mark.parametrize("variant,symbols", [
+    (Variant.K1, ("#", "a", "7")),
+    (Variant.MULTI_S5, ("#1", "a", "7")),
+    (Variant.KTB1, ("#", "a", "7")),
+    (Variant.S4_1, ("#2", "a", "7")),
+])
+def test_remove_symbol_rejects_symbols_outside_the_alphabet(variant, symbols):
+    mod = module(variant)
+    for symbol in symbols:
+        with pytest.raises(ValueError, match="no removal symbol"):
+            mod.remove_symbol(symbol)
+    assert mod.remove_symbol.cache_info().currsize <= len(mod.REMOVAL_ALPHABET)
+
+
+def test_instance_independent_parts_are_built_once():
+    for variant in Variant:
+        mod = module(variant)
+        assert mod.next_stage() is mod.next_stage(), variant
+        assert mod.goal() is mod.goal(), variant
+        assert mod.initial_state() is mod.initial_state(), variant
+        for s in mod.REMOVAL_ALPHABET:
+            assert mod.remove_symbol(s) is mod.remove_symbol(s), (variant, s)
+        problem = reduce_instance(EXAMPLE, variant)
+        assert problem.initial is mod.initial_state()
+        assert problem.actions["next_stage"] is mod.next_stage()
+
+
+def test_searches_leave_compiled_problems_unchanged():
+    other = make_instance([("0", "01"), ("110", "1")])
+    for variant in Variant:
+        mod = module(variant)
+        before = json.dumps(problem_to_json(reduce_instance(EXAMPLE, variant)), sort_keys=True)
+        bfs_plan(reduce_instance(other, variant), SearchBudget(max_depth=5, max_nodes=80))
+        after = json.dumps(problem_to_json(reduce_instance(EXAMPLE, variant)), sort_keys=True)
+        assert before == after, variant
+        # the shared parts still equal fresh builds, whatever ran before
+        assert state_to_json(mod.initial_state()) == state_to_json(mod.initial_state.__wrapped__())
+        assert action_to_json(mod.next_stage()) == action_to_json(mod.next_stage.__wrapped__())
+        for s in mod.REMOVAL_ALPHABET:
+            assert action_to_json(mod.remove_symbol(s)) == action_to_json(
+                mod.remove_symbol.__wrapped__(s)), (variant, s)
+
+
+def test_shared_start_state_memo_stays_bounded():
+    # The start model's memo holds one mask per precondition subformula
+    # evaluated on it; the preconditions come from a finite family per
+    # variant, so more instances add no entries once it is covered.
+    rng = random.Random(7)
+
+    def word():
+        return "".join(rng.choice("01") for _ in range(rng.randint(1, 3)))
+
+    instances = [make_instance([(word(), word()) for _ in range(rng.randint(1, 3))])
+                 for _ in range(20)]
+    for variant in Variant:
+        mod = module(variant)
+        sizes = []
+        for inst in instances:
+            bfs_plan(reduce_instance(inst, variant), SearchBudget(max_depth=2, max_nodes=40))
+            sizes.append(len(mod.initial_state().model._memo))
+        assert sizes[9] == sizes[19], (variant, sizes)
 
 
 def test_oracle_flavors():
