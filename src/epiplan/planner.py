@@ -267,7 +267,10 @@ def s5_single_agent_plan(problem: PlanningProblem) -> SearchOutcome:
     )
     if isinstance(outcome, BoundReached):
         # The depth cutoff equals the state-space diameter, so hitting it
-        # with an unexplored frontier still means exhaustion.
+        # with an unexplored frontier still means exhaustion.  It is reached
+        # only without reflexivity: the designated world then need not lie
+        # in its own cluster, so the cluster can lose every valuation and
+        # empty out, and every update after that gives a bisimilar state.
         outcome.stats.stop_reason = "exhausted"
         return NoPlanExhausted(outcome.stats)
     return outcome

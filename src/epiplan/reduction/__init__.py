@@ -18,11 +18,15 @@ variant's compiler module is its whole spec; every one defines
   ``add_block(index, block)``, ``next_stage()``, ``remove_symbol(s)``,
   ``build_actions(inst)`` and ``goal()``;
 - ``failed_state(state)``, the witness-path check for a failed removal.
+  It runs on extension masks (``formula.extension_mask``) and successor
+  masks (``model.masks()``), each frontier one integer over world
+  indices, behind the shared guard ``common.left_stage_one``; it reads
+  no world name.
 
 ``initial_state()`` is derived, not built: ``common.with_empty`` adds the
 ``w_empty`` marker ("nothing applied yet") to ``family("", "", "loop")``,
-the empty-word stage-one state, with the edges ``PROFILE_NAME``'s frame
-conditions force on it.
+the empty-word stage-one state, joins it to the root's agent-0 row and
+closes the grown model under ``PROFILE_NAME``'s frame conditions.
 The named formulas (``symb``, ``tail``, ``failed``, ...) are plain module
 functions.
 

@@ -5,8 +5,8 @@ from functools import cache
 from typing import Callable, Iterable
 
 from ..action import EventModel
-from ..formula import Formula, and_, diamond, evaluate_at, know, not_, or_, prop
-from ..frames import PROFILES, FrameCondition
+from ..formula import Formula, and_, diamond, evaluate, extension_mask, know, not_, or_, prop
+from ..frames import PROFILES, _bits, closure
 from ..kripke import EpistemicState, KripkeModel, Pair
 from ..pcp import PcpInstance
 
@@ -26,30 +26,19 @@ def with_empty(state: EpistemicState, profile_name: str) -> EpistemicState:
     """The start state: ``state`` plus ``w_empty``, the "nothing applied yet" marker.
 
     ``w_empty`` (valuation ``{empty}``) is appended after the other worlds
-    and joins the designated world's agent-0 row.  ``state`` already meets
-    ``PROFILES[profile_name]``, a preset built from reflexivity, symmetry
-    and transitivity, so only what the new edge forces is added: under
-    reflexivity ``w_empty``'s self-loops; under transitivity an agent-0
-    edge to ``w_empty`` from every world that sees the designated one;
-    under symmetry the edges back.  That puts ``w_empty`` into the
-    designated world's class wherever the frames are symmetric.
+    and joins the designated world's agent-0 row; the grown model is then
+    closed under ``PROFILES[profile_name]``, which puts ``w_empty`` into the
+    designated world's class wherever the frames are symmetric.  Each
+    compiler builds its start state once per process (``initial_state`` is
+    cached), so the full closure costs nothing per call.
     """
-    conds = PROFILES[profile_name]
     model = state.model
     root, n = state.designated_index, len(model.valuations)
-    loop = (n,) if FrameCondition.REFLEXIVE in conds else ()
-    rows = [[*row, loop] for row in model.rows]
-    first = rows[0]
-    seers = [root]
-    if FrameCondition.TRANSITIVE in conds:
-        seers = [u for u, succ in enumerate(model.rows[0]) if u == root or root in succ]
-    for u in seers:
-        first[u] += (n,)
-    if FrameCondition.SYMMETRIC in conds:
-        first[n] = (*seers, *loop)
+    rows = [[*row, ()] for row in model.rows]
+    rows[0][root] += (n,)
     grown = KripkeModel(model.worlds + ("w_empty",), model.agents, tuple(map(tuple, rows)),
                         model.valuations + (frozenset({"empty"}),))
-    return EpistemicState.at(grown, root)
+    return EpistemicState.at(closure(grown, PROFILES[profile_name]), root)
 
 
 def _e(*parts: str) -> str:
@@ -75,30 +64,33 @@ def action_table(inst: PcpInstance, add_block: Callable, next_stage: Callable,
     return actions
 
 
+def left_stage_one(state: EpistemicState) -> bool:
+    """Whether the designated world is the root and sees no stage-one marker."""
+    return evaluate(state, and_(prop("root"), know(0, not_(prop("stg1")))))
+
+
 def chain_failed_state(state: EpistemicState, failed: Formula, symb: Formula) -> bool:
     """Witness-path check for a failed removal on single-agent chains.
 
-    Once the root has left stage one, looks for a path from the designated
-    world: first a branch world other than the root, then ``symb`` worlds,
-    ending in a world where ``failed`` holds.
+    Once the root has left stage one, looks for an agent-0 path from the
+    designated world: first a branch world other than the root, then
+    ``symb`` worlds, ending in a world where ``failed`` holds.  Each
+    frontier is a bitmask over world indices.
     """
-    model = state.model
-    root = state.designated
-    if not evaluate_at(state, root, and_(prop("root"), know(0, not_(prop("stg1"))))):
+    if not left_stage_one(state):
         return False
-    branch = or_(prop("a"), prop("b"))
-    frontier = [w for w in model.successors(0, root)
-                if w != root and evaluate_at(state, w, branch)]
-    seen = set(frontier)
+    model = state.model
+    root = state.designated_index
+    succ = model.masks()[1][0]
+    failed_worlds, symb_worlds = extension_mask(model, failed), extension_mask(model, symb)
+    frontier = succ[root] & extension_mask(model, or_(prop("a"), prop("b"))) & ~(1 << root)
+    seen = frontier
     while frontier:
-        for w in frontier:
-            if evaluate_at(state, w, failed):
-                return True
-        step = []
-        for w in frontier:
-            for v in model.successors(0, w):
-                if v not in seen and evaluate_at(state, v, symb):
-                    seen.add(v)
-                    step.append(v)
-        frontier = step
+        if frontier & failed_worlds:
+            return True
+        step = 0
+        for i in _bits(frontier):
+            step |= succ[i]
+        frontier = step & symb_worlds & ~seen
+        seen |= frontier
     return False

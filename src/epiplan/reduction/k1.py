@@ -32,14 +32,6 @@ FLAVORS = ("plain", "loop")
 _P = {name: prop(name) for name in ("0", "1", "a", "b", "root", "stg1", "empty", "end", "ntF", "lp")}
 
 
-def _k(f: Formula) -> Formula:
-    return know(0, f)
-
-
-def _maybe(f: Formula) -> Formula:
-    return diamond(0, f)
-
-
 def _w(*parts: str) -> str:
     return "w_" + (parts[0] if len(parts) == 1 else "{" + ",".join(parts) + "}")
 
@@ -51,17 +43,17 @@ def symb() -> Formula:
 
 @cache
 def tail() -> Formula:
-    return and_(or_(_P["a"], _P["b"]), _k(not_(symb())))
+    return and_(or_(_P["a"], _P["b"]), know(0, not_(symb())))
 
 
 @cache
 def last() -> Formula:
-    return and_(_maybe(_P["end"]), _k(not_(_P["lp"])))
+    return and_(diamond(0, _P["end"]), know(0, not_(_P["lp"])))
 
 
 @cache
 def failed() -> Formula:
-    return and_(or_(_P["a"], _P["b"]), _k(not_(_P["ntF"])))
+    return and_(or_(_P["a"], _P["b"]), know(0, not_(_P["ntF"])))
 
 
 @cache
@@ -120,7 +112,7 @@ def add_block(index: int, block: tuple[str, str]) -> EventModel:
     events = [_e("s"), _e("st"), _e("a"), _e("a", "lst"), _e("b"), _e("b", "lst"),
               _e("end"), _e("ntF"), _e("lp"), _e("01", "a"), _e("01", "b")]
     pre: dict[str, Formula] = {
-        _e("s"): and_(_P["root"], _maybe(_P["stg1"])),
+        _e("s"): and_(_P["root"], diamond(0, _P["stg1"])),
         _e("st"): _P["stg1"],
         _e("end"): _P["end"],
         _e("ntF"): _P["ntF"],
@@ -158,8 +150,8 @@ def add_block(index: int, block: tuple[str, str]) -> EventModel:
 def next_stage() -> EventModel:
     pre = or_(
         or_(
-            and_(_k(not_(_P["empty"])), _maybe(_P["stg1"])),
-            and_(or_(_P["a"], _P["b"]), _k(not_(_P["lp"]))),
+            and_(know(0, not_(_P["empty"])), diamond(0, _P["stg1"])),
+            and_(or_(_P["a"], _P["b"]), know(0, not_(_P["lp"]))),
         ),
         _P["ntF"],
     )
@@ -174,7 +166,7 @@ def remove_symbol(bt: str) -> EventModel:
     main, fail, keep = f"e^{bt}", f"e^{bt}_fail", f"e^{bt}_ntF"
     pre = {
         main: or_(
-            and_(_P["root"], _k(not_(_P["stg1"]))),
+            and_(_P["root"], know(0, not_(_P["stg1"]))),
             and_(or_(_P["a"], _P["b"]), not_(tail())),
         ),
         fail: or_(and_(tail(), not_(_P[bt])), failed()),
@@ -186,7 +178,7 @@ def remove_symbol(bt: str) -> EventModel:
 
 @cache
 def goal() -> Formula:
-    return and_(_k(not_(_P["empty"])), _k(and_(tail(), not_(failed()))))
+    return and_(know(0, not_(_P["empty"])), know(0, and_(tail(), not_(failed()))))
 
 
 def build_actions(inst: PcpInstance) -> dict[str, EventModel]:

@@ -37,14 +37,6 @@ _P = {
 }
 
 
-def _k(f: Formula) -> Formula:
-    return know(0, f)
-
-
-def _maybe(f: Formula) -> Formula:
-    return diamond(0, f)
-
-
 @cache
 def nxt(d: str) -> Formula:
     if d in ("0", "1"):
@@ -65,20 +57,20 @@ def symb() -> Formula:
 def last() -> Formula:
     # The extra !end guard is required under reflexivity: an end world can
     # reach itself, so <K> end alone would mark it as a chain end.
-    return conj(not_(_P["end"]), _maybe(_P["end"]), _k(not_(_P["lp"])))
+    return conj(not_(_P["end"]), diamond(0, _P["end"]), know(0, not_(_P["lp"])))
 
 
 @cache
 def tail() -> Formula:
     branch = or_(_P["a"], _P["b"])
-    cases = [and_(not_(symb()), _k(not_(nxt("a"))))]
-    cases.extend(and_(_P[d], _k(not_(nxt(d)))) for d in ("0", "1", "#1", "#2"))
+    cases = [and_(not_(symb()), know(0, not_(nxt("a"))))]
+    cases.extend(and_(_P[d], know(0, not_(nxt(d)))) for d in ("0", "1", "#1", "#2"))
     return and_(branch, disj(*cases))
 
 
 @cache
 def failed() -> Formula:
-    return and_(or_(_P["a"], _P["b"]), _k(not_(_P["ntF"])))
+    return and_(or_(_P["a"], _P["b"]), know(0, not_(_P["ntF"])))
 
 
 def _w(*parts: str) -> str:
@@ -169,7 +161,7 @@ def add_block(index: int, block: tuple[str, str]) -> EventModel:
     words = {"a": block[0], "b": block[1]}
     events = [_e("s"), _e("st"), _e("end"), _e("ntF"), _e("lp")]
     pre: dict[str, Formula] = {
-        _e("s"): and_(_P["root"], _maybe(_P["stg1"])),
+        _e("s"): and_(_P["root"], diamond(0, _P["stg1"])),
         _e("st"): _P["stg1"],
         _e("end"): _P["end"],
         _e("ntF"): _P["ntF"],
@@ -183,7 +175,8 @@ def add_block(index: int, block: tuple[str, str]) -> EventModel:
         ex, elst = _e(x), _e(x, "lst")
         e01, ehh = _e("01", x), _e("##", x)
         events.extend([ex, elst, e01, ehh])
-        pre[ex] = conj(_P[x], not_(_P["ntF"]), not_(_P["end"]), _k(not_(_P["lp"])), not_(last()))
+        pre[ex] = conj(_P[x], not_(_P["ntF"]), not_(_P["end"]), know(0, not_(_P["lp"])),
+                       not_(last()))
         pre[elst] = and_(_P[x], last())
         # Two loop carriers: the chain-end attach may only reach the bit
         # loop worlds, so the separator loop worlds ride separately.
@@ -213,8 +206,8 @@ def add_block(index: int, block: tuple[str, str]) -> EventModel:
 @cache
 def next_stage() -> EventModel:
     pre = or_(
-        conj(_P["root"], _k(not_(_P["empty"])), _maybe(_P["stg1"])),
-        conj(or_(_P["a"], _P["b"]), not_(_P["end"]), _k(not_(_P["lp"]))),
+        conj(_P["root"], know(0, not_(_P["empty"])), diamond(0, _P["stg1"])),
+        conj(or_(_P["a"], _P["b"]), not_(_P["end"]), know(0, not_(_P["lp"]))),
     )
     return make_action(["e_nx"], AGENTS, [{("e_nx", "e_nx")}], {"e_nx": pre}, "e_nx")
 
@@ -226,7 +219,7 @@ def remove_symbol(d: str) -> EventModel:
     main, fail, keep = f"e^{d}", f"e^{d}_fail", f"e^{d}_ntF"
     pre = {
         main: or_(
-            and_(_P["root"], _k(not_(_P["stg1"]))),
+            and_(_P["root"], know(0, not_(_P["stg1"]))),
             conj(or_(_P["a"], _P["b"]), not_(_P["ntF"]), not_(tail())),
         ),
         fail: or_(conj(tail(), not_(_P[d]), not_(_P["ntF"])), failed()),
@@ -239,8 +232,8 @@ def remove_symbol(d: str) -> EventModel:
 @cache
 def goal() -> Formula:
     return and_(
-        _k(not_(_P["empty"])),
-        _k(and_(or_(_P["root"], tail()), not_(failed()))),
+        know(0, not_(_P["empty"])),
+        know(0, and_(or_(_P["root"], tail()), not_(failed()))),
     )
 
 

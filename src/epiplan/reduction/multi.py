@@ -20,11 +20,11 @@ from functools import cache
 
 from ..action import EventModel, make_action
 from ..errors import IllegalFlavor
-from ..formula import Formula, and_, conj, diamond, disj, evaluate_at, know, not_, or_, prop
-from ..frames import PROFILES, closure
+from ..formula import Formula, and_, conj, diamond, disj, extension_mask, know, not_, or_, prop
+from ..frames import PROFILES, _bits, closure
 from ..kripke import EpistemicState, make_model, restrict
 from ..pcp import PcpInstance, check_words
-from .common import _e, action_table, cliques, with_empty
+from .common import _e, action_table, cliques, left_stage_one, with_empty
 
 AGENTS = 2
 PROFILE_NAME = "S5"
@@ -248,46 +248,31 @@ def build_actions(inst: PcpInstance) -> dict[str, EventModel]:
 def failed_state(state: EpistemicState) -> bool:
     """Alternating-clique witness path for a failed removal.
 
-    Path positions alternate the two agents' relations starting with
-    agent 0 out of the root; the terminal condition asks, for the agent
-    whose clique would continue the alternation, that no w_ntF copy is
-    reachable any more.
+    Once the root has left stage one, the path starts at the root's agent-0
+    successors on a branch, other than the root, and then alternates the
+    two agents' relations from agent 1; an ``ag1`` world steps only to
+    ``ag2`` worlds and vice versa.  It ends in a marked world that sees no
+    w_ntF copy under the agent whose clique would continue the
+    alternation.  Each frontier is a bitmask over world indices, with one
+    ``seen`` mask per agent.
     """
-    model = state.model
-    root = state.designated
-    if not evaluate_at(state, root, and_(_P["root"], know(0, not_(_P["stg1"])))):
+    if not left_stage_one(state):
         return False
-    branch = or_(_P["a"], _P["b"])
-    marks = [_P[p] for p in ("a", "b", "0", "1", "#")]
-
-    def is_failed(w: str, parity: int) -> bool:
-        comp = 1 if parity % 2 == 1 else 0
-        if not any(evaluate_at(state, w, m) for m in marks):
-            return False
-        return evaluate_at(state, w, know(comp, not_(_P["ntF"])))
-
-    frontier = [w for w in model.successors(0, root) if w != root
-                and evaluate_at(state, w, branch)]
-    parity = 1
-    seen = {(w, 1) for w in frontier}
+    model = state.model
+    root = state.designated_index
+    succ = model.masks()[1]
+    marked = extension_mask(model, disj(*(_P[p] for p in ("a", "b", "0", "1", "#"))))
+    one, two = extension_mask(model, ag1()), extension_mask(model, ag2())
+    frontier = succ[0][root] & extension_mask(model, or_(_P["a"], _P["b"])) & ~(1 << root)
+    agent, seen = 1, [0, frontier]
     while frontier:
-        for w in frontier:
-            if is_failed(w, parity):
-                return True
-        agent = 1 if parity % 2 == 1 else 0
-        step = []
-        for w in frontier:
-            w_ag1 = evaluate_at(state, w, ag1())
-            w_ag2 = evaluate_at(state, w, ag2())
-            for v in model.successors(agent, w):
-                if (v, 1 - parity % 2) in seen:
-                    continue
-                if w_ag1 and not evaluate_at(state, v, ag2()):
-                    continue
-                if w_ag2 and not evaluate_at(state, v, ag1()):
-                    continue
-                seen.add((v, 1 - parity % 2))
-                step.append(v)
-        frontier = step
-        parity += 1
+        if frontier & marked & extension_mask(model, know(agent, not_(_P["ntF"]))):
+            return True
+        step = 0
+        for i in _bits(frontier):
+            bit = 1 << i
+            step |= succ[agent][i] & (two if one & bit else -1) & (one if two & bit else -1)
+        agent = 1 - agent
+        frontier = step & ~seen[agent]
+        seen[agent] |= frontier
     return False

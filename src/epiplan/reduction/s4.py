@@ -25,11 +25,11 @@ from functools import cache
 
 from ..action import EventModel, make_action
 from ..errors import IllegalFlavor
-from ..formula import Formula, and_, conj, diamond, disj, evaluate_at, know, not_, or_, prop
+from ..formula import Formula, and_, conj, diamond, disj, extension_mask, know, not_, or_, prop
 from ..frames import PROFILES, closure
 from ..kripke import EpistemicState, make_model, restrict
 from ..pcp import PcpInstance, check_words
-from .common import _e, action_table, loop_marker, with_empty
+from .common import _e, action_table, left_stage_one, loop_marker, with_empty
 
 AGENTS = 1
 PROFILE_NAME = "S4"
@@ -39,14 +39,6 @@ PREPENDS_BLOCKS = True
 FLAVORS = ("plain", "loop", "minus_hash")
 
 _P = {name: prop(name) for name in ("0", "1", "#", "a", "b", "root", "stg1", "empty", "lp")}
-
-
-def _k(f: Formula) -> Formula:
-    return know(0, f)
-
-
-def _maybe(f: Formula) -> Formula:
-    return diamond(0, f)
 
 
 @cache
@@ -66,7 +58,7 @@ def symb() -> Formula:
 @cache
 def tail() -> Formula:
     return and_(
-        symb(), disj(*(and_(_P[d], _k(not_(nxt(d)))) for d in ("0", "1", "#")))
+        symb(), disj(*(and_(_P[d], know(0, not_(nxt(d)))) for d in ("0", "1", "#")))
     )
 
 
@@ -79,7 +71,7 @@ def term() -> Formula:
 @cache
 def damaged() -> Formula:
     """A chain symbol that can no longer see any branch terminus."""
-    return and_(symb(), _k(not_(term())))
+    return and_(symb(), know(0, not_(term())))
 
 
 def _w(*parts: str) -> str:
@@ -154,7 +146,7 @@ def add_block(index: int, block: tuple[str, str]) -> EventModel:
     words = {"a": block[0], "b": block[1]}
     events = [_e("s"), _e("st")]
     pre: dict[str, Formula] = {
-        _e("s"): and_(_P["root"], _maybe(_P["stg1"])),
+        _e("s"): and_(_P["root"], diamond(0, _P["stg1"])),
         _e("st"): _P["stg1"],
     }
     edges: set[tuple[str, str]] = set()
@@ -181,8 +173,8 @@ def add_block(index: int, block: tuple[str, str]) -> EventModel:
 @cache
 def next_stage() -> EventModel:
     pre = or_(
-        conj(not_(_P["stg1"]), _k(not_(_P["empty"])), _maybe(_P["stg1"])),
-        and_(or_(_P["a"], _P["b"]), _k(not_(_P["lp"]))),
+        conj(not_(_P["stg1"]), know(0, not_(_P["empty"])), diamond(0, _P["stg1"])),
+        and_(or_(_P["a"], _P["b"]), know(0, not_(_P["lp"]))),
     )
     return make_action(["e_nx"], AGENTS, [{("e_nx", "e_nx")}], {"e_nx": pre}, "e_nx")
 
@@ -196,9 +188,9 @@ def remove_symbol(d: str) -> EventModel:
         main: or_(
             conj(
                 _P["root"],
-                _k(not_(_P["stg1"])),
-                _maybe(and_(symb(), _P["a"])),
-                _maybe(and_(symb(), _P["b"])),
+                know(0, not_(_P["stg1"])),
+                diamond(0, and_(symb(), _P["a"])),
+                diamond(0, and_(symb(), _P["b"])),
             ),
             and_(symb(), not_(tail())),
         ),
@@ -211,7 +203,7 @@ def remove_symbol(d: str) -> EventModel:
 
 @cache
 def goal() -> Formula:
-    return conj(_k(not_(_P["empty"])), _k(not_(_P["stg1"])), _k(not_(symb())))
+    return conj(know(0, not_(_P["empty"])), know(0, not_(_P["stg1"])), know(0, not_(symb())))
 
 
 def build_actions(inst: PcpInstance) -> dict[str, EventModel]:
@@ -219,11 +211,9 @@ def build_actions(inst: PcpInstance) -> dict[str, EventModel]:
 
 
 def failed_state(state: EpistemicState) -> bool:
-    model = state.model
-    root = state.designated
-    if not evaluate_at(state, root, and_(_P["root"], _k(not_(_P["stg1"])))):
+    """Once the root has left stage one, whether it sees a ``damaged`` world other than itself."""
+    if not left_stage_one(state):
         return False
-    broken = damaged()
-    return any(
-        evaluate_at(state, w, broken) for w in model.successors(0, root) if w != root
-    )
+    model = state.model
+    root = state.designated_index
+    return bool(model.masks()[1][0][root] & ~(1 << root) & extension_mask(model, damaged()))

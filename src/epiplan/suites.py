@@ -268,14 +268,18 @@ def run_failure_absorption(seed: int = DEFAULT_SEED, cases: int = 100,
 # --- plan shape -------------------------------------------------------------
 
 
-def _plan_shape(report: SuiteReport, rng: random.Random, walks: int, length: int) -> None:
+# Actions per plan-shape walk.
+_PLAN_SHAPE_LENGTH = 8
+
+
+def _plan_shape(report: SuiteReport, rng: random.Random, walks: int) -> None:
     mod = module(Variant.K1)
     for walk in range(walks):
         inst = _random_instance(rng)
         actions = mod.build_actions(inst)
         state = mod.initial_state()
         stage_two = False
-        for _ in range(length):
+        for _ in range(_PLAN_SHAPE_LENGTH):
             names = sorted(n for n, a in actions.items() if applicable(state, a))
             if stage_two:
                 offenders = [n for n in names if n.startswith("ad_") or n == "next_stage"]
@@ -292,8 +296,8 @@ def _plan_shape(report: SuiteReport, rng: random.Random, walks: int, length: int
         report.cases += 1
 
 
-def run_plan_shape(seed: int = DEFAULT_SEED, walks: int = 500, length: int = 8) -> SuiteReport:
-    return _timed(lambda r, g: _plan_shape(r, g, walks, length), "plan_shape_k1", seed)
+def run_plan_shape(seed: int = DEFAULT_SEED, walks: int = 500) -> SuiteReport:
+    return _timed(lambda r, g: _plan_shape(r, g, walks), "plan_shape_k1", seed)
 
 
 # --- engine properties ------------------------------------------------------
@@ -439,18 +443,23 @@ def run_engine_properties(seed: int = DEFAULT_SEED, rounds: int = 1600) -> Suite
 
 
 # Theorem instances: block words of at most _THEOREM_WORD symbols, matches
-# of at most _THEOREM_MATCH blocks.
+# of at most _THEOREM_MATCH blocks whose witness plans take at most
+# _THEOREM_WITNESS_DEPTH actions; a negative instance's search stops after
+# _THEOREM_NEGATIVE_NODES nodes.
 _THEOREM_WORD = 3
 _THEOREM_MATCH = 4
+_THEOREM_WITNESS_DEPTH = 8
+_THEOREM_NEGATIVE_NODES = 6000
 
 
-def sample_theorem_instances(rng: random.Random, count: int,
-                             max_witness_depth: int = 8) -> list[tuple[PcpInstance, tuple | None]]:
+def sample_theorem_instances(rng: random.Random,
+                             count: int) -> list[tuple[PcpInstance, tuple | None]]:
     """Instances (<= 3 blocks, words <= _THEOREM_WORD) with a solvable/unsolvable mix.
 
-    Positive instances are redrawn until their witness plan fits the depth
-    the bounded search can exhaust comfortably; that keeps the agreement
-    check two-sided and the runtime bounded.
+    Positive instances are redrawn until their witness plan fits
+    ``_THEOREM_WITNESS_DEPTH``, a depth the bounded search can exhaust
+    comfortably; that keeps the agreement check two-sided and the runtime
+    bounded.
     """
     out: list[tuple[PcpInstance, tuple | None]] = []
     want_pos = count // 2
@@ -458,7 +467,7 @@ def sample_theorem_instances(rng: random.Random, count: int,
         inst = _random_instance(rng, max_word=_THEOREM_WORD)
         match = brute_force_match(inst, _THEOREM_MATCH)
         if match is not None:
-            if len(match_to_plan(inst, match, Variant.K1)) > max_witness_depth:
+            if len(match_to_plan(inst, match, Variant.K1)) > _THEOREM_WITNESS_DEPTH:
                 continue
             if want_pos > 0 or rng.random() < 0.25:
                 out.append((inst, match))
@@ -471,8 +480,7 @@ def sample_theorem_instances(rng: random.Random, count: int,
     return out
 
 
-def _theorem_k1(report: SuiteReport, rng: random.Random, instances: int,
-                negative_nodes: int) -> None:
+def _theorem_k1(report: SuiteReport, rng: random.Random, instances: int) -> None:
     for inst, match in sample_theorem_instances(rng, instances):
         problem = reduce_instance(inst, Variant.K1)
         if match is not None:
@@ -501,7 +509,7 @@ def _theorem_k1(report: SuiteReport, rng: random.Random, instances: int,
             removals = len(module(Variant.K1).REMOVAL_ALPHABET) - 1
             depth = _THEOREM_MATCH + 1 + symbols * removals
             outcome = bfs_plan(
-                problem, SearchBudget(max_depth=depth, max_nodes=negative_nodes)
+                problem, SearchBudget(max_depth=depth, max_nodes=_THEOREM_NEGATIVE_NODES)
             )
             report.check(
                 not isinstance(outcome, PlanFound),
@@ -509,11 +517,8 @@ def _theorem_k1(report: SuiteReport, rng: random.Random, instances: int,
             )
 
 
-def run_theorem_k1(seed: int = DEFAULT_SEED, instances: int = 20,
-                   negative_nodes: int = 6000) -> SuiteReport:
-    return _timed(
-        lambda r, g: _theorem_k1(r, g, instances, negative_nodes), "theorem_k1", seed
-    )
+def run_theorem_k1(seed: int = DEFAULT_SEED, instances: int = 20) -> SuiteReport:
+    return _timed(lambda r, g: _theorem_k1(r, g, instances), "theorem_k1", seed)
 
 
 # --- SAT agreement ----------------------------------------------------------

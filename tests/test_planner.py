@@ -159,18 +159,30 @@ def test_stop_reason_names_what_ended_the_search(monkeypatch):
     by_nodes = bfs_plan(unsolvable, SearchBudget(max_depth=30, max_nodes=5))
     assert by_nodes.stats.stop_reason == "nodes" and by_nodes.depth < 30
     assert by_nodes.to_json()["stats"]["stop_reason"] == "nodes"
-    # The S5 solver's depth cut is the state-space diameter, so a depth
-    # stop there is exhaustion; on S5 inputs the cut is never reached, so
-    # the inner search is made to report one.
+    # The S5 solver's depth cut is the state-space diameter, so a depth stop
+    # there is exhaustion.  Without reflexivity the cut is reached: u's
+    # cluster {v} empties out under `cut`, a new state at depth 1, the cut.
+    from epiplan.action import make_action
+    from epiplan.formula import false_
+    from epiplan.frames import FrameCondition, custom_profile
+    from epiplan.kripke import EpistemicState, make_model
+
+    model = make_model(["u", "v"], 1, [{("u", "v"), ("v", "v")}], {"u": {"p"}, "v": {"p"}})
+    cut = make_action(["e", "f"], 1, [{("e", "f"), ("f", "f")}],
+                      {"e": true_(), "f": false_()}, "e")
+    problem = PlanningProblem(EpistemicState(model, "u"), {"cut": cut}, false_(),
+                              custom_profile([FrameCondition.EUCLIDEAN]))
+    inner = []
     original = planner._bfs
 
-    def cut_at_depth(*args, **kw):
-        outcome = original(*args, **kw)
-        outcome.stats.stop_reason = "depth"
-        return BoundReached(kw["max_depth"], outcome.stats.nodes, outcome.stats)
+    def spy(*args, **kw):
+        result = original(*args, **kw)
+        inner.append((type(result), result.stats.stop_reason, result.stats.nodes))
+        return result
 
-    monkeypatch.setattr(planner, "_bfs", cut_at_depth)
-    outcome = s5_single_agent_plan(sat_to_ep(parse("p & !p")))
+    monkeypatch.setattr(planner, "_bfs", spy)
+    outcome = s5_single_agent_plan(problem)
+    assert inner == [(BoundReached, "depth", 2)]
     assert isinstance(outcome, NoPlanExhausted) and outcome.stats.stop_reason == "exhausted"
 
 

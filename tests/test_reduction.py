@@ -8,8 +8,8 @@ from epiplan import errors, reduction
 from epiplan.action import FailureAt, action_to_json, applicable, apply_plan, product_update
 from epiplan.bisim import bisimilar, canonical_key
 from epiplan.formula import and_, diamond, evaluate, know, not_, or_, parse, prop
-from epiplan.frames import PROFILES, closure, satisfies
-from epiplan.kripke import EpistemicState, KripkeModel, state_to_json
+from epiplan.frames import PROFILES, FrameCondition, closure, satisfies
+from epiplan.kripke import EpistemicState, KripkeModel, _Names, state_to_json
 from epiplan.pcp import brute_force_match, make_instance, matched_word
 from epiplan.planner import BoundReached, SearchBudget, bfs_plan
 from epiplan.problem import problem_from_json, problem_to_json, validate_problem
@@ -212,7 +212,10 @@ def test_failed_state_check_examples():
         # is pending), so removing a 1 is wrong
         wrong = mod.remove_symbol("1")
         assert applicable(clean, wrong)
-        assert mod.failed_state(product_update(clean, wrong)), variant
+        product = product_update(clean, wrong)
+        assert mod.failed_state(product), variant
+        # the check reads no world name, so none is built
+        assert type(product.model._worlds) is _Names, variant
 
 
 @pytest.mark.parametrize("variant", list(Variant))
@@ -234,22 +237,34 @@ def test_frames_validated_for_closed_variants():
         validate_problem(problem)
 
 
-def _closed_with_empty(state, profile_name):
-    """``common.with_empty`` by a full closure of the grown model."""
+def _forced_by_w_empty(state, profile_name):
+    """``common.with_empty`` derived by hand for presets of reflexivity,
+    symmetry and transitivity: ``w_empty`` joins the root's agent-0 row and
+    gets, under reflexivity, its self-loops; under transitivity, an agent-0
+    edge from every world that sees the root; under symmetry, the edges
+    back."""
+    conds = PROFILES[profile_name]
     model = state.model
     root, n = state.designated_index, len(model.valuations)
-    rows = [[*row, ()] for row in model.rows]
-    rows[0][root] += (n,)
+    loop = (n,) if FrameCondition.REFLEXIVE in conds else ()
+    rows = [[*row, loop] for row in model.rows]
+    seers = [root]
+    if FrameCondition.TRANSITIVE in conds:
+        seers = [u for u, succ in enumerate(model.rows[0]) if u == root or root in succ]
+    for u in seers:
+        rows[0][u] += (n,)
+    if FrameCondition.SYMMETRIC in conds:
+        rows[0][n] = (*seers, *loop)
     grown = KripkeModel(model.worlds + ("w_empty",), model.agents, tuple(map(tuple, rows)),
                         model.valuations + (frozenset({"empty"}),))
-    return EpistemicState.at(closure(grown, PROFILES[profile_name]), root)
+    return EpistemicState.at(grown, root)
 
 
 def test_start_state_adds_only_what_w_empty_forces():
     for variant in Variant:
         mod = module(variant)
         start = mod.initial_state()
-        assert start == _closed_with_empty(mod.family("", "", "loop"), mod.PROFILE_NAME)
+        assert start == _forced_by_w_empty(mod.family("", "", "loop"), mod.PROFILE_NAME)
         assert start.designated == "w_root" and start.model.worlds[-1] == "w_empty"
     # any state that meets a preset, pointed anywhere
     rng = random.Random(5)
@@ -258,8 +273,13 @@ def test_start_state_adds_only_what_w_empty_forces():
         s = random_state(rng, agents=rng.randint(1, 3), max_worlds=6)
         closed = EpistemicState.at(closure(s.model, PROFILES[name]), s.designated_index)
         grown = with_empty(closed, name)
-        assert grown == _closed_with_empty(closed, name), name
+        assert grown == _forced_by_w_empty(closed, name), name
         assert satisfies(grown.model, PROFILES[name])
+        # no edge between the old worlds is added
+        n = len(closed.model.valuations)
+        old = tuple(tuple(tuple(j for j in succ if j < n) for succ in row[:n])
+                    for row in grown.model.rows)
+        assert old == closed.model.rows, name
 
 
 def test_problem_json_round_trip():

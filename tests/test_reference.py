@@ -14,6 +14,9 @@ breadth-first search on these references alone, over plain ``RefModel``
 values, with bisimilarity by pair elimination in place of keys, and must
 give the same verdict, plan and counts as ``bfs_plan``.
 
+``ref_failed_state`` walks the compilers' failed-removal witness paths
+over names, by ``ref_eval`` at each world; the compilers walk bitmasks.
+
 One reference does read rows: ``ref_refine`` is the plain round-by-round
 refinement (every world re-signed every round, stop on a round that splits
 nothing), kept to pin the engine's exact block numbering and key bytes,
@@ -62,7 +65,7 @@ from epiplan.kripke import (
 from epiplan.pcp import make_instance
 from epiplan.planner import SearchBudget, bfs_plan, s5_single_agent_plan
 from epiplan.problem import PlanningProblem
-from epiplan.reduction import Variant, reduce_instance, sat_to_ep
+from epiplan.reduction import Variant, module, reduce_instance, sat_to_ep
 from epiplan.suites import mutate_bisimilar, random_action, random_formula, random_state
 
 seeds = st.integers(0, 2**32 - 1)
@@ -237,6 +240,54 @@ def _summary(outcome) -> tuple:
     stats = outcome.stats
     plan = getattr(outcome, "plan", None)
     return type(outcome).__name__, plan, stats.nodes, stats.dedup_hits, stats.depth
+
+
+def ref_failed_state(variant: Variant, state) -> bool:
+    """The compilers' failed-removal walks over names, by ``ref_eval`` at each world.
+
+    Once the root has left stage one, a walk starts at the root's agent-0
+    successors other than the root.  S4_1 fails when one of them is
+    ``damaged``.  The others start at those on a branch: K1 and KTB1 follow
+    agent 0 through ``symb`` worlds to a ``failed`` one; MultiS5 alternates
+    agents from agent 1, an ``ag1`` world stepping only to ``ag2`` worlds
+    and vice versa, to a marked world that sees no ``ntF`` world under the
+    agent the walk would take next.
+    """
+    mod = module(variant)
+    m = state.model
+    model = RefModel(m.worlds, m.agents, m.relations, m.valuations)
+    root = state.designated
+    if not ref_eval(model, root, and_(prop("root"), know(0, not_(prop("stg1"))))):
+        return False
+    below = _successors(model, 0, root) - {root}
+    if variant is Variant.S4_1:
+        return any(ref_eval(model, w, mod.damaged()) for w in below)
+    frontier = {w for w in below if ref_eval(model, w, or_(prop("a"), prop("b")))}
+    if variant is not Variant.MULTI_S5:
+        seen = set(frontier)
+        while frontier:
+            if any(ref_eval(model, w, mod.failed()) for w in frontier):
+                return True
+            frontier = {v for w in frontier for v in _successors(model, 0, w)
+                        if v not in seen and ref_eval(model, v, mod.symb())}
+            seen |= frontier
+        return False
+    agent, seen = 1, {(w, 1) for w in frontier}
+    while frontier:
+        for w in frontier:
+            marked = any(ref_eval(model, w, prop(p)) for p in ("a", "b", "0", "1", "#"))
+            if marked and ref_eval(model, w, know(agent, not_(prop("ntF")))):
+                return True
+        step = set()
+        for w in frontier:
+            one, two = ref_eval(model, w, mod.ag1()), ref_eval(model, w, mod.ag2())
+            step |= {v for v in _successors(model, agent, w)
+                     if not (one and not ref_eval(model, v, mod.ag2()))
+                     and not (two and not ref_eval(model, v, mod.ag1()))}
+        agent = 1 - agent
+        frontier = {v for v in step if (v, agent) not in seen}
+        seen |= {(v, agent) for v in frontier}
+    return False
 
 
 def ref_refine(valuations, rows) -> tuple[list[int], int]:
@@ -767,6 +818,63 @@ def test_compiled_search_states_match_full_rounds(monkeypatch):
         assert 0 < hits < len(pairs), variant
         if variant is Variant.S4_1:
             assert merged, "some search state is not minimal"
+
+
+def _word(rng: random.Random) -> str:
+    return "".join(rng.choice("01") for _ in range(rng.randint(0, 3)))
+
+
+def test_failed_state_matches_the_reference_walks():
+    # seeded random plan walks from each variant's start state, about every
+    # other state replaced by its quotient; both verdicts must occur
+    for variant in Variant:
+        mod = module(variant)
+        verdicts = {True: 0, False: 0}
+        for seed in range(60):
+            rng = random.Random(seed)
+            inst = make_instance([(_word(rng), _word(rng)) for _ in range(rng.randint(1, 3))])
+            actions = mod.build_actions(inst)
+            names = sorted(actions)
+            state = mod.initial_state()
+            for step in range(12):
+                options = [name for name in names if applicable(state, actions[name])]
+                if not options:
+                    break
+                state = product_update(state, actions[rng.choice(options)])
+                if rng.random() < 0.5:
+                    state = quotient(state)
+                verdict = mod.failed_state(state)
+                assert verdict == ref_failed_state(variant, state), (variant, seed, step)
+                verdicts[verdict] += 1
+        assert all(verdicts.values()), (variant, verdicts)
+
+
+def _root_state(rng: random.Random, agents: int) -> EpistemicState:
+    """A random state at a world valued ``{root}``: each other world has an
+    optional branch letter and an optional chain symbol or ``stg1``, and most
+    of them see the one ``ntF`` world, so that walks pass worlds that have
+    not failed."""
+    worlds = [f"w{k}" for k in range(rng.randint(2, 7))] + ["ntF"]
+    marks = ("0", "1", "#", "#1", "#2", "stg1", "-", "-")
+    val = {w: [x for x in (rng.choice("ab-"), rng.choice(marks)) if x != "-"] for w in worlds}
+    val["w0"], val["ntF"] = ["root"], ["ntF"]
+    rels = [{(u, v) for u in worlds for v in worlds if rng.random() < 0.3}
+            | {(u, "ntF") for u in worlds[1:-1] if rng.random() < 0.6} for _ in range(agents)]
+    return EpistemicState(make_model(worlds, agents, rels, val), "w0")
+
+
+def test_failed_state_matches_the_reference_walks_on_random_states():
+    # shapes no plan reaches, with random edges and self-loops
+    for variant in Variant:
+        mod = module(variant)
+        verdicts = {True: 0, False: 0}
+        rng = random.Random(7)
+        for case in range(500):
+            state = _root_state(rng, mod.AGENTS)
+            verdict = mod.failed_state(state)
+            assert verdict == ref_failed_state(variant, state), (variant, case)
+            verdicts[verdict] += 1
+        assert all(verdicts.values()), (variant, verdicts)
 
 
 def _leaves(valuations) -> EpistemicState:
