@@ -279,7 +279,7 @@ def main(argv: list[str] | None = None) -> int:
         return 3 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (EngineError, OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
+    except (EngineError, OSError, ValueError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
 

@@ -166,14 +166,6 @@ class KripkeModel:
     def __contains__(self, world: str) -> bool:
         return world in self._names_index()
 
-    def valuation_of(self, world: str) -> frozenset[str]:
-        return self.valuations[self._names_index()[world]]
-
-    def successors(self, agent: int, world: str) -> tuple[str, ...]:
-        """Successors of ``world`` under agent ``agent``, in world order."""
-        worlds = self.worlds
-        return tuple(worlds[j] for j in self.rows[agent][self._names_index()[world]])
-
     def index_of(self, world: str) -> int:
         return self._names_index()[world]
 

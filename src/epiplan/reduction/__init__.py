@@ -27,18 +27,24 @@ variant's compiler module is its whole spec; every one defines
 ``w_empty`` marker ("nothing applied yet") to ``family("", "", "loop")``,
 the empty-word stage-one state, joins it to the root's agent-0 row and
 closes the grown model under ``PROFILE_NAME``'s frame conditions.
-The named formulas (``symb``, ``tail``, ``failed``, ...) are plain module
-functions.
+The named formulas (``symb``, ``last``, ``failed``, ...) are module
+values built at import, each after the values it uses; only those that
+take an argument are functions.  Two shapes in ``common`` build the
+instance-independent actions: ``announcement``, one event every agent
+sees (each ``next_stage()``, the MultiS5 removals and ``sat_to_ep``'s
+``delete_p``), and ``removal``, the K1, KTB1 and S4_1 removals (``e^d``
+seeing itself, ``e^d_fail`` and a keep event, closed under the profile).
 
 Only the add-block actions depend on the instance.  Everything else is
-built once per process (``functools.cache``): the named formulas and
-``loop_marker``, ``goal()``, ``next_stage()``, ``remove_symbol(s)`` for
-each ``s`` in ``REMOVAL_ALPHABET`` (any other symbol raises
-``ValueError``) and ``initial_state()``.  Each call returns the same
-object.  ``initial_state()`` is one shared, immutable state; its model's
-lazy masks and subformula memo are pure functions of the model.  Under
-the compiled actions the memo stays bounded: every precondition comes
-from a finite family per variant, and no block index enters one.
+built once per process: the named formulas at import, and through
+``functools.cache`` ``loop_marker(x)``, ``nxt(d)``, MultiS5's
+``tail(i)``, ``goal()``, ``next_stage()``, ``remove_symbol(s)`` for each
+``s`` in ``REMOVAL_ALPHABET`` (any other symbol raises ``ValueError``)
+and ``initial_state()``.  Each call returns the same object.
+``initial_state()`` is one shared, immutable state; its model's lazy
+masks and subformula memo are pure functions of the model.  Under the
+compiled actions the memo stays bounded: every precondition comes from
+a finite family per variant, and no block index enters one.
 ``family``, ``add_block``, ``build_actions`` and ``sat_to_ep`` build
 afresh on every call.
 

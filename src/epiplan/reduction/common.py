@@ -4,11 +4,12 @@ from __future__ import annotations
 from functools import cache
 from typing import Callable, Iterable
 
-from ..action import EventModel
+from ..action import EventModel, make_action
+from ..errors import IllegalFlavor
 from ..formula import Formula, and_, diamond, evaluate, extension_mask, know, not_, or_, prop
 from ..frames import PROFILES, _bits, closure
 from ..kripke import EpistemicState, KripkeModel, Pair
-from ..pcp import PcpInstance
+from ..pcp import PcpInstance, check_words
 
 
 def cliques(*groups: Iterable[str]) -> set[Pair]:
@@ -20,6 +21,15 @@ def cliques(*groups: Iterable[str]) -> set[Pair]:
             for v in members:
                 out.add((u, v))
     return out
+
+
+def family_words(variant: str, flavors: tuple[str, ...], flavor: str,
+                 qa: str, qb: str) -> dict[str, str]:
+    """A ``family`` call's words by branch, once ``flavor`` and both words are checked."""
+    if flavor not in flavors:
+        raise IllegalFlavor(f"variant {variant} has no flavor {flavor!r}")
+    check_words(qa, qb)
+    return {"a": qa, "b": qb}
 
 
 def with_empty(state: EpistemicState, profile_name: str) -> EpistemicState:
@@ -52,6 +62,26 @@ def loop_marker(x: str) -> Formula:
     if x not in ("a", "b"):
         raise ValueError(f"loop_marker takes branch a or b; got {x!r}")
     return and_(prop(x), diamond(0, prop("lp")))
+
+
+def announcement(name: str, pre: Formula, agents: int) -> EventModel:
+    """A public announcement of ``pre``: one event ``name`` that every agent sees."""
+    loop = {(name, name)}
+    return make_action([name], agents, [loop] * agents, {name: pre}, name)
+
+
+def removal(d: str, main: Formula, fail: Formula, keep: Formula, keep_name: str,
+            profile_name: str) -> EventModel:
+    """The single-agent removal of symbol ``d``.
+
+    Event ``e^d`` (designated, precondition ``main``) sees itself,
+    ``e^d_fail`` (``fail``) and ``e^d_<keep_name>`` (``keep``); the
+    relation is then closed under ``PROFILES[profile_name]``.
+    """
+    events = (f"e^{d}", f"e^{d}_fail", f"e^{d}_{keep_name}")
+    edges = {(events[0], e) for e in events}
+    action = make_action(events, 1, [edges], dict(zip(events, (main, fail, keep))), events[0])
+    return closure(action, PROFILES[profile_name])
 
 
 def action_table(inst: PcpInstance, add_block: Callable, next_stage: Callable,

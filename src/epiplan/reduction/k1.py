@@ -16,11 +16,19 @@ from __future__ import annotations
 from functools import cache
 
 from ..action import EventModel, make_action
-from ..errors import IllegalFlavor
 from ..formula import Formula, and_, diamond, know, not_, or_, prop
 from ..kripke import EpistemicState, make_model
-from ..pcp import PcpInstance, check_words
-from .common import _e, action_table, chain_failed_state, loop_marker, with_empty
+from ..pcp import PcpInstance
+from .common import (
+    _e,
+    action_table,
+    announcement,
+    chain_failed_state,
+    family_words,
+    loop_marker,
+    removal,
+    with_empty,
+)
 
 AGENTS = 1
 PROFILE_NAME = "K"
@@ -36,24 +44,10 @@ def _w(*parts: str) -> str:
     return "w_" + (parts[0] if len(parts) == 1 else "{" + ",".join(parts) + "}")
 
 
-@cache
-def symb() -> Formula:
-    return or_(_P["0"], _P["1"])
-
-
-@cache
-def tail() -> Formula:
-    return and_(or_(_P["a"], _P["b"]), know(0, not_(symb())))
-
-
-@cache
-def last() -> Formula:
-    return and_(diamond(0, _P["end"]), know(0, not_(_P["lp"])))
-
-
-@cache
-def failed() -> Formula:
-    return and_(or_(_P["a"], _P["b"]), know(0, not_(_P["ntF"])))
+symb = or_(_P["0"], _P["1"])
+tail = and_(or_(_P["a"], _P["b"]), know(0, not_(symb)))
+last = and_(diamond(0, _P["end"]), know(0, not_(_P["lp"])))
+failed = and_(or_(_P["a"], _P["b"]), know(0, not_(_P["ntF"])))
 
 
 @cache
@@ -63,10 +57,7 @@ def initial_state() -> EpistemicState:
 
 def family(qa: str, qb: str, flavor: str) -> EpistemicState:
     """The named block-sequence states: ``plain`` or ``loop``."""
-    if flavor not in FLAVORS:
-        raise IllegalFlavor(f"variant K1 has no flavor {flavor!r}")
-    check_words(qa, qb)
-    words = {"a": qa, "b": qb}
+    words = family_words("K1", FLAVORS, flavor, qa, qb)
     worlds = [_w("root"), _w("a"), _w("b"), _w("ntF")]
     val: dict[str, set[str]] = {w: {w[2:]} for w in worlds}
     edges: set[tuple[str, str]] = set()
@@ -124,8 +115,8 @@ def add_block(index: int, block: tuple[str, str]) -> EventModel:
     edges: set[tuple[str, str]] = set()
     for x in "ab":
         ex, elst, e01 = _e(x), _e(x, "lst"), _e("01", x)
-        pre[ex] = and_(_P[x], not_(last()))
-        pre[elst] = and_(_P[x], last())
+        pre[ex] = and_(_P[x], not_(last))
+        pre[elst] = and_(_P[x], last)
         pre[e01] = loop_marker(x)
         edges.update({(_e("s"), _e("st")), (_e("s"), ex), (_e("s"), elst)})
         edges.update({(ex, ex), (ex, _e("ntF")), (ex, elst), (elst, _e("ntF"))})
@@ -155,7 +146,7 @@ def next_stage() -> EventModel:
         ),
         _P["ntF"],
     )
-    return make_action(["e_nx"], AGENTS, [{("e_nx", "e_nx")}], {"e_nx": pre}, "e_nx")
+    return announcement("e_nx", pre, AGENTS)
 
 
 @cache
@@ -163,22 +154,22 @@ def remove_symbol(bt: str) -> EventModel:
     """Stage-two action deleting bit ``bt`` from both chain ends."""
     if bt not in REMOVAL_ALPHABET:
         raise ValueError(f"variant K1 has no removal symbol {bt!r}")
-    main, fail, keep = f"e^{bt}", f"e^{bt}_fail", f"e^{bt}_ntF"
-    pre = {
-        main: or_(
+    return removal(
+        bt,
+        main=or_(
             and_(_P["root"], know(0, not_(_P["stg1"]))),
-            and_(or_(_P["a"], _P["b"]), not_(tail())),
+            and_(or_(_P["a"], _P["b"]), not_(tail)),
         ),
-        fail: or_(and_(tail(), not_(_P[bt])), failed()),
-        keep: _P["ntF"],
-    }
-    edges = {(main, main), (main, fail), (main, keep)}
-    return make_action([main, fail, keep], AGENTS, [edges], pre, main)
+        fail=or_(and_(tail, not_(_P[bt])), failed),
+        keep=_P["ntF"],
+        keep_name="ntF",
+        profile_name=PROFILE_NAME,
+    )
 
 
 @cache
 def goal() -> Formula:
-    return and_(know(0, not_(_P["empty"])), know(0, and_(tail(), not_(failed()))))
+    return and_(know(0, not_(_P["empty"])), know(0, and_(tail, not_(failed))))
 
 
 def build_actions(inst: PcpInstance) -> dict[str, EventModel]:
@@ -186,4 +177,4 @@ def build_actions(inst: PcpInstance) -> dict[str, EventModel]:
 
 
 def failed_state(state: EpistemicState) -> bool:
-    return chain_failed_state(state, failed(), symb())
+    return chain_failed_state(state, failed, symb)

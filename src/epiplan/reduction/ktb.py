@@ -17,12 +17,20 @@ from __future__ import annotations
 from functools import cache
 
 from ..action import EventModel, make_action
-from ..errors import IllegalFlavor
 from ..formula import Formula, and_, conj, diamond, disj, know, not_, or_, prop
 from ..frames import PROFILES, closure
 from ..kripke import EpistemicState, make_model, restrict
-from ..pcp import PcpInstance, check_words
-from .common import _e, action_table, chain_failed_state, loop_marker, with_empty
+from ..pcp import PcpInstance
+from .common import (
+    _e,
+    action_table,
+    announcement,
+    chain_failed_state,
+    family_words,
+    loop_marker,
+    removal,
+    with_empty,
+)
 
 AGENTS = 1
 PROFILE_NAME = "KTB"
@@ -48,29 +56,18 @@ def nxt(d: str) -> Formula:
     raise ValueError(f"nxt takes one of 0, 1, #1, #2, a, b; got {d!r}")
 
 
-@cache
-def symb() -> Formula:
-    return disj(_P["0"], _P["1"], _P["#1"], _P["#2"])
-
-
-@cache
-def last() -> Formula:
-    # The extra !end guard is required under reflexivity: an end world can
-    # reach itself, so <K> end alone would mark it as a chain end.
-    return conj(not_(_P["end"]), diamond(0, _P["end"]), know(0, not_(_P["lp"])))
-
-
-@cache
-def tail() -> Formula:
-    branch = or_(_P["a"], _P["b"])
-    cases = [and_(not_(symb()), know(0, not_(nxt("a"))))]
-    cases.extend(and_(_P[d], know(0, not_(nxt(d)))) for d in ("0", "1", "#1", "#2"))
-    return and_(branch, disj(*cases))
-
-
-@cache
-def failed() -> Formula:
-    return and_(or_(_P["a"], _P["b"]), know(0, not_(_P["ntF"])))
+symb = disj(_P["0"], _P["1"], _P["#1"], _P["#2"])
+# The extra !end guard is required under reflexivity: an end world can
+# reach itself, so <K> end alone would mark it as a chain end.
+last = conj(not_(_P["end"]), diamond(0, _P["end"]), know(0, not_(_P["lp"])))
+tail = and_(
+    or_(_P["a"], _P["b"]),
+    disj(
+        and_(not_(symb), know(0, not_(nxt("a")))),
+        *(and_(_P[d], know(0, not_(nxt(d)))) for d in ("0", "1", "#1", "#2")),
+    ),
+)
+failed = and_(or_(_P["a"], _P["b"]), know(0, not_(_P["ntF"])))
 
 
 def _w(*parts: str) -> str:
@@ -87,10 +84,7 @@ def initial_state() -> EpistemicState:
 
 
 def family(qa: str, qb: str, flavor: str) -> EpistemicState:
-    if flavor not in FLAVORS:
-        raise IllegalFlavor(f"variant KTB1 has no flavor {flavor!r}")
-    check_words(qa, qb)
-    words = {"a": qa, "b": qb}
+    words = family_words("KTB1", FLAVORS, flavor, qa, qb)
     worlds = [_w("root"), _w("a"), _w("b"), _w("ntF", "a"), _w("ntF", "b")]
     val: dict[str, set[str]] = {
         _w("root"): {"root"},
@@ -144,17 +138,12 @@ def family(qa: str, qb: str, flavor: str) -> EpistemicState:
             anchor = last_cells[x][2] if q else _w(x)
             edges.update({(anchor, group["0"]), (anchor, group["1"]), (anchor, group["end"])})
     model = closure(make_model(worlds, AGENTS, [edges], val), PROFILES[PROFILE_NAME])
-    state = EpistemicState(model, _w("root"))
     if flavor in ("minus_hash1", "minus_hash2"):
-        drop = set()
-        for x in "ab":
-            if words[x]:
-                drop.add(last_cells[x][2])
-                if flavor == "minus_hash1":
-                    drop.add(last_cells[x][1])
-        keep = [w for w in model.worlds if w not in drop]
-        state = EpistemicState(restrict(model, keep), _w("root"))
-    return state
+        # each chain's last cell is [bit, #1, #2]; drop its separators from #k on
+        k = int(flavor[-1])
+        drop = {w for x in "ab" for w in last_cells[x][k:]}
+        model = restrict(model, [w for w in model.worlds if w not in drop])
+    return EpistemicState(model, _w("root"))
 
 
 def add_block(index: int, block: tuple[str, str]) -> EventModel:
@@ -176,8 +165,8 @@ def add_block(index: int, block: tuple[str, str]) -> EventModel:
         e01, ehh = _e("01", x), _e("##", x)
         events.extend([ex, elst, e01, ehh])
         pre[ex] = conj(_P[x], not_(_P["ntF"]), not_(_P["end"]), know(0, not_(_P["lp"])),
-                       not_(last()))
-        pre[elst] = and_(_P[x], last())
+                       not_(last))
+        pre[elst] = and_(_P[x], last)
         # Two loop carriers: the chain-end attach may only reach the bit
         # loop worlds, so the separator loop worlds ride separately.
         pre[e01] = and_(or_(_P["0"], _P["1"]), loop_marker(x))
@@ -209,31 +198,31 @@ def next_stage() -> EventModel:
         conj(_P["root"], know(0, not_(_P["empty"])), diamond(0, _P["stg1"])),
         conj(or_(_P["a"], _P["b"]), not_(_P["end"]), know(0, not_(_P["lp"]))),
     )
-    return make_action(["e_nx"], AGENTS, [{("e_nx", "e_nx")}], {"e_nx": pre}, "e_nx")
+    return announcement("e_nx", pre, AGENTS)
 
 
 @cache
 def remove_symbol(d: str) -> EventModel:
     if d not in REMOVAL_ALPHABET:
         raise ValueError(f"variant KTB1 has no removal symbol {d!r}")
-    main, fail, keep = f"e^{d}", f"e^{d}_fail", f"e^{d}_ntF"
-    pre = {
-        main: or_(
+    return removal(
+        d,
+        main=or_(
             and_(_P["root"], know(0, not_(_P["stg1"]))),
-            conj(or_(_P["a"], _P["b"]), not_(_P["ntF"]), not_(tail())),
+            conj(or_(_P["a"], _P["b"]), not_(_P["ntF"]), not_(tail)),
         ),
-        fail: or_(conj(tail(), not_(_P[d]), not_(_P["ntF"])), failed()),
-        keep: _P["ntF"],
-    }
-    action = make_action([main, fail, keep], AGENTS, [{(main, fail), (main, keep)}], pre, main)
-    return closure(action, PROFILES[PROFILE_NAME])
+        fail=or_(conj(tail, not_(_P[d]), not_(_P["ntF"])), failed),
+        keep=_P["ntF"],
+        keep_name="ntF",
+        profile_name=PROFILE_NAME,
+    )
 
 
 @cache
 def goal() -> Formula:
     return and_(
         know(0, not_(_P["empty"])),
-        know(0, and_(or_(_P["root"], tail()), not_(failed()))),
+        know(0, and_(or_(_P["root"], tail), not_(failed))),
     )
 
 
@@ -242,4 +231,4 @@ def build_actions(inst: PcpInstance) -> dict[str, EventModel]:
 
 
 def failed_state(state: EpistemicState) -> bool:
-    return chain_failed_state(state, failed(), symb())
+    return chain_failed_state(state, failed, symb)

@@ -19,12 +19,19 @@ from __future__ import annotations
 from functools import cache
 
 from ..action import EventModel, make_action
-from ..errors import IllegalFlavor
 from ..formula import Formula, and_, conj, diamond, disj, extension_mask, know, not_, or_, prop
 from ..frames import PROFILES, _bits, closure
 from ..kripke import EpistemicState, make_model, restrict
-from ..pcp import PcpInstance, check_words
-from .common import _e, action_table, cliques, left_stage_one, with_empty
+from ..pcp import PcpInstance
+from .common import (
+    _e,
+    action_table,
+    announcement,
+    cliques,
+    family_words,
+    left_stage_one,
+    with_empty,
+)
 
 AGENTS = 2
 PROFILE_NAME = "S5"
@@ -36,32 +43,18 @@ FLAVORS = ("plain", "loop", "minus_hash")
 _P = {name: prop(name) for name in ("0", "1", "#", "a", "b", "root", "stg1", "empty", "end", "ntF")}
 
 
-@cache
-def ag1() -> Formula:
-    return disj(_P["root"], _P["0"], _P["1"])
-
-
-@cache
-def ag2() -> Formula:
-    return and_(or_(_P["a"], _P["b"]), not_(disj(_P["0"], _P["1"], _P["ntF"], _P["end"])))
-
-
-@cache
-def symb() -> Formula:
-    return disj(_P["0"], _P["1"], _P["#"])
-
-
-@cache
-def last() -> Formula:
-    return and_(ag2(), diamond(1, _P["end"]))
+ag1 = disj(_P["root"], _P["0"], _P["1"])
+ag2 = and_(or_(_P["a"], _P["b"]), not_(disj(_P["0"], _P["1"], _P["ntF"], _P["end"])))
+symb = disj(_P["0"], _P["1"], _P["#"])
+last = and_(ag2, diamond(1, _P["end"]))
 
 
 @cache
 def tail(i: int) -> Formula:
     if i == 1:
-        return and_(ag1(), know(0, not_(ag2())))
+        return and_(ag1, know(0, not_(ag2)))
     if i == 2:
-        return and_(ag2(), know(1, not_(ag1())))
+        return and_(ag2, know(1, not_(ag1)))
     raise ValueError("tail takes argument 1 or 2")
 
 
@@ -85,10 +78,7 @@ def _chain_names(x: str, q: str):
 
 
 def family(qa: str, qb: str, flavor: str) -> EpistemicState:
-    if flavor not in FLAVORS:
-        raise IllegalFlavor(f"variant MultiS5 has no flavor {flavor!r}")
-    check_words(qa, qb)
-    words = {"a": qa, "b": qb}
+    words = family_words("MultiS5", FLAVORS, flavor, qa, qb)
     worlds = [_w("root"), _w("a"), _w("b"), _w("ntF", "a"), _w("ntF", "b")]
     val: dict[str, set[str]] = {
         _w("root"): {"root"},
@@ -138,12 +128,10 @@ def family(qa: str, qb: str, flavor: str) -> EpistemicState:
             anchor = names[x][1][-1] if q else _w(x)
             r2 |= cliques(tl + [anchor])
     model = closure(make_model(worlds, AGENTS, [r1, r2], val), PROFILES["KT"])
-    state = EpistemicState(model, _w("root"))
     if flavor == "minus_hash":
         drop = {names[x][1][-1] for x in "ab" if words[x]}
-        keep = [w for w in model.worlds if w not in drop]
-        state = EpistemicState(restrict(model, keep), _w("root"))
-    return state
+        model = restrict(model, [w for w in model.worlds if w not in drop])
+    return EpistemicState(model, _w("root"))
 
 
 def add_block(index: int, block: tuple[str, str]) -> EventModel:
@@ -161,11 +149,11 @@ def add_block(index: int, block: tuple[str, str]) -> EventModel:
         elst, esmb, etl = _e(x, "lst"), _e(x, "smb"), _e(x, "{}")
         n1, n2, nlst = f"e_ntF^{{{x},1}}", f"e_ntF^{{{x},2}}", f"e_ntF^{{{x},lst}}"
         events.extend([ex, eps, elst, esmb, etl, n1, n2, nlst])
-        pre[ex] = conj(_P[x], ag2(), not_(_P["#"]), not_(last()))
-        pre[eps] = conj(_P[x], ag2(), not_(_P["#"]), last(), know(0, not_(_P["end"])))
-        pre[elst] = conj(_P[x], _P["#"], last(), know(0, not_(_P["end"])))
-        pre[esmb] = conj(_P[x], symb(), not_(last()))
-        pre[etl] = conj(_P[x], diamond(0, _P["end"]), disj(symb(), _P["ntF"], _P["end"]))
+        pre[ex] = conj(_P[x], ag2, not_(_P["#"]), not_(last))
+        pre[eps] = conj(_P[x], ag2, not_(_P["#"]), last, know(0, not_(_P["end"])))
+        pre[elst] = conj(_P[x], _P["#"], last, know(0, not_(_P["end"])))
+        pre[esmb] = conj(_P[x], symb, not_(last))
+        pre[etl] = conj(_P[x], diamond(0, _P["end"]), disj(symb, _P["ntF"], _P["end"]))
         pre[n1] = conj(_P[x], _P["ntF"], know(0, not_(_P["end"])))
         pre[n2] = conj(_P[x], _P["ntF"], know(0, not_(_P["end"])))
         pre[nlst] = conj(_P[x], _P["ntF"], diamond(0, _P["end"]))
@@ -208,29 +196,26 @@ def next_stage() -> EventModel:
         ),
         _P["ntF"],
     )
-    loop = {("e_nx", "e_nx")}
-    return make_action(["e_nx"], AGENTS, [loop, loop], {"e_nx": pre}, "e_nx")
+    return announcement("e_nx", pre, AGENTS)
 
 
 @cache
 def remove_symbol(bt: str) -> EventModel:
     if bt not in REMOVAL_ALPHABET:
         raise ValueError(f"variant MultiS5 has no removal symbol {bt!r}")
-    name = f"e^{bt}"
     pre = disj(
         and_(_P["root"], know(0, not_(_P["stg1"]))),
         and_(
             _P["ntF"],
             or_(
-                and_(diamond(0, ag1()), diamond(0, ag2())),
-                and_(diamond(1, ag1()), diamond(1, ag2())),
+                and_(diamond(0, ag1), diamond(0, ag2)),
+                and_(diamond(1, ag1), diamond(1, ag2)),
             ),
         ),
-        and_(ag1(), not_(conj(tail(1), _P[bt], diamond(0, _P["ntF"])))),
-        and_(ag2(), not_(conj(tail(2), _P[bt], diamond(1, _P["ntF"])))),
+        and_(ag1, not_(conj(tail(1), _P[bt], diamond(0, _P["ntF"])))),
+        and_(ag2, not_(conj(tail(2), _P[bt], diamond(1, _P["ntF"])))),
     )
-    loop = {(name, name)}
-    return make_action([name], AGENTS, [loop, loop], {name: pre}, name)
+    return announcement(f"e^{bt}", pre, AGENTS)
 
 
 @cache
@@ -262,7 +247,7 @@ def failed_state(state: EpistemicState) -> bool:
     root = state.designated_index
     succ = model.masks()[1]
     marked = extension_mask(model, disj(*(_P[p] for p in ("a", "b", "0", "1", "#"))))
-    one, two = extension_mask(model, ag1()), extension_mask(model, ag2())
+    one, two = extension_mask(model, ag1), extension_mask(model, ag2)
     frontier = succ[0][root] & extension_mask(model, or_(_P["a"], _P["b"])) & ~(1 << root)
     agent, seen = 1, [0, frontier]
     while frontier:

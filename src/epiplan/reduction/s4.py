@@ -24,12 +24,20 @@ from __future__ import annotations
 from functools import cache
 
 from ..action import EventModel, make_action
-from ..errors import IllegalFlavor
 from ..formula import Formula, and_, conj, diamond, disj, extension_mask, know, not_, or_, prop
 from ..frames import PROFILES, closure
 from ..kripke import EpistemicState, make_model, restrict
-from ..pcp import PcpInstance, check_words
-from .common import _e, action_table, left_stage_one, loop_marker, with_empty
+from ..pcp import PcpInstance
+from .common import (
+    _e,
+    action_table,
+    announcement,
+    family_words,
+    left_stage_one,
+    loop_marker,
+    removal,
+    with_empty,
+)
 
 AGENTS = 1
 PROFILE_NAME = "S4"
@@ -50,28 +58,12 @@ def nxt(d: str) -> Formula:
     raise ValueError(f"nxt takes one of 0, 1, #, a, b; got {d!r}")
 
 
-@cache
-def symb() -> Formula:
-    return disj(_P["0"], _P["1"], _P["#"])
-
-
-@cache
-def tail() -> Formula:
-    return and_(
-        symb(), disj(*(and_(_P[d], know(0, not_(nxt(d)))) for d in ("0", "1", "#")))
-    )
-
-
-@cache
-def term() -> Formula:
-    """A branch terminus: branch-labelled but not a chain symbol."""
-    return and_(or_(_P["a"], _P["b"]), not_(symb()))
-
-
-@cache
-def damaged() -> Formula:
-    """A chain symbol that can no longer see any branch terminus."""
-    return and_(symb(), know(0, not_(term())))
+symb = disj(_P["0"], _P["1"], _P["#"])
+tail = and_(symb, disj(*(and_(_P[d], know(0, not_(nxt(d)))) for d in ("0", "1", "#"))))
+# a branch terminus: branch-labelled but not a chain symbol
+term = and_(or_(_P["a"], _P["b"]), not_(symb))
+# a chain symbol that can no longer see any branch terminus
+damaged = and_(symb, know(0, not_(term)))
 
 
 def _w(*parts: str) -> str:
@@ -88,10 +80,7 @@ def initial_state() -> EpistemicState:
 
 
 def family(qa: str, qb: str, flavor: str) -> EpistemicState:
-    if flavor not in FLAVORS:
-        raise IllegalFlavor(f"variant S4_1 has no flavor {flavor!r}")
-    check_words(qa, qb)
-    words = {"a": qa, "b": qb}
+    words = family_words("S4_1", FLAVORS, flavor, qa, qb)
     worlds = [_w("root"), _w("a"), _w("b")]
     val: dict[str, set[str]] = {_w("root"): {"root"}, _w("a"): {"a"}, _w("b"): {"b"}}
     edges: set[tuple[str, str]] = set()
@@ -134,12 +123,10 @@ def family(qa: str, qb: str, flavor: str) -> EpistemicState:
             if q:
                 edges.add((group["#"], chain_of[x][0]))
     model = closure(make_model(worlds, AGENTS, [edges], val), PROFILES[PROFILE_NAME])
-    state = EpistemicState(model, _w("root"))
     if flavor == "minus_hash":
         drop = {chain_of[x][-1] for x in "ab" if words[x]}
-        keep = [w for w in model.worlds if w not in drop]
-        state = EpistemicState(restrict(model, keep), _w("root"))
-    return state
+        model = restrict(model, [w for w in model.worlds if w not in drop])
+    return EpistemicState(model, _w("root"))
 
 
 def add_block(index: int, block: tuple[str, str]) -> EventModel:
@@ -176,34 +163,34 @@ def next_stage() -> EventModel:
         conj(not_(_P["stg1"]), know(0, not_(_P["empty"])), diamond(0, _P["stg1"])),
         and_(or_(_P["a"], _P["b"]), know(0, not_(_P["lp"]))),
     )
-    return make_action(["e_nx"], AGENTS, [{("e_nx", "e_nx")}], {"e_nx": pre}, "e_nx")
+    return announcement("e_nx", pre, AGENTS)
 
 
 @cache
 def remove_symbol(d: str) -> EventModel:
     if d not in REMOVAL_ALPHABET:
         raise ValueError(f"variant S4_1 has no removal symbol {d!r}")
-    main, fail, keep = f"e^{d}", f"e^{d}_fail", f"e^{d}_term"
-    pre = {
-        main: or_(
+    return removal(
+        d,
+        main=or_(
             conj(
                 _P["root"],
                 know(0, not_(_P["stg1"])),
-                diamond(0, and_(symb(), _P["a"])),
-                diamond(0, and_(symb(), _P["b"])),
+                diamond(0, and_(symb, _P["a"])),
+                diamond(0, and_(symb, _P["b"])),
             ),
-            and_(symb(), not_(tail())),
+            and_(symb, not_(tail)),
         ),
-        fail: or_(and_(tail(), not_(_P[d])), damaged()),
-        keep: term(),
-    }
-    action = make_action([main, fail, keep], AGENTS, [{(main, fail), (main, keep)}], pre, main)
-    return closure(action, PROFILES[PROFILE_NAME])
+        fail=or_(and_(tail, not_(_P[d])), damaged),
+        keep=term,
+        keep_name="term",
+        profile_name=PROFILE_NAME,
+    )
 
 
 @cache
 def goal() -> Formula:
-    return conj(know(0, not_(_P["empty"])), know(0, not_(_P["stg1"])), know(0, not_(symb())))
+    return conj(know(0, not_(_P["empty"])), know(0, not_(_P["stg1"])), know(0, not_(symb)))
 
 
 def build_actions(inst: PcpInstance) -> dict[str, EventModel]:
@@ -216,4 +203,4 @@ def failed_state(state: EpistemicState) -> bool:
         return False
     model = state.model
     root = state.designated_index
-    return bool(model.masks()[1][0][root] & ~(1 << root) & extension_mask(model, damaged()))
+    return bool(model.masks()[1][0][root] & ~(1 << root) & extension_mask(model, damaged))

@@ -1,7 +1,6 @@
 """Propositional satisfiability as a single-agent S5 planning problem."""
 from __future__ import annotations
 
-from ..action import make_action
 from ..errors import InvalidProblem
 from ..formula import (
     And,
@@ -18,6 +17,7 @@ from ..formula import (
 from ..frames import profile
 from ..kripke import EpistemicState, make_model
 from ..problem import PlanningProblem
+from .common import announcement
 
 _HUB = "0"
 
@@ -56,12 +56,7 @@ def sat_to_ep(phi: Formula) -> PlanningProblem:
     total = {(u, v) for u in worlds for v in worlds}
     model = make_model(worlds, 1, [total], {p: {p} for p in variables})
     initial = EpistemicState(model, _HUB)
-    actions = {}
-    for p in variables:
-        name = f"delete_{p}"
-        actions[name] = make_action(
-            [name], 1, [{(name, name)}], {name: not_(Prop(p))}, name
-        )
+    actions = {f"delete_{p}": announcement(f"delete_{p}", not_(Prop(p)), 1) for p in variables}
     return PlanningProblem(
         initial=initial,
         actions=actions,

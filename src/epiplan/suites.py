@@ -78,9 +78,15 @@ def _timed(fn: Callable[[SuiteReport, random.Random], None], name: str, seed: in
     return report
 
 
-def _random_instance(rng: random.Random, max_blocks: int = 3, max_word: int = 3) -> PcpInstance:
-    blocks = [(_random_word(rng, max_word), _random_word(rng, max_word))
-              for _ in range(rng.randint(1, max_blocks))]
+# Random instances have 1 to _INSTANCE_BLOCKS blocks, each word at most
+# _INSTANCE_WORD symbols long.
+_INSTANCE_BLOCKS = 3
+_INSTANCE_WORD = 3
+
+
+def _random_instance(rng: random.Random) -> PcpInstance:
+    blocks = [(_random_word(rng, _INSTANCE_WORD), _random_word(rng, _INSTANCE_WORD))
+              for _ in range(rng.randint(1, _INSTANCE_BLOCKS))]
     return make_instance(blocks)
 
 
@@ -442,11 +448,10 @@ def run_engine_properties(seed: int = DEFAULT_SEED, rounds: int = 1600) -> Suite
 # --- theorem correspondence -------------------------------------------------
 
 
-# Theorem instances: block words of at most _THEOREM_WORD symbols, matches
-# of at most _THEOREM_MATCH blocks whose witness plans take at most
+# Theorem instances: random instances with matches of at most
+# _THEOREM_MATCH blocks whose witness plans take at most
 # _THEOREM_WITNESS_DEPTH actions; a negative instance's search stops after
 # _THEOREM_NEGATIVE_NODES nodes.
-_THEOREM_WORD = 3
 _THEOREM_MATCH = 4
 _THEOREM_WITNESS_DEPTH = 8
 _THEOREM_NEGATIVE_NODES = 6000
@@ -454,7 +459,7 @@ _THEOREM_NEGATIVE_NODES = 6000
 
 def sample_theorem_instances(rng: random.Random,
                              count: int) -> list[tuple[PcpInstance, tuple | None]]:
-    """Instances (<= 3 blocks, words <= _THEOREM_WORD) with a solvable/unsolvable mix.
+    """Random instances with a solvable/unsolvable mix.
 
     Positive instances are redrawn until their witness plan fits
     ``_THEOREM_WITNESS_DEPTH``, a depth the bounded search can exhaust
@@ -464,7 +469,7 @@ def sample_theorem_instances(rng: random.Random,
     out: list[tuple[PcpInstance, tuple | None]] = []
     want_pos = count // 2
     while len(out) < count:
-        inst = _random_instance(rng, max_word=_THEOREM_WORD)
+        inst = _random_instance(rng)
         match = brute_force_match(inst, _THEOREM_MATCH)
         if match is not None:
             if len(match_to_plan(inst, match, Variant.K1)) > _THEOREM_WITNESS_DEPTH:
@@ -505,7 +510,7 @@ def _theorem_k1(report: SuiteReport, rng: random.Random, instances: int) -> None
         else:
             # the block additions, the stage switch, and per stored symbol
             # its bit and separator removals
-            symbols = _THEOREM_MATCH * _THEOREM_WORD
+            symbols = _THEOREM_MATCH * _INSTANCE_WORD
             removals = len(module(Variant.K1).REMOVAL_ALPHABET) - 1
             depth = _THEOREM_MATCH + 1 + symbols * removals
             outcome = bfs_plan(

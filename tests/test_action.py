@@ -103,7 +103,7 @@ def test_product_update_world_order_and_valuation():
     p = product_update(s, k1.add_block(1, ("1", "")))
     # pair names and inherited valuations
     assert p.designated == "(w_root,e_s)"
-    assert p.model.valuation_of("(w_root,e_s)") == frozenset({"root"})
+    assert p.model.valuations[p.model.index_of("(w_root,e_s)")] == frozenset({"root"})
     # worlds are ordered by (world order, event order)
     firsts = [w for w in p.model.worlds if w.startswith("(w_root")]
     assert firsts == ["(w_root,e_s)"]

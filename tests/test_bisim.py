@@ -116,10 +116,11 @@ def test_refinement_fixpoint_is_stable():
         assert of[s.designated] == q.designated
         # one more refinement round: every world of a block has the block's
         # valuation and, per agent, exactly the block's successor blocks
+        rel, qrel = m.relations, qm.relations
         for w, b in of.items():
-            assert m.valuation_of(w) == qm.valuation_of(b)
+            assert m.valuations[m.index_of(w)] == qm.valuations[qm.index_of(b)]
             for a in range(m.agents):
-                assert {of[v] for v in m.successors(a, w)} == set(qm.successors(a, b))
+                assert {of[v] for u, v in rel[a] if u == w} == {v for u, v in qrel[a] if u == b}
 
 
 def test_minimize_with_key_consistency():

@@ -362,7 +362,7 @@ def test_input_nested_too_deeply_exits_3_without_traceback(capsys, tmp_path):
     frontier = {world}
     for _ in range(490):
         frontier = {v for u, v in model.relations[0] if u in frontier}
-    expected = all("p" in model.valuation_of(v) for v in frontier)
+    expected = all("p" in model.valuations[model.index_of(v)] for v in frontier)
     assert expected is False
     for where in ([], ["--world", world]):
         argv = ["check", "--state", str(state), *where, "--formula", "K{0}" * 490 + "p"]

@@ -5,8 +5,9 @@ are part of the interface; the compiled problems of the fixture instance
 pin each variant's initial model and action relations as built.  The key
 and CLI digests below were taken from the engine before its relation
 tables moved to integer rows, the compiled-problem digests from the
-engine whose frame closures still ran on name pairs; a change that alters
-any of them has to say so and print the new ones with
+engine whose frame closures still ran on name pairs, and the SAT digest
+from the compiler that still built each delete action by hand; a change
+that alters any of them has to say so and print the new ones with
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
 from __future__ import annotations
@@ -22,10 +23,11 @@ from pathlib import Path
 from epiplan.action import action_to_json
 from epiplan.bisim import canonical_key
 from epiplan.cli import main
+from epiplan.formula import parse
 from epiplan.kripke import state_to_json
 from epiplan.pcp import make_instance
 from epiplan.problem import problem_to_json
-from epiplan.reduction import Variant, module, reduce_instance
+from epiplan.reduction import Variant, module, reduce_instance, sat_to_ep
 from epiplan.suites import random_state
 
 WORDS = [("", ""), ("0", "1"), ("01", "0"), ("1", "101"), ("110", "01"), ("0101", "0101")]
@@ -37,6 +39,8 @@ PLANS = {
     "witness": "ad_1,ad_3,ad_2,ad_3,next_stage,"
     + ",".join(f"remove_{b}" for b in reversed("101110011")),
 }
+# a three-variable CNF for the SAT compiler
+SAT_FORMULA = "(p | q | !r) & (!p | r) & (!q | !r)"
 
 FAMILY_SHA256 = "3b182930a9a6b8bad34d55fee2855dbc245acbc78b50281f469d68439e3be018"
 RANDOM_SHA256 = "1bdfc73a4ac25a4e34c33345b7a893d047c9c976219f8ca53bc57be3365255db"
@@ -46,6 +50,7 @@ REDUCE_SHA256 = {
     'MultiS5': 'ac4a9de6d097a9ec2e62df599ef1a0a4ef10dc23a4f2ec195d99db6f28865816',
     'S4_1': '153c05a6f4ecd5bd9a729eb921bdd68d958c7b7f2daadfb474c6ef35277926f7',
 }
+SAT_SHA256 = "9bbf2bcb0e17c3a71e84c644a1e02315099ec64ee8ce513433a71881d3413c95"
 CLI_SHA256 = {
     'apply K1 three': 'f58426c789cff036b8f665a055a47427ac17d1e365859ad9d6db60f91b6136bd',
     'apply K1 two': '595f4f50f0f58b3a132ba02ae31ca23ed7ac5e79c89d1975e49c5d046c353cb1',
@@ -98,6 +103,12 @@ def reduce_digests() -> dict[str, str]:
     return out
 
 
+def sat_digest() -> str:
+    """The digest of the compiled SAT problem's canonical JSON."""
+    doc = problem_to_json(sat_to_ep(parse(SAT_FORMULA)))
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode("utf-8")).hexdigest()
+
+
 def _stdout(*argv) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -147,6 +158,7 @@ def test_canonical_key_bytes_are_pinned():
 
 def test_compiled_problems_are_pinned():
     assert reduce_digests() == REDUCE_SHA256
+    assert sat_digest() == SAT_SHA256
 
 
 def test_minimized_cli_output_is_pinned():
@@ -163,6 +175,7 @@ if __name__ == "__main__":
     for name, digest in sorted(reduce_digests().items()):
         print(f"    {name!r}: {digest!r},")
     print("}")
+    print(f"SAT_SHA256 = {sat_digest()!r}")
     print("CLI_SHA256 = {")
     for name, digest in sorted(cli_digests().items()):
         print(f"    {name!r}: {digest!r},")

@@ -1,14 +1,23 @@
-"""Every module-level import in the package is used.
+"""Every module-level import and every definition in the package is used.
 
-``__init__.py`` files are skipped: their imports are re-exports.  A name
-counts as used when the module reads it anywhere as a plain name;
-mentions in docstrings and comments do not count.
+Imports: ``__init__.py`` files are skipped, their imports are re-exports.
+A name counts as used when the module reads it anywhere as a plain name.
+
+Definitions: every function, class and non-dunder method defined in the
+package must occur as a name token somewhere in ``src/`` or ``bench/``
+code besides the definitions of that name.  An import counts, so a name
+``epiplan/__init__.py`` re-exports is used.  Tests do not count.
+
+In both scans, mentions in docstrings and comments do not count.
 """
 import ast
+import io
 import tokenize
+from collections import Counter
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "epiplan"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "epiplan"
 
 
 def _unused(source: str) -> list[str]:
@@ -40,3 +49,50 @@ def test_every_module_level_import_is_used():
         if names:
             unused[str(path.relative_to(PACKAGE))] = names
     assert not unused, unused
+
+
+def _definitions(source: str) -> list[str]:
+    """The functions, classes and non-dunder methods ``source`` defines, at any depth."""
+    return [node.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))]
+
+
+def _dead(defining: list[str], sources: list[str]) -> list[str]:
+    """The names ``defining`` defines that no token of ``sources`` reads.
+
+    A name token counts unless it names a definition in ``sources``;
+    ``defining`` is part of ``sources``.
+    """
+    tokens, defined = Counter(), Counter()
+    for source in sources:
+        tokens.update(tok.string for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+                      if tok.type == tokenize.NAME)
+        defined.update(_definitions(source))
+    return sorted({name for source in defining for name in _definitions(source)
+                   if tokens[name] <= defined[name]})
+
+
+def test_the_scan_finds_unused_definitions():
+    source = ("def used():\n    \"\"\"unused, put\"\"\"  # unused\n    return Box().get()\n\n"
+              "def unused():\n    return used\n\n"
+              "class Box:\n    def __init__(self):\n        pass\n\n"
+              "    def get(self):\n        return 'put'\n\n"
+              "    def put(self):\n        pass\n")
+    assert _dead([source], [source]) == ["put", "unused"]
+    assert _dead([source], [source, "from .m import put\n"]) == ["unused"]
+
+
+def _read(paths) -> list[str]:
+    out = []
+    for path in paths:
+        with tokenize.open(path) as f:
+            out.append(f.read())
+    return out
+
+
+def test_every_definition_is_used():
+    defining = _read(sorted(PACKAGE.rglob("*.py")))
+    assert len(defining) > 10
+    bench = _read(sorted((ROOT / "bench").rglob("*.py")))
+    assert _dead(defining, defining + bench) == []

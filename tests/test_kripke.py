@@ -40,7 +40,7 @@ def test_validation_errors():
 
 def test_valuation_total_with_empty_default():
     m = make_model(["w1", "w2"], 1, [set()], {"w1": ["p"]})
-    assert m.valuation_of("w2") == frozenset()
+    assert m.valuations[m.index_of("w2")] == frozenset()
 
 
 def test_restrict():

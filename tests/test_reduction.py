@@ -43,11 +43,11 @@ def test_k1_goal_formula():
 
 def test_named_formulas():
     k1, multi, ktb = module(Variant.K1), module(Variant.MULTI_S5), module(Variant.KTB1)
-    assert k1.failed() == and_(or_(prop("a"), prop("b")), know(0, not_(prop("ntF"))))
+    assert k1.failed == and_(or_(prop("a"), prop("b")), know(0, not_(prop("ntF"))))
     assert k1.loop_marker("a") == and_(prop("a"), diamond(0, prop("lp")))
     assert module(Variant.S4_1).nxt("#") == or_(prop("0"), prop("1"))
     assert ktb.nxt("0") == prop("#1")
-    assert multi.ag1() == parse("root | 0 | 1")
+    assert multi.ag1 == parse("root | 0 | 1")
     with pytest.raises(ValueError):
         ktb.nxt("7")
     with pytest.raises(ValueError):

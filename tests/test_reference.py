@@ -261,15 +261,15 @@ def ref_failed_state(variant: Variant, state) -> bool:
         return False
     below = _successors(model, 0, root) - {root}
     if variant is Variant.S4_1:
-        return any(ref_eval(model, w, mod.damaged()) for w in below)
+        return any(ref_eval(model, w, mod.damaged) for w in below)
     frontier = {w for w in below if ref_eval(model, w, or_(prop("a"), prop("b")))}
     if variant is not Variant.MULTI_S5:
         seen = set(frontier)
         while frontier:
-            if any(ref_eval(model, w, mod.failed()) for w in frontier):
+            if any(ref_eval(model, w, mod.failed) for w in frontier):
                 return True
             frontier = {v for w in frontier for v in _successors(model, 0, w)
-                        if v not in seen and ref_eval(model, v, mod.symb())}
+                        if v not in seen and ref_eval(model, v, mod.symb)}
             seen |= frontier
         return False
     agent, seen = 1, {(w, 1) for w in frontier}
@@ -280,10 +280,10 @@ def ref_failed_state(variant: Variant, state) -> bool:
                 return True
         step = set()
         for w in frontier:
-            one, two = ref_eval(model, w, mod.ag1()), ref_eval(model, w, mod.ag2())
+            one, two = ref_eval(model, w, mod.ag1), ref_eval(model, w, mod.ag2)
             step |= {v for v in _successors(model, agent, w)
-                     if not (one and not ref_eval(model, v, mod.ag2()))
-                     and not (two and not ref_eval(model, v, mod.ag1()))}
+                     if not (one and not ref_eval(model, v, mod.ag2))
+                     and not (two and not ref_eval(model, v, mod.ag1))}
         agent = 1 - agent
         frontier = {v for v in step if (v, agent) not in seen}
         seen |= {(v, agent) for v in frontier}
