@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Any
 
@@ -36,9 +35,6 @@ from .reduction import (
     sat_to_ep,
 )
 
-ENV_MAX_DEPTH = "EPIPLAN_MAX_DEPTH"
-ENV_MAX_NODES = "EPIPLAN_MAX_NODES"
-
 
 def _emit(doc: Any) -> None:
     sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
@@ -62,13 +58,8 @@ def _parse_plan(text: str) -> list[str]:
 
 
 def _budget(args) -> SearchBudget:
-    depth = args.max_depth
-    if depth is None:
-        depth = int(os.environ.get(ENV_MAX_DEPTH, 20))
-    nodes = args.max_nodes
-    if nodes is None:
-        nodes = int(os.environ.get(ENV_MAX_NODES, 100000))
-    return SearchBudget(max_depth=depth, max_nodes=nodes, paranoid_bisim_check=args.paranoid)
+    return SearchBudget(max_depth=args.max_depth, max_nodes=args.max_nodes,
+                        paranoid_bisim_check=args.paranoid)
 
 
 def cmd_check(args) -> int:
@@ -237,8 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_reduce)
 
     def add_budget(p):
-        p.add_argument("--max-depth", type=int, default=None)
-        p.add_argument("--max-nodes", type=int, default=None)
+        p.add_argument("--max-depth", type=int, default=20)
+        p.add_argument("--max-nodes", type=int, default=100000)
         p.add_argument("--paranoid", action="store_true")
 
     p = sub.add_parser("plan", help="bounded breadth-first plan search")

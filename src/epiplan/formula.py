@@ -492,52 +492,79 @@ def parse(text: str) -> Formula:
 _PREC_OR, _PREC_AND, _PREC_UNARY, _PREC_ATOM = 1, 2, 3, 4
 
 
-def _fmt(f: Formula, minimum: int) -> str:
-    # Re-sugar the printable duals so output stays readable; parsing the
-    # result desugars back to the identical tree.
-    if isinstance(f, FalseF):
-        return "false"
-    if isinstance(f, Prop):
-        return f.name
-    if isinstance(f, Know):
-        return f"K{{{f.agent}}} {_fmt(f.sub, _PREC_UNARY)}"
-    if isinstance(f, And):
-        text = f"{_fmt(f.left, _PREC_AND)} & {_fmt(f.right, _PREC_AND + 1)}"
-        return f"({text})" if minimum > _PREC_AND else text
-    # f is a negation: check the sugared shapes first
-    sub = f.sub
-    if isinstance(sub, FalseF):
-        return "true"
-    if isinstance(sub, Know) and isinstance(sub.sub, Not):
-        text = f"<K{{{sub.agent}}}> {_fmt(sub.sub.sub, _PREC_UNARY)}"
-        return text
-    if isinstance(sub, And) and isinstance(sub.left, Not) and isinstance(sub.right, Not):
-        left, right = sub.left.sub, sub.right.sub
-        text = f"{_fmt(left, _PREC_OR)} | {_fmt(right, _PREC_OR + 1)}"
-        return f"({text})" if minimum > _PREC_OR else text
-    return f"!{_fmt(sub, _PREC_UNARY)}"
-
-
 def to_text(f: Formula) -> str:
-    """Render ``f``; ``parse(to_text(f))`` is structurally ``f``."""
-    return _fmt(f, 0)
+    """Render ``f``; ``parse(to_text(f))`` is structurally ``f``.
+
+    A fold over ``subformulas`` gives each node its precedence and its text
+    as a template of strings and child nodes; a loop then writes the
+    templates out from ``f``.  Neither step recurses, so any depth is
+    printed, in time and memory linear in the text.  The printable duals
+    (``true``, ``|``, ``<K{i}>``) are re-sugared; parsing desugars them back
+    to the identical tree.
+    """
+    done: dict[Formula, tuple[tuple, int]] = {}
+
+    def at(g: Formula, minimum: int) -> tuple:
+        return ("(", g, ")") if done[g][1] < minimum else (g,)
+
+    for g in subformulas(f, done):
+        t = type(g)
+        if t is FalseF:
+            out = ("false",), _PREC_ATOM
+        elif t is Prop:
+            out = (g.name,), _PREC_ATOM
+        elif t is Know:
+            out = (f"K{{{g.agent}}} ", *at(g.sub, _PREC_UNARY)), _PREC_UNARY
+        elif t is And:
+            out = (*at(g.left, _PREC_AND), " & ", *at(g.right, _PREC_AND + 1)), _PREC_AND
+        elif t is not Not:
+            raise TypeError(f"not a formula: {g!r}")
+        elif type(g.sub) is FalseF:
+            out = ("true",), _PREC_ATOM
+        elif type(g.sub) is Know and type(g.sub.sub) is Not:
+            out = (f"<K{{{g.sub.agent}}}> ", *at(g.sub.sub.sub, _PREC_UNARY)), _PREC_UNARY
+        elif type(g.sub) is And and type(g.sub.left) is Not and type(g.sub.right) is Not:
+            left, right = g.sub.left.sub, g.sub.right.sub
+            out = (*at(left, _PREC_OR), " | ", *at(right, _PREC_OR + 1)), _PREC_OR
+        else:
+            out = ("!", *at(g.sub, _PREC_UNARY)), _PREC_UNARY
+        done[g] = out
+    pieces, stack = [], [f]
+    while stack:
+        piece = stack.pop()
+        if type(piece) is str:
+            pieces.append(piece)
+        else:
+            stack += reversed(done[piece][0])
+    return "".join(pieces)
 
 
 # --- JSON encoding -------------------------------------------------------
 
 
 def formula_to_json(f: Formula) -> dict[str, Any]:
-    if isinstance(f, FalseF):
-        return {"op": "false"}
-    if isinstance(f, Prop):
-        return {"op": "prop", "name": f.name}
-    if isinstance(f, Not):
-        return {"op": "not", "arg": formula_to_json(f.sub)}
-    if isinstance(f, And):
-        return {"op": "and", "left": formula_to_json(f.left), "right": formula_to_json(f.right)}
-    if isinstance(f, Know):
-        return {"op": "know", "agent": f.agent, "arg": formula_to_json(f.sub)}
-    raise TypeError(f"not a formula: {f!r}")
+    """The document of ``f``, a fold over ``subformulas``, so any depth is encoded.
+
+    A subformula that occurs more than once is one dict object at each of
+    its places; callers serialize the document and do not change it.
+    """
+    done: dict[Formula, dict[str, Any]] = {}
+    for g in subformulas(f, done):
+        t = type(g)
+        if t is FalseF:
+            doc = {"op": "false"}
+        elif t is Prop:
+            doc = {"op": "prop", "name": g.name}
+        elif t is Not:
+            doc = {"op": "not", "arg": done[g.sub]}
+        elif t is And:
+            doc = {"op": "and", "left": done[g.left], "right": done[g.right]}
+        elif t is Know:
+            doc = {"op": "know", "agent": g.agent, "arg": done[g.sub]}
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+        done[g] = doc
+    return done[f]
 
 
 def formula_from_json(doc: dict[str, Any]) -> Formula:

@@ -9,9 +9,9 @@ A model stores its relation once, as integer rows: ``rows[a][i]`` holds
 the indices of agent ``a``'s successors of ``worlds[i]``, ascending.
 Names serve the boundary (JSON, CLI): ``_successor_rows`` turns name
 pairs into rows and ``_pair_view`` derives the ``relations`` pairs back
-(for event models too); ``reachable_rows`` is the one reachability walk,
-``generated_part`` the one generated-part routine (``part_state`` builds
-its state) and ``successor_masks`` turns a row into bitmasks.
+(for event models too); ``generated_part`` is the one reachability walk
+and generated-part routine (``part_state`` builds its state) and
+``successor_masks`` turns a row into bitmasks.
 
 The engine reads no name.  A state points at its designated world by
 index, and a model made from another one (a product, a quotient, a
@@ -206,11 +206,6 @@ class KripkeModel:
             object.__setattr__(self, "_repeats", cached)
         return cached
 
-    @property
-    def valuation(self) -> dict[str, frozenset[str]]:
-        """Valuation as a mapping (a fresh dict each call)."""
-        return {w: v for w, v in zip(self.worlds, self.valuations)}
-
 
 def derived_model(source: KripkeModel, picks: Sequence, rows: Rows,
                   valuations: tuple[frozenset[str], ...],
@@ -221,33 +216,6 @@ def derived_model(source: KripkeModel, picks: Sequence, rows: Rows,
     ``picks[k] = (i, f)`` when ``events`` names the events (see ``_Names``).
     """
     return KripkeModel(_Names(source._worlds, picks, events), source.agents, rows, valuations)
-
-
-def reachable_rows(model: KripkeModel, start: int) -> tuple[Sequence[int], Rows]:
-    """Indices reachable from ``start`` (in world order) and the rows they induce.
-
-    Reachability is over the union of all agents' relations, reflexively
-    and transitively.  The walk stops once every world has been seen; the
-    result is then ``range(n)`` and ``model.rows`` itself.
-    """
-    n = len(model.valuations)
-    rows = model.rows
-    seen = [False] * n
-    seen[start] = True
-    stack = [start]
-    unseen = n - 1
-    while stack and unseen:
-        i = stack.pop()
-        for row in rows:
-            for j in row[i]:
-                if not seen[j]:
-                    seen[j] = True
-                    stack.append(j)
-                    unseen -= 1
-    if not unseen:
-        return range(n), rows
-    kept = [i for i in range(n) if seen[i]]
-    return kept, _induced_rows(rows, kept)
 
 
 def make_model(
@@ -328,16 +296,32 @@ def restrict(model: KripkeModel, keep: Iterable[str]) -> KripkeModel:
 def generated_part(state: EpistemicState):
     """Kept indices, valuations, rows and start index of the designated world's generated part.
 
-    The part holds the worlds ``reachable_rows`` reaches; when that is every
-    world, it is the model's own valuations and rows.
+    The part holds the worlds reachable from the designated world over the
+    union of all agents' relations, reflexively and transitively; kept
+    indices are in world order.  The walk stops once every world has been
+    seen; the part is then ``range(n)`` with the model's own valuations
+    and rows.
     """
     model = state.model
     start = state.designated_index
-    kept, rows = reachable_rows(model, start)
-    vals = model.valuations
-    if len(kept) == len(vals):
-        return kept, vals, rows, start
-    return kept, tuple([vals[i] for i in kept]), rows, kept.index(start)
+    rows, vals = model.rows, model.valuations
+    n = len(vals)
+    seen = [False] * n
+    seen[start] = True
+    stack = [start]
+    unseen = n - 1
+    while stack and unseen:
+        i = stack.pop()
+        for row in rows:
+            for j in row[i]:
+                if not seen[j]:
+                    seen[j] = True
+                    stack.append(j)
+                    unseen -= 1
+    if not unseen:
+        return range(n), vals, rows, start
+    kept = [i for i in range(n) if seen[i]]
+    return kept, tuple([vals[i] for i in kept]), _induced_rows(rows, kept), kept.index(start)
 
 
 def part_state(state: EpistemicState, part) -> EpistemicState:

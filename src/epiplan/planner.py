@@ -3,7 +3,11 @@
 The general problem is undecidable, so the breadth-first search takes
 explicit depth/node budgets and reports BoundReached when it stops for a
 budget rather than because the reachable quotient space was exhausted;
-callers must never read "not found within bounds" as "no plan".
+callers must never read "not found within bounds" as "no plan".  Every
+outcome carries the search's ``SearchStats``, and a BoundReached carries
+nothing else: the depth and node count in its JSON are ``stats.depth``
+(the deepest node reached, recorded when the node is queued) and
+``stats.nodes``.
 
 For a single agent whose relation is (at least) Euclidean the problem is
 decidable: actions can only shrink the state up to bisimulation, so plans
@@ -64,8 +68,9 @@ class SearchBudget:
     paranoid_bisim_check: bool = False
 
     def __post_init__(self):
-        if self.max_depth < 0 or self.max_nodes <= 0:
-            raise ValueError("bounds must be positive")
+        if self.max_depth < 0 or self.max_nodes < 1:
+            raise ValueError(f"search budget needs max_depth >= 0 and max_nodes >= 1, "
+                             f"got max_depth={self.max_depth}, max_nodes={self.max_nodes}")
 
 
 @dataclass
@@ -113,8 +118,6 @@ class NoPlanExhausted:
 
 @dataclass(frozen=True)
 class BoundReached:
-    depth: int
-    nodes: int
     stats: SearchStats
 
     exit_code = 2
@@ -122,8 +125,8 @@ class BoundReached:
     def to_json(self) -> dict:
         return {
             "outcome": "bound_reached",
-            "depth": self.depth,
-            "nodes": self.nodes,
+            "depth": self.stats.depth,
+            "nodes": self.stats.nodes,
             "stats": vars(self.stats),
         }
 
@@ -160,7 +163,6 @@ def _bfs(
     truncated = False
     while queue:
         state, plan = queue.popleft()
-        stats.depth = max(stats.depth, len(plan))
         if len(plan) >= max_depth:
             truncated = True
             continue
@@ -197,11 +199,11 @@ def _bfs(
             visited[key] = child if paranoid else None
             if stats.nodes >= max_nodes:
                 stats.stop_reason = "nodes"
-                return BoundReached(len(child_plan), stats.nodes, stats)
+                return BoundReached(stats)
             queue.append((child, child_plan))
     if truncated:
         stats.stop_reason = "depth"
-        return BoundReached(max_depth, stats.nodes, stats)
+        return BoundReached(stats)
     stats.stop_reason = "exhausted"
     return NoPlanExhausted(stats)
 

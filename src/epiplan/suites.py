@@ -4,6 +4,12 @@ Each suite draws its cases from a seeded RNG, exercises one family of
 engine or compiler invariants, and returns a SuiteReport.  The command
 line front end (verify-lemmas) and the acceptance tests both run these,
 so a green suite here is exactly what the acceptance criteria measure.
+
+The four lemma suites, ``run_k1_lemmas``, ``run_multi_lemmas``,
+``run_ktb_lemmas`` and ``run_s4_lemmas``, are one schema run per variant
+from ``_LEMMA_SUITES``: K1 and MultiS5 check 200 pairs of words of up to
+6 symbols by default, KTB1 and S4_1 100 pairs of up to 4 symbols.  Each
+takes ``seed`` and ``pairs``; the word length is fixed per variant.
 """
 from __future__ import annotations
 
@@ -97,9 +103,20 @@ def _random_word(rng: random.Random, max_len: int) -> str:
 # --- state-transformation lemma schemas -----------------------------------
 
 
+# Per variant: the suite's name, its default number of pairs and the
+# longest word a pair's chains start from.
+_LEMMA_SUITES = {
+    Variant.K1: ("k1_lemmas", 200, 6),
+    Variant.MULTI_S5: ("multi_lemmas", 200, 6),
+    Variant.KTB1: ("ktb_lemmas", 100, 4),
+    Variant.S4_1: ("s4_lemmas", 100, 4),
+}
+
+
 def _lemma_schema(report: SuiteReport, rng: random.Random, variant: Variant,
-                  pairs: int, max_word: int) -> None:
+                  pairs: int) -> None:
     mod = module(variant)
+    max_word = _LEMMA_SUITES[variant][2]
     profile_conds = PROFILES[mod.PROFILE_NAME]
     initial = mod.initial_state()
     separators = list(reversed(mod.REMOVAL_ALPHABET[2:]))
@@ -172,36 +189,20 @@ def _lemma_schema(report: SuiteReport, rng: random.Random, variant: Variant,
                 state = target
 
 
-def run_k1_lemmas(seed: int = DEFAULT_SEED, pairs: int = 200, max_word: int = 6) -> SuiteReport:
-    return _timed(
-        lambda r, g: _lemma_schema(r, g, Variant.K1, pairs, max_word),
-        "k1_lemmas",
-        seed,
-    )
+def _lemma_runner(variant: Variant) -> Callable[..., SuiteReport]:
+    """The runner of ``variant``'s lemma suite: ``run(seed=DEFAULT_SEED, pairs=<default>)``."""
+    name, default_pairs, _ = _LEMMA_SUITES[variant]
+
+    def run(seed: int = DEFAULT_SEED, pairs: int = default_pairs) -> SuiteReport:
+        return _timed(lambda r, g: _lemma_schema(r, g, variant, pairs), name, seed)
+
+    return run
 
 
-def run_multi_lemmas(seed: int = DEFAULT_SEED, pairs: int = 200, max_word: int = 6) -> SuiteReport:
-    return _timed(
-        lambda r, g: _lemma_schema(r, g, Variant.MULTI_S5, pairs, max_word),
-        "multi_lemmas",
-        seed,
-    )
-
-
-def run_ktb_lemmas(seed: int = DEFAULT_SEED, pairs: int = 100, max_word: int = 4) -> SuiteReport:
-    return _timed(
-        lambda r, g: _lemma_schema(r, g, Variant.KTB1, pairs, max_word),
-        "ktb_lemmas",
-        seed,
-    )
-
-
-def run_s4_lemmas(seed: int = DEFAULT_SEED, pairs: int = 100, max_word: int = 4) -> SuiteReport:
-    return _timed(
-        lambda r, g: _lemma_schema(r, g, Variant.S4_1, pairs, max_word),
-        "s4_lemmas",
-        seed,
-    )
+run_k1_lemmas = _lemma_runner(Variant.K1)
+run_multi_lemmas = _lemma_runner(Variant.MULTI_S5)
+run_ktb_lemmas = _lemma_runner(Variant.KTB1)
+run_s4_lemmas = _lemma_runner(Variant.S4_1)
 
 
 # --- failure absorption ----------------------------------------------------

@@ -25,19 +25,19 @@ def _criterion(number: int, label: str, report, limit_seconds: float) -> None:
 
 
 def test_criterion_1_k1_lemma_suite():
-    report = suites.run_k1_lemmas(pairs=200, max_word=6)
+    report = suites.run_k1_lemmas(pairs=200)
     _criterion(1, "single-agent K lemma suite", report, 60)
 
 
 def test_criterion_2_multi_lemma_suite():
-    report = suites.run_multi_lemmas(pairs=200, max_word=6)
+    report = suites.run_multi_lemmas(pairs=200)
     _criterion(2, "two-agent S5 lemma suite with frame validation", report, 60)
 
 
 def test_criterion_3_ktb_and_s4_lemma_suites():
-    ktb = suites.run_ktb_lemmas(pairs=100, max_word=4)
+    ktb = suites.run_ktb_lemmas(pairs=100)
     _criterion(3, "reflexive-symmetric lemma suite", ktb, 60)
-    s4 = suites.run_s4_lemmas(pairs=100, max_word=4)
+    s4 = suites.run_s4_lemmas(pairs=100)
     _criterion(3, "reflexive-transitive lemma suite", s4, 60)
 
 

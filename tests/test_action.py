@@ -11,7 +11,7 @@ from epiplan.action import (
     product_update,
 )
 from epiplan.bisim import bisimilar
-from epiplan.formula import evaluate_at, extension_mask, know, parse, prop
+from epiplan.formula import evaluate_at, extension_mask, know, parse, prop, to_text
 from epiplan.kripke import EpistemicState, make_model
 from epiplan.pcp import make_instance
 from epiplan.reduction import k1
@@ -67,6 +67,13 @@ def test_precondition_of_any_depth_gets_its_mask():
     assert applicable(s, deep_first)
     assert extension_mask(m, deep) == 0b001
     assert product_update(s, shallow_first).model.worlds == ("(u,deep)", "(u,shallow)")
+    # and prints, as text and as JSON, without recursing
+    assert to_text(deep) == "K{0} " * 50_000 + "p"
+    doc = action_to_json(deep_first)["pre"]["deep"]
+    for _ in range(50_000):
+        assert doc.keys() == {"op", "agent", "arg"} and (doc["op"], doc["agent"]) == ("know", 0)
+        doc = doc["arg"]
+    assert doc == {"op": "prop", "name": "p"}
     # the masks the model memoized on the way agree with pointwise evaluation
     for f in (prop("p"), know(0, prop("p")), shallow, parse("!K p & p"), parse("<K> !p")):
         expected = sum(1 << i for i, w in enumerate(m.worlds) if evaluate_at(s, w, f))

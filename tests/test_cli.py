@@ -122,6 +122,20 @@ def test_solve_pcp_bound_exit_code(capsys, fixtures):
     assert code == 2 and doc["outcome"] == "bound_reached"
 
 
+def test_search_budget_flags(capsys, fixtures):
+    from epiplan.cli import build_parser
+
+    for command in (["plan", "--problem", "p.json"], ["solve-pcp", "--pcp", "b.json",
+                                                        "--variant", "K1"]):
+        args = build_parser().parse_args(command)
+        assert (args.max_depth, args.max_nodes) == (20, 100000), command
+    for flags in (["--max-depth", "-1"], ["--max-nodes", "0"]):
+        code = main(["solve-pcp", "--pcp", str(fixtures["easy"]), "--variant", "K1", *flags])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == "", flags
+        assert captured.err.startswith("error: search budget needs max_depth >= 0")
+
+
 def test_minimize_round_trip(capsys, fixtures):
     code, doc = run(capsys, "minimize", "--state", fixtures["state"])
     assert code == 0

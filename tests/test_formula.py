@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import gc
 import json
@@ -280,6 +281,74 @@ def test_subformulas_yields_each_node_once_after_its_children(f, data):
 @given(formulas)
 def test_propositions_matches_reference(f):
     assert propositions(f) == _reference_propositions(f)
+
+
+def _reference_text(f, minimum=0):
+    """The recursive printer: re-sugared duals, parentheses by precedence."""
+    if isinstance(f, FalseF):
+        return "false"
+    if isinstance(f, Prop):
+        return f.name
+    if isinstance(f, Know):
+        return f"K{{{f.agent}}} {_reference_text(f.sub, 3)}"
+    if isinstance(f, And):
+        text = f"{_reference_text(f.left, 2)} & {_reference_text(f.right, 3)}"
+        return f"({text})" if minimum > 2 else text
+    sub = f.sub
+    if isinstance(sub, FalseF):
+        return "true"
+    if isinstance(sub, Know) and isinstance(sub.sub, Not):
+        return f"<K{{{sub.agent}}}> {_reference_text(sub.sub.sub, 3)}"
+    if isinstance(sub, And) and isinstance(sub.left, Not) and isinstance(sub.right, Not):
+        text = f"{_reference_text(sub.left.sub, 1)} | {_reference_text(sub.right.sub, 2)}"
+        return f"({text})" if minimum > 1 else text
+    return f"!{_reference_text(sub, 3)}"
+
+
+def _reference_json(f):
+    if isinstance(f, FalseF):
+        return {"op": "false"}
+    if isinstance(f, Prop):
+        return {"op": "prop", "name": f.name}
+    if isinstance(f, Not):
+        return {"op": "not", "arg": _reference_json(f.sub)}
+    if isinstance(f, And):
+        return {"op": "and", "left": _reference_json(f.left), "right": _reference_json(f.right)}
+    return {"op": "know", "agent": f.agent, "arg": _reference_json(f.sub)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(formulas)
+def test_printers_match_recursive_references(f):
+    assert to_text(f) == _reference_text(f)
+    assert repr(f) == f"<{_reference_text(f)}>"
+    doc = formula_to_json(f)
+    assert doc == _reference_json(f)
+    assert json.dumps(doc) == json.dumps(_reference_json(f))
+
+
+@contextlib.contextmanager
+def _recursion_limit(limit):
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
+
+
+def test_printers_take_formulas_of_any_depth():
+    # every printed shape, cycled 1 000 times: far past the recursion limit
+    wraps = (not_, lambda g: know(0, g), lambda g: and_(g, prop("q")),
+             lambda g: or_(prop("r"), g), lambda g: diamond(1, g))
+    chain = prop("p")
+    for i in range(5000):
+        chain = wraps[i % len(wraps)](chain)
+    text, doc = to_text(chain), formula_to_json(chain)
+    assert repr(chain) == f"<{text}>"
+    with _recursion_limit(20_000):
+        assert text == _reference_text(chain)
+        assert doc == _reference_json(chain)
 
 
 def test_negative_agents_are_rejected_at_construction():

@@ -84,7 +84,8 @@ def test_closure_monotone():
         small_rels = [
             {p for p in rel if rng.random() < 0.6} for rel in big.relations
         ]
-        small = make_model(big.worlds, big.agents, small_rels, big.valuation)
+        valuation = dict(zip(big.worlds, big.valuations))
+        small = make_model(big.worlds, big.agents, small_rels, valuation)
         c_small, c_big = closure(small, conds), closure(big, conds)
         assert all(a <= b for a, b in zip(c_small.relations, c_big.relations))
 

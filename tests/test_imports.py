@@ -3,10 +3,12 @@
 Imports: ``__init__.py`` files are skipped, their imports are re-exports.
 A name counts as used when the module reads it anywhere as a plain name.
 
-Definitions: every function, class and non-dunder method defined in the
-package must occur as a name token somewhere in ``src/`` or ``bench/``
-code besides the definitions of that name.  An import counts, so a name
-``epiplan/__init__.py`` re-exports is used.  Tests do not count.
+Definitions: every function and class defined in the package must occur
+as a name token somewhere in ``src/`` or ``bench/`` code besides the
+definitions of that name.  An import counts, so a name
+``epiplan/__init__.py`` re-exports is used.  Every non-dunder method and
+property must be read as an attribute (``x.name``) somewhere in that code;
+a plain name of the same spelling does not count.  Tests do not count.
 
 In both scans, mentions in docstrings and comments do not count.
 """
@@ -51,26 +53,48 @@ def test_every_module_level_import_is_used():
     assert not unused, unused
 
 
-def _definitions(source: str) -> list[str]:
-    """The functions, classes and non-dunder methods ``source`` defines, at any depth."""
-    return [node.name for node in ast.walk(ast.parse(source))
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and not (node.name.startswith("__") and node.name.endswith("__"))]
+def _definitions(source: str) -> tuple[list[str], list[str]]:
+    """The functions and classes ``source`` defines at any depth, and its methods.
+
+    Methods are the functions of a class body, properties included; dunder
+    names are left out of both lists.
+    """
+    tree = ast.parse(source)
+    methods = [node for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+               for node in cls.body if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    functions = [node for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                 and node not in methods]
+
+    def names(nodes):
+        return [node.name for node in nodes
+                if not (node.name.startswith("__") and node.name.endswith("__"))]
+
+    return names(functions), names(methods)
 
 
 def _dead(defining: list[str], sources: list[str]) -> list[str]:
-    """The names ``defining`` defines that no token of ``sources`` reads.
+    """The names ``defining`` defines that ``sources`` never uses.
 
-    A name token counts unless it names a definition in ``sources``;
-    ``defining`` is part of ``sources``.
+    A function or class is used when a name token of ``sources`` spells it,
+    not counting the tokens that name a definition; a method when
+    ``sources`` reads it as an attribute.  ``defining`` is part of
+    ``sources``.
     """
-    tokens, defined = Counter(), Counter()
+    tokens, defined, attributes = Counter(), Counter(), set()
     for source in sources:
         tokens.update(tok.string for tok in tokenize.generate_tokens(io.StringIO(source).readline)
                       if tok.type == tokenize.NAME)
-        defined.update(_definitions(source))
-    return sorted({name for source in defining for name in _definitions(source)
-                   if tokens[name] <= defined[name]})
+        functions, methods = _definitions(source)
+        defined.update(functions + methods)
+        attributes.update(node.attr for node in ast.walk(ast.parse(source))
+                          if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+    dead = set()
+    for source in defining:
+        functions, methods = _definitions(source)
+        dead.update(name for name in functions if tokens[name] <= defined[name])
+        dead.update(name for name in methods if name not in attributes)
+    return sorted(dead)
 
 
 def test_the_scan_finds_unused_definitions():
@@ -78,9 +102,12 @@ def test_the_scan_finds_unused_definitions():
               "def unused():\n    return used\n\n"
               "class Box:\n    def __init__(self):\n        pass\n\n"
               "    def get(self):\n        return 'put'\n\n"
-              "    def put(self):\n        pass\n")
-    assert _dead([source], [source]) == ["put", "unused"]
-    assert _dead([source], [source, "from .m import put\n"]) == ["unused"]
+              "    def put(self):\n        pass\n\n"
+              "    @property\n    def size(self):\n        return 0\n\n"
+              "size = len(used())\n")
+    assert _dead([source], [source]) == ["put", "size", "unused"]
+    assert _dead([source], [source, "from .m import unused, put\n"]) == ["put", "size"]
+    assert _dead([source], [source, "Box().put()\nprint(Box().size)\n"]) == ["unused"]
 
 
 def _read(paths) -> list[str]:

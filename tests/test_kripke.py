@@ -4,11 +4,11 @@ from epiplan import errors
 from epiplan.formula import evaluate
 from epiplan.kripke import (
     EpistemicState,
+    generated_part,
     generated_submodel,
     make_model,
     model_from_json,
     model_to_json,
-    reachable_rows,
     restrict,
     state_from_json,
     state_to_json,
@@ -70,27 +70,32 @@ def test_generated_submodel():
     assert generated_submodel(s) == s
 
 
-def test_reachable_rows_stops_once_every_world_is_seen():
+def test_generated_part_stops_once_every_world_is_seen():
+    def part(model, start):
+        return generated_part(EpistemicState.at(model, start))
+
     # a chain: the walk finds the last world on the last edge it reads
-    chain = make_model(["a", "b", "c", "d"], 1, [{("a", "b"), ("b", "c"), ("c", "d")}], {})
-    kept, rows = reachable_rows(chain, 0)
-    assert kept == range(4) and rows is chain.rows
+    chain = make_model(["a", "b", "c", "d"], 1, [{("a", "b"), ("b", "c"), ("c", "d")}],
+                       {"c": ["p"]})
+    kept, vals, rows, start = part(chain, 0)
+    assert kept == range(4) and vals is chain.valuations and rows is chain.rows and start == 0
     # the last world is found under the second agent, from the last world popped
     two = make_model(["a", "b", "c"], 2, [{("a", "b"), ("b", "a")}, {("b", "c")}], {})
-    kept, rows = reachable_rows(two, 0)
-    assert kept == range(3) and rows is two.rows
+    kept, vals, rows, start = part(two, 0)
+    assert kept == range(3) and vals is two.valuations and rows is two.rows and start == 0
     # one world, no edge
     alone = make_model(["a"], 1, [set()], {})
-    kept, rows = reachable_rows(alone, 0)
-    assert kept == range(1) and rows is alone.rows
+    kept, vals, rows, start = part(alone, 0)
+    assert kept == range(1) and vals is alone.valuations and rows is alone.rows and start == 0
     # a partial walk keeps its induced rows
-    kept, rows = reachable_rows(chain, 2)
+    kept, vals, rows, start = part(chain, 2)
     assert list(kept) == [2, 3] and rows == (((1,), ()),)
-    kept, rows = reachable_rows(two, 1)
-    assert list(kept) == [0, 1, 2] and rows is two.rows
+    assert vals == (frozenset({"p"}), frozenset()) and start == 0
+    kept, vals, rows, start = part(two, 1)
+    assert list(kept) == [0, 1, 2] and rows is two.rows and start == 1
     side = make_model(["a", "b", "c", "d"], 2, [{("a", "c"), ("c", "c")}, {("c", "a"), ("b", "d")}], {})
-    kept, rows = reachable_rows(side, 2)
-    assert list(kept) == [0, 2] and rows == (((1,), (1,)), ((), (0,)))
+    kept, vals, rows, start = part(side, 2)
+    assert list(kept) == [0, 2] and rows == (((1,), (1,)), ((), (0,))) and start == 1
 
 
 def test_generated_submodel_preserves_evaluation():

@@ -61,6 +61,17 @@ def test_bound_reached_is_distinguished():
     assert isinstance(outcome, BoundReached)
 
 
+def test_budget_bounds_name_what_they_need():
+    # the edges are legal: a depth-0 search tests only the start state
+    outcome = bfs_plan(reduce_instance(UNSOLVABLE, Variant.K1), SearchBudget(0, 1))
+    assert isinstance(outcome, BoundReached) and outcome.stats.stop_reason == "depth"
+    assert (outcome.stats.depth, outcome.stats.nodes) == (0, 1)
+    for depth, nodes in ((-1, 1), (0, 0)):
+        with pytest.raises(ValueError, match=f"max_depth >= 0 and max_nodes >= 1, "
+                                             f"got max_depth={depth}, max_nodes={nodes}"):
+            SearchBudget(depth, nodes)
+
+
 def test_monotone_in_depth():
     problem = reduce_instance(EASY, Variant.K1)
     for depth in (4, 5, 7, 10):
@@ -141,7 +152,7 @@ def test_stats_and_outcome_json():
     assert doc["stats"]["nodes"] >= 1
     assert outcome.exit_code == 0
     assert NoPlanExhausted(outcome.stats).exit_code == 1
-    assert BoundReached(1, 1, outcome.stats).exit_code == 2
+    assert BoundReached(outcome.stats).exit_code == 2
 
 
 def test_stop_reason_names_what_ended_the_search(monkeypatch):
@@ -157,7 +168,7 @@ def test_stop_reason_names_what_ended_the_search(monkeypatch):
     by_depth = bfs_plan(unsolvable, SearchBudget(max_depth=2, max_nodes=100000))
     assert by_depth.stats.stop_reason == "depth" and by_depth.stats.nodes < 100000
     by_nodes = bfs_plan(unsolvable, SearchBudget(max_depth=30, max_nodes=5))
-    assert by_nodes.stats.stop_reason == "nodes" and by_nodes.depth < 30
+    assert by_nodes.stats.stop_reason == "nodes" and by_nodes.stats.depth < 30
     assert by_nodes.to_json()["stats"]["stop_reason"] == "nodes"
     # The S5 solver's depth cut is the state-space diameter, so a depth stop
     # there is exhaustion.  Without reflexivity the cut is reached: u's

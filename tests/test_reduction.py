@@ -143,7 +143,7 @@ def test_bounded_search_counts_on_the_example(variant, hits):
     # compiler, the product update or dedup moves these counts.
     outcome = bfs_plan(reduce_instance(EXAMPLE, variant), SearchBudget(max_depth=6, max_nodes=300))
     assert isinstance(outcome, BoundReached)
-    assert (outcome.nodes, outcome.depth) == (300, 5)
+    assert (outcome.stats.nodes, outcome.stats.depth) == (300, 5)
     assert (outcome.stats.dedup_hits, outcome.stats.memo_hits) == (hits, hits)
 
 
@@ -346,3 +346,24 @@ def test_variant_interface_and_seeded_suite_sizes():
     for variant in Variant:
         report = suites.run_failure_absorption(seed=1, cases=10, variant=variant)
         assert report.ok and report.cases == 50, (variant, report.to_json())
+
+
+@pytest.mark.parametrize("name,pairs,cap", [
+    ("run_k1_lemmas", 200, 6), ("run_multi_lemmas", 200, 6),
+    ("run_ktb_lemmas", 100, 4), ("run_s4_lemmas", 100, 4),
+])
+def test_lemma_suites_default_pairs_and_word_caps(monkeypatch, name, pairs, cap):
+    # The acceptance criteria run each lemma suite at its default size; a
+    # pair's words are drawn up to the variant's cap, the instance's
+    # blocks up to the instance cap.
+    import inspect
+
+    from epiplan import suites
+
+    runner = getattr(suites, name)
+    assert inspect.signature(runner).parameters["pairs"].default == pairs
+    caps = []
+    draw = suites._random_word
+    monkeypatch.setattr(suites, "_random_word", lambda rng, n: caps.append(n) or draw(rng, n))
+    assert runner(seed=1, pairs=2).ok
+    assert set(caps) == {suites._INSTANCE_WORD, cap}

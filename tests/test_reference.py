@@ -409,7 +409,8 @@ def _near(rng: random.Random, state: EpistemicState) -> EpistemicState:
     if rng.random() < 0.5 and any(rels):
         rel = rng.choice([r for r in rels if r])
         rel.discard(rng.choice(sorted(rel)))
-    return EpistemicState(make_model(m.worlds, m.agents, rels, m.valuation), other.designated)
+    return EpistemicState(make_model(m.worlds, m.agents, rels, dict(zip(m.worlds, m.valuations))),
+                          other.designated)
 
 
 @settings(max_examples=300, deadline=None)
@@ -480,7 +481,8 @@ def _update_source(rng: random.Random, agents: int):
             m = state.model
             total = frozenset(itertools.product(m.worlds, m.worlds))
             state = EpistemicState(
-                make_model(m.worlds, agents, [total] * agents, m.valuation), state.designated)
+                make_model(m.worlds, agents, [total] * agents, dict(zip(m.worlds, m.valuations))),
+                state.designated)
         return state, lambda: random_action(rng, agents, max_events=5)
     if kind < 5:
         problem = sat_to_ep(random_formula(rng, 3, 0))
@@ -519,7 +521,8 @@ def test_product_update_matches_the_pairwise_product(seed, agents):
             # the same state built from its names
             m = p.model
             named = EpistemicState(
-                make_model(m.worlds, m.agents, m.relations, m.valuation), p.designated)
+                make_model(m.worlds, m.agents, m.relations, dict(zip(m.worlds, m.valuations))),
+                p.designated)
             assert named == p and hash(named) == hash(p)
             assert state_to_json(named) == state_to_json(p)
 
