@@ -5,23 +5,27 @@ formulas.  Applying one to an epistemic state (the product update) keeps
 exactly the world/event pairs whose world satisfies the event's
 precondition; there are no postconditions, so valuations are inherited
 from the source world unchanged.
-Event models store successor rows like Kripke models; their name pairs
-``relations`` are a derived view, and the product update reads rows only.
+Event models store successor rows like Kripke models, and the
+designated event by index, as states store their world; their name
+pairs ``relations``, their agent count and the designated event's name
+are derived views, and the product update reads indices and rows only.
+The precondition of ``events[i]`` is ``preconditions[i]``.
 
 Both ``applicable`` and ``product_update`` evaluate preconditions as
-extension masks (``formula.extension_mask``), memoized on the state's
-model: at one search node, every action's test and update share each
-subformula's mask.  The update then visits only the world/event pairs it
-keeps, taken from the set bits of those masks, never all of them.  Goal
-checks (``formula.evaluate``) stay pointwise: they need one world, and
-there the short-circuiting walk beats building full masks.
+extension masks (``formula.extension_mask``), memoized in the state's
+model, which owns the memo (``KripkeModel._memo``): at one search node,
+every action's test and update share each subformula's mask.  The update
+then visits only the world/event pairs it keeps, taken from the set bits
+of those masks, never all of them.  Goal checks (``formula.evaluate``)
+stay pointwise: they need one world, and there the short-circuiting walk
+beats building full masks.
 
-Both read the designated world by index.  The product's world names
-``"(u,e)"`` are a recipe over the state's names (``kripke._Names``),
+Both read the designated world and event by index.  The product's world
+names ``"(u,e)"`` are a recipe over the state's names (``kripke._Names``),
 built only if something reads them.  Under an agent whose successor
-masks repeat (``KripkeModel.repeated_masks``), two kept pairs ``(i, e)``
-and ``(i', e)`` with equal masks have equal successor rows, so the update
-builds that row once and shares the tuple.
+masks repeat (the repeats view of ``KripkeModel.masks``), two kept pairs
+``(i, e)`` and ``(i', e)`` with equal masks have equal successor rows, so
+the update builds that row once and shares the tuple.
 """
 from __future__ import annotations
 
@@ -62,30 +66,30 @@ class EventModel:
 
     ``preconditions[i]`` belongs to ``events[i]``, and ``rows[a][i]`` holds
     the indices of agent ``a``'s successors of ``events[i]``, as in a
-    Kripke model.  ``depth_bound`` caps the modal depth of every
-    precondition (``None`` means unbounded); the planner requires bound 1.
+    Kripke model; ``agents`` is ``len(rows)``.  The designated event is
+    ``events[designated_index]``.  ``depth_bound`` caps the modal depth of
+    every precondition (``None`` means unbounded); the planner requires
+    bound 1.
     """
 
     events: tuple[str, ...]
-    agents: int
     rows: Rows
     preconditions: tuple[Formula, ...]
-    designated: str
+    designated_index: int
     depth_bound: int | None = 1
 
-    def __post_init__(self):
-        object.__setattr__(self, "_index", {e: i for i, e in enumerate(self.events)})
+    @property
+    def agents(self) -> int:
+        return len(self.rows)
+
+    @property
+    def designated(self) -> str:
+        return self.events[self.designated_index]
 
     @property
     def relations(self) -> tuple[frozenset[Pair], ...]:
         """Per agent, the relation as event-name pairs (derived afresh on each access)."""
         return _pair_view(self.events, self.rows)
-
-    def __contains__(self, event: str) -> bool:
-        return event in self._index
-
-    def pre(self, event: str) -> Formula:
-        return self.preconditions[self._index[event]]
 
 
 def make_action(
@@ -121,7 +125,7 @@ def make_action(
             if depth > depth_bound:
                 raise DepthExceeded(e, depth, depth_bound)
         pres.append(f)
-    return EventModel(event_list, agent_count, rows, tuple(pres), designated, depth_bound)
+    return EventModel(event_list, rows, tuple(pres), index[designated], depth_bound)
 
 
 def _same_agents(state: EpistemicState, action: EventModel) -> KripkeModel:
@@ -140,14 +144,14 @@ def applicable(state: EpistemicState, action: EventModel) -> bool:
     masks in the model's memo for the product update.
     """
     model = _same_agents(state, action)
-    mask = extension_mask(model, action.pre(action.designated))
+    mask = extension_mask(model, action.preconditions[action.designated_index])
     return bool(mask >> state.designated_index & 1)
 
 
 def product_update(state: EpistemicState, action: EventModel) -> EpistemicState:
     """The product of a state with an applicable action.
 
-    Worlds are the pairs ``(u, e)`` with ``u`` satisfying ``pre(e)``,
+    Worlds are the pairs ``(u, e)`` with ``u`` satisfying ``e``'s precondition,
     ordered by (world order, event order); a pair relates to another under
     an agent when both components do; valuations are inherited from the
     world component.  Only kept pairs are visited: they are read off the
@@ -160,7 +164,7 @@ def product_update(state: EpistemicState, action: EventModel) -> EpistemicState:
     model = _same_agents(state, action)
     holds = [extension_mask(model, pre) for pre in action.preconditions]
     m = len(action.events)
-    u0, e0 = state.designated_index, action._index[action.designated]
+    u0, e0 = state.designated_index, action.designated_index
     if not holds[e0] >> u0 & 1:
         raise NotApplicable(f"designated precondition fails at {state.designated!r}")
     # kept pairs as codes i * m + e, ascending: world order, then event order;
@@ -176,9 +180,9 @@ def product_update(state: EpistemicState, action: EventModel) -> EpistemicState:
     for k, code in enumerate(codes):
         slot[code] = k
     pairs = [divmod(code, m) for code in codes]
+    _, all_succ_masks, all_repeats = model.masks()
     rows = []
-    for succ_masks, event_row, repeats in zip(
-            model.masks()[1], action.rows, model.repeated_masks()):
+    for succ_masks, event_row, repeats in zip(all_succ_masks, action.rows, all_repeats):
         row = []
         shared = {} if repeats else None
         for i, e in pairs:
@@ -248,7 +252,7 @@ def action_to_json(action: EventModel) -> dict[str, Any]:
         "agents": action.agents,
         "events": sorted(action.events),
         "relations": [sorted([u, v] for (u, v) in rel) for rel in action.relations],
-        "pre": {e: formula_to_json(action.pre(e)) for e in action.events},
+        "pre": {e: formula_to_json(f) for e, f in zip(action.events, action.preconditions)},
         "designated": action.designated,
         "depth_bound": action.depth_bound,
     }

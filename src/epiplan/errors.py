@@ -54,10 +54,6 @@ class FormulaSyntaxError(EngineError):
         self.position = position
 
 
-class FormulaTooDeep(EngineError):
-    """A formula nests deeper than pointwise evaluation (``evaluate``) can recurse."""
-
-
 class NotAMatch(EngineError):
     pass
 

@@ -23,8 +23,7 @@ import threading
 import weakref
 from typing import TYPE_CHECKING, Any, Container, Iterator
 
-from .errors import (FormulaSyntaxError, FormulaTooDeep, MalformedDocument, UnknownAgent,
-                     UnknownWorld, field_of)
+from .errors import FormulaSyntaxError, MalformedDocument, UnknownAgent, UnknownWorld, field_of
 
 if TYPE_CHECKING:
     from .kripke import EpistemicState, KripkeModel
@@ -308,7 +307,9 @@ def evaluate_at(state: EpistemicState, world: str, f: Formula) -> bool:
     hash-consed) and a ``Know``'s value at a world depends only on the
     model, the world and the node; below a ``Know`` the walk keeps nothing.
     The agents ``f`` names are checked before the walk (``UnknownAgent``),
-    so the answer never depends on where the walk stops.
+    so the answer never depends on where the walk stops.  A formula nested
+    deeper than the walk can recurse is answered from its extension mask
+    (``extension_mask``), which walks any depth.
     """
     if world not in state.model:
         raise UnknownWorld(f"world {world!r} not in model")
@@ -320,7 +321,7 @@ def _evaluate(model: KripkeModel, i: int, f: Formula) -> bool:
     try:
         return _eval(model, i, f, {})
     except RecursionError:
-        raise FormulaTooDeep("formula is nested too deeply to evaluate") from None
+        return bool(extension_mask(model, f) >> i & 1)
 
 
 def extension_mask(model: KripkeModel, f: Formula) -> int:
@@ -331,18 +332,17 @@ def extension_mask(model: KripkeModel, f: Formula) -> int:
     as the applicability tests and product updates of all actions at one
     search node, computes each distinct subformula once (sound as in
     ``evaluate_at``: a node is one formula).  A memo miss checks the agents
-    ``f`` names (``UnknownAgent``).  ``evaluate`` does not come here: for
-    one world its short-circuit walk is faster than full masks.
+    ``f`` names (``UnknownAgent``).  ``evaluate`` comes here only for a
+    formula nested deeper than its walk can recurse: for one world its
+    short-circuit walk is faster than full masks.  Such a deep goal adds
+    its subformulas to the model's memo, as a precondition does.
     """
     memo = model._memo
-    if memo is None:
-        memo = {}
-        object.__setattr__(model, "_memo", memo)
     hit = memo.get(f)
     if hit is not None:
         return hit
     _check_agents(model, f)
-    prop_masks, succ_masks = model.masks()
+    prop_masks, succ_masks, _ = model.masks()
     full = (1 << len(model.valuations)) - 1
     for g in subformulas(f, memo):
         t = type(g)
@@ -547,6 +547,8 @@ def formula_to_json(f: Formula) -> dict[str, Any]:
 
     A subformula that occurs more than once is one dict object at each of
     its places; callers serialize the document and do not change it.
+    ``json`` can neither write nor read a document nested deeper than the
+    recursion limit; the CLI never builds such a formula.
     """
     done: dict[Formula, dict[str, Any]] = {}
     for g in subformulas(f, done):
@@ -568,7 +570,12 @@ def formula_to_json(f: Formula) -> dict[str, Any]:
 
 
 def formula_from_json(doc: dict[str, Any]) -> Formula:
-    """The formula a document encodes; nesting too deep to read is malformed."""
+    """The formula a document encodes; nesting too deep to read is malformed.
+
+    Like ``json``, this reader recurses: it rejects a document nested deeper
+    than the recursion limit, even one ``formula_to_json`` made.  The CLI
+    never builds such a formula.
+    """
     try:
         return _formula_from_json(doc)
     except RecursionError:

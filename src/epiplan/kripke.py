@@ -6,7 +6,8 @@ branches).  World iteration order is the construction order, which keeps
 all downstream operations deterministic.
 
 A model stores its relation once, as integer rows: ``rows[a][i]`` holds
-the indices of agent ``a``'s successors of ``worlds[i]``, ascending.
+the indices of agent ``a``'s successors of ``worlds[i]``, ascending; the
+agent count is the number of rows and is stored nowhere else.
 Names serve the boundary (JSON, CLI): ``_successor_rows`` turns name
 pairs into rows and ``_pair_view`` derives the ``relations`` pairs back
 (for event models too); ``generated_part`` is the one reachability walk
@@ -19,6 +20,12 @@ generated part) gets its world names from a ``_Names`` recipe that
 builds them on first read of ``worlds``: a search that never prints a
 state never builds its names.  The name index of a model is built on its
 first name lookup.
+
+A model owns its derived views, which live and die with it: ``masks()``
+builds its bitmask views in one cached slot, and its field ``_memo``
+holds the extension mask of each subformula evaluated on it so far
+(filled by ``formula.extension_mask``), so every action tried at one
+search node shares them.
 """
 from __future__ import annotations
 
@@ -113,22 +120,25 @@ class KripkeModel:
     ``rows[a][i]`` holds the successor indices of ``worlds[i]`` under
     agent ``a`` in ascending order, and ``valuations[i]`` the proposition
     set of ``worlds[i]``; ``len(valuations)`` is the world count, read
-    without the names.  Use :func:`make_model` to build a model from name
-    pairs; it validates and normalizes the input.  The first argument is
-    the tuple of world names, or, for models the engine derives, a
-    ``_Names`` recipe that ``worlds`` builds on first read.  Equality and
-    hashing are by worlds, agents, rows and valuations, as for a plain
-    record; the hash leaves the names out, so it builds none.
+    without the names, and ``agents``, the agent count, is ``len(rows)``.
+    Use :func:`make_model` to build a model from name pairs; it validates
+    and normalizes the input.  The first argument is the tuple of world
+    names, or, for models the engine derives, a ``_Names`` recipe that
+    ``worlds`` builds on first read.  Equality and hashing are by worlds,
+    rows and valuations, as for a plain record; the hash leaves the names
+    out, so it builds none.
     """
 
     _worlds: tuple[str, ...] | _Names
-    agents: int
     rows: Rows
     valuations: tuple[frozenset[str], ...]
     _index: dict = field(init=False, default=None)
     _masks: tuple = field(init=False, default=None)
-    _repeats: tuple = field(init=False, default=None)
-    _memo: dict = field(init=False, default=None)
+    _memo: dict = field(init=False, default_factory=dict)
+
+    @property
+    def agents(self) -> int:
+        return len(self.rows)
 
     @property
     def worlds(self) -> tuple[str, ...]:
@@ -141,11 +151,11 @@ class KripkeModel:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.agents == other.agents and self.rows == other.rows
-                and self.valuations == other.valuations and self.worlds == other.worlds)
+        return (self.rows == other.rows and self.valuations == other.valuations
+                and self.worlds == other.worlds)
 
     def __hash__(self):
-        return hash((self.agents, self.rows, self.valuations))
+        return hash((self.rows, self.valuations))
 
     def __repr__(self):
         return (f"KripkeModel(worlds={self.worlds!r}, agents={self.agents!r}, "
@@ -170,14 +180,17 @@ class KripkeModel:
         return self._names_index()[world]
 
     def masks(self):
-        """Bitmask view for batch evaluation: (prop masks, successor masks).
+        """Bitmask views for batch evaluation: (prop masks, successor masks, repeats).
 
         ``prop_masks[p]`` has bit i set when worlds[i] satisfies p;
-        ``succ_masks[a]`` is ``successor_masks(rows[a])``.  Built lazily
-        and cached.  Next to them the model keeps ``_memo``, the extension
-        mask of each subformula evaluated on it so far (filled by
-        ``formula.extension_mask``); it lives and dies with the model, so
-        every action tried at one search node shares it.
+        ``succ_masks[a]`` is ``successor_masks(rows[a])``; ``repeats[a]``
+        is true when agent ``a``'s successor masks repeat across the
+        worlds: at most half as many distinct masks as worlds occur, as in
+        S5 cliques, where every world of a clique has the clique's mask.
+        ``action.product_update`` then builds one successor row per
+        (mask, event) and shares it.  With fewer repeats, such as the empty
+        masks of a tree's leaves, the lookups cost more than the rows they
+        save.  Built lazily and cached.
         """
         cached = self._masks
         if cached is None:
@@ -186,24 +199,10 @@ class KripkeModel:
                 bit = 1 << i
                 for p in val:
                     prop_masks[p] = prop_masks.get(p, 0) | bit
-            cached = (prop_masks, [successor_masks(row) for row in self.rows])
+            succ_masks = [successor_masks(row) for row in self.rows]
+            repeats = tuple(2 * len(set(succ)) <= len(succ) for succ in succ_masks)
+            cached = (prop_masks, succ_masks, repeats)
             object.__setattr__(self, "_masks", cached)
-        return cached
-
-    def repeated_masks(self) -> tuple[bool, ...]:
-        """Per agent, whether successor masks repeat across the worlds.
-
-        True when at most half as many distinct masks as worlds occur, as in
-        S5 cliques, where every world of a clique has the clique's mask.
-        ``action.product_update`` then builds one successor row per
-        (mask, event) and shares it.  With fewer repeats, such as the empty
-        masks of a tree's leaves, the lookups cost more than the rows they
-        save.  Cached.
-        """
-        cached = self._repeats
-        if cached is None:
-            cached = tuple(2 * len(set(succ)) <= len(succ) for succ in self.masks()[1])
-            object.__setattr__(self, "_repeats", cached)
         return cached
 
 
@@ -215,7 +214,7 @@ def derived_model(source: KripkeModel, picks: Sequence, rows: Rows,
     World k is named ``source.worlds[picks[k]]``, or ``"(u,e)"`` for a pair
     ``picks[k] = (i, f)`` when ``events`` names the events (see ``_Names``).
     """
-    return KripkeModel(_Names(source._worlds, picks, events), source.agents, rows, valuations)
+    return KripkeModel(_Names(source._worlds, picks, events), rows, valuations)
 
 
 def make_model(
@@ -242,7 +241,7 @@ def make_model(
         if w not in index:
             raise DanglingWorldRef(f"valuation references unknown world {w!r}")
     vals = tuple(frozenset(valuation.get(w, ())) for w in world_list)
-    return KripkeModel(world_list, agent_count, rows, vals)
+    return KripkeModel(world_list, rows, vals)
 
 
 @dataclass(frozen=True, init=False, repr=False)

@@ -15,8 +15,9 @@ variant's compiler module is its whole spec; every one defines
   rows still hold symbols;
 - ``family(qa, qb, flavor)`` (the named block-sequence states the lemma
   suites compare product updates against), ``initial_state()``,
-  ``add_block(index, block)``, ``next_stage()``, ``remove_symbol(s)``,
-  ``build_actions(inst)`` and ``goal()``;
+  ``add_block(index, block)``, ``next_stage()``, ``remove_symbol(s)``
+  and ``build_actions(inst)``;
+- ``goal``, the goal formula;
 - ``failed_state(state)``, the witness-path check for a failed removal.
   It runs on extension masks (``formula.extension_mask``) and successor
   masks (``model.masks()``), each frontier one integer over world
@@ -27,9 +28,9 @@ variant's compiler module is its whole spec; every one defines
 ``w_empty`` marker ("nothing applied yet") to ``family("", "", "loop")``,
 the empty-word stage-one state, joins it to the root's agent-0 row and
 closes the grown model under ``PROFILE_NAME``'s frame conditions.
-The named formulas (``symb``, ``last``, ``failed``, ...) are module
-values built at import, each after the values it uses; only those that
-take an argument are functions.  Two shapes in ``common`` build the
+The named formulas (``symb``, ``last``, ``failed``, ..., ``goal``) are
+module values built at import, each after the values it uses; only
+those that take an argument are functions.  Two shapes in ``common`` build the
 instance-independent actions: ``announcement``, one event every agent
 sees (each ``next_stage()``, the MultiS5 removals and ``sat_to_ep``'s
 ``delete_p``), and ``removal``, the K1, KTB1 and S4_1 removals (``e^d``
@@ -38,9 +39,9 @@ seeing itself, ``e^d_fail`` and a keep event, closed under the profile).
 Only the add-block actions depend on the instance.  Everything else is
 built once per process: the named formulas at import, and through
 ``functools.cache`` ``loop_marker(x)``, ``nxt(d)``, MultiS5's
-``tail(i)``, ``goal()``, ``next_stage()``, ``remove_symbol(s)`` for each
-``s`` in ``REMOVAL_ALPHABET`` (any other symbol raises ``ValueError``)
-and ``initial_state()``.  Each call returns the same object.
+``tail(i)``, ``next_stage()``, ``remove_symbol(s)`` for each ``s`` in
+``REMOVAL_ALPHABET`` (any other symbol raises ``ValueError``) and
+``initial_state()``.  Each call returns the same object.
 ``initial_state()`` is one shared, immutable state; its model's lazy
 masks and subformula memo are pure functions of the model.  Under the
 compiled actions the memo stays bounded: every precondition comes from
@@ -100,7 +101,7 @@ def reduce_instance(inst: PcpInstance, variant: Variant) -> PlanningProblem:
     return PlanningProblem(
         initial=mod.initial_state(),
         actions=mod.build_actions(inst),
-        goal=mod.goal(),
+        goal=mod.goal,
         logic=profile(mod.PROFILE_NAME),
         meta={"variant": variant.value, "pcp": instance_to_json(inst)},
     )

@@ -46,7 +46,7 @@ def with_empty(state: EpistemicState, profile_name: str) -> EpistemicState:
     root, n = state.designated_index, len(model.valuations)
     rows = [[*row, ()] for row in model.rows]
     rows[0][root] += (n,)
-    grown = KripkeModel(model.worlds + ("w_empty",), model.agents, tuple(map(tuple, rows)),
+    grown = KripkeModel(model.worlds + ("w_empty",), tuple(map(tuple, rows)),
                         model.valuations + (frozenset({"empty"}),))
     return EpistemicState.at(closure(grown, PROFILES[profile_name]), root)
 

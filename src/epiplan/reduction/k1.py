@@ -48,6 +48,7 @@ symb = or_(_P["0"], _P["1"])
 tail = and_(or_(_P["a"], _P["b"]), know(0, not_(symb)))
 last = and_(diamond(0, _P["end"]), know(0, not_(_P["lp"])))
 failed = and_(or_(_P["a"], _P["b"]), know(0, not_(_P["ntF"])))
+goal = and_(know(0, not_(_P["empty"])), know(0, and_(tail, not_(failed))))
 
 
 @cache
@@ -165,11 +166,6 @@ def remove_symbol(bt: str) -> EventModel:
         keep_name="ntF",
         profile_name=PROFILE_NAME,
     )
-
-
-@cache
-def goal() -> Formula:
-    return and_(know(0, not_(_P["empty"])), know(0, and_(tail, not_(failed))))
 
 
 def build_actions(inst: PcpInstance) -> dict[str, EventModel]:

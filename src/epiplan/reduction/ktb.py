@@ -68,6 +68,7 @@ tail = and_(
     ),
 )
 failed = and_(or_(_P["a"], _P["b"]), know(0, not_(_P["ntF"])))
+goal = and_(know(0, not_(_P["empty"])), know(0, and_(or_(_P["root"], tail), not_(failed))))
 
 
 def _w(*parts: str) -> str:
@@ -215,14 +216,6 @@ def remove_symbol(d: str) -> EventModel:
         keep=_P["ntF"],
         keep_name="ntF",
         profile_name=PROFILE_NAME,
-    )
-
-
-@cache
-def goal() -> Formula:
-    return and_(
-        know(0, not_(_P["empty"])),
-        know(0, and_(or_(_P["root"], tail), not_(failed))),
     )
 
 

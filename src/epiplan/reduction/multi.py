@@ -58,6 +58,12 @@ def tail(i: int) -> Formula:
     raise ValueError("tail takes argument 1 or 2")
 
 
+goal = and_(
+    know(0, not_(_P["empty"])),
+    know(0, or_(not_(or_(_P["a"], _P["b"])), and_(tail(2), diamond(1, _P["ntF"])))),
+)
+
+
 def _w(*parts: str) -> str:
     if len(parts) == 1:
         return f"w_{parts[0]}"
@@ -216,14 +222,6 @@ def remove_symbol(bt: str) -> EventModel:
         and_(ag2, not_(conj(tail(2), _P[bt], diamond(1, _P["ntF"])))),
     )
     return announcement(f"e^{bt}", pre, AGENTS)
-
-
-@cache
-def goal() -> Formula:
-    return and_(
-        know(0, not_(_P["empty"])),
-        know(0, or_(not_(or_(_P["a"], _P["b"])), and_(tail(2), diamond(1, _P["ntF"])))),
-    )
 
 
 def build_actions(inst: PcpInstance) -> dict[str, EventModel]:

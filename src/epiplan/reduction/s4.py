@@ -64,6 +64,7 @@ tail = and_(symb, disj(*(and_(_P[d], know(0, not_(nxt(d)))) for d in ("0", "1", 
 term = and_(or_(_P["a"], _P["b"]), not_(symb))
 # a chain symbol that can no longer see any branch terminus
 damaged = and_(symb, know(0, not_(term)))
+goal = conj(know(0, not_(_P["empty"])), know(0, not_(_P["stg1"])), know(0, not_(symb)))
 
 
 def _w(*parts: str) -> str:
@@ -186,11 +187,6 @@ def remove_symbol(d: str) -> EventModel:
         keep_name="term",
         profile_name=PROFILE_NAME,
     )
-
-
-@cache
-def goal() -> Formula:
-    return conj(know(0, not_(_P["empty"])), know(0, not_(_P["stg1"])), know(0, not_(symb)))
 
 
 def build_actions(inst: PcpInstance) -> dict[str, EventModel]:

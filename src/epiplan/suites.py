@@ -214,7 +214,7 @@ def _failure_absorption(report: SuiteReport, rng: random.Random, variant: Varian
     alphabet = mod.REMOVAL_ALPHABET
     inst = make_instance([("0", "0"), ("1", "1")])
     actions = mod.build_actions(inst)
-    goal = mod.goal()
+    goal = mod.goal
     for trial in range(cases):
         qa = _random_word(rng, 3)
         qb = _random_word(rng, 3)
@@ -362,7 +362,7 @@ def mutate_bisimilar(rng: random.Random, state: EpistemicState) -> EpistemicStat
         # isomorphic copy under renamed worlds
         m = state.model
         names = {w: f"r{i}" for i, w in enumerate(reversed(m.worlds))}
-        model = KripkeModel(tuple(names[w] for w in m.worlds), m.agents, m.rows, m.valuations)
+        model = KripkeModel(tuple(names[w] for w in m.worlds), m.rows, m.valuations)
         return EpistemicState(model, names[state.designated])
     # duplicate a world under a fresh name: same valuation and outgoing
     # edges; every edge into the original is copied to the duplicate
@@ -376,7 +376,7 @@ def mutate_bisimilar(rng: random.Random, state: EpistemicState) -> EpistemicStat
         tuple(succ + (n,) if k in succ else succ for succ in row + (row[k],))
         for row in m.rows
     )
-    model = KripkeModel(m.worlds + (dup,), m.agents, rows, m.valuations + (m.valuations[k],))
+    model = KripkeModel(m.worlds + (dup,), rows, m.valuations + (m.valuations[k],))
     return EpistemicState(model, state.designated)
 
 

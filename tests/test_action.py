@@ -20,7 +20,7 @@ from epiplan.reduction import k1
 def test_make_action_validation():
     pre = {"e": prop("p")}
     a = make_action(["e"], 1, [{("e", "e")}], pre, "e")
-    assert a.pre("e") == prop("p")
+    assert a.preconditions == (prop("p"),) and a.designated == "e"
     with pytest.raises(errors.DepthExceeded):
         make_action(["e"], 1, [set()], {"e": know(0, know(0, prop("p")))}, "e")
     with pytest.raises(errors.DanglingEventRef):
@@ -37,7 +37,7 @@ def test_next_stage_shape():
     assert nx.relations[0] == frozenset({("e_nx", "e_nx")})
     from epiplan.formula import modal_depth
 
-    assert modal_depth(nx.pre("e_nx")) == 1
+    assert modal_depth(nx.preconditions[0]) == 1
 
 
 def test_applicability_examples():
@@ -124,10 +124,10 @@ def test_product_update_shares_the_rows_of_repeated_masks():
     s = product_update(problem.initial, problem.actions["delete_q"])
     (row,) = s.model.rows
     assert row == ((0, 1, 2),) * 3 and all(succ is row[0] for succ in row)
-    assert s.model.repeated_masks() == (True,)
+    assert s.model.masks()[2] == (True,)
     # on a path every mask is distinct: no row is shared
     path = make_model(["a", "b", "c"], 1, [{("a", "b"), ("b", "c")}], {})
-    assert path.repeated_masks() == (False,)
+    assert path.masks()[2] == (False,)
 
 
 def test_apply_plan():
@@ -146,7 +146,7 @@ def test_apply_plan():
     assert len(plan) == 14
     final = apply_plan(s, actions, plan, minimize=True)
     assert not isinstance(final, FailureAt)
-    assert evaluate(final, k1.goal())
+    assert evaluate(final, k1.goal)
 
 
 def test_apply_plan_minimize_is_transparent():

@@ -247,6 +247,38 @@ def test_check_with_a_missing_agent_exits_3(capsys, tmp_path):
             assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
+def test_agent_count_must_match_the_relation_count(capsys, tmp_path):
+    from epiplan.action import make_action
+    from epiplan.formula import true_
+    from epiplan.kripke import make_model
+
+    state = {"agents": 1, "worlds": ["w"], "relations": [[["w", "w"]]], "designated": "w"}
+    action = {"agents": 1, "events": ["e"], "relations": [[["e", "e"]]],
+              "pre": {"e": {"op": "not", "arg": {"op": "false"}}}, "designated": "e"}
+    state_path, action_path = tmp_path / "state.json", tmp_path / "action.json"
+    action_path.write_text(json.dumps(action))
+    for count in (0, 2):
+        message = f"expected {count} relations, got 1"
+        with pytest.raises(ValueError, match=message):
+            make_model(["w"], count, [{("w", "w")}], {})
+        with pytest.raises(ValueError, match=message):
+            make_action(["e"], count, [{("e", "e")}], {"e": true_()}, "e")
+        state_path.write_text(json.dumps({**state, "agents": count}))
+        for argv in (["check", "--state", state_path, "--formula", "true"],
+                     ["update", "--state", state_path, "--action", action_path]):
+            code = main([str(a) for a in argv])
+            captured = capsys.readouterr()
+            assert code == 3 and captured.out == "", argv
+            assert captured.err == f"error: {message}\n", argv
+        state_path.write_text(json.dumps(state))
+        action_path.write_text(json.dumps({**action, "agents": count}))
+        code = main(["update", "--state", str(state_path), "--action", str(action_path)])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.err == f"error: {message}\n"
+        action_path.write_text(json.dumps(action))
+    assert main(["update", "--state", str(state_path), "--action", str(action_path)]) == 0
+
+
 # --- malformed documents ------------------------------------------------
 
 from hypothesis import given, settings  # noqa: E402

@@ -155,17 +155,18 @@ def test_unknown_agent_raises_where_the_walk_would_stop_before_it():
             evaluate_at(s, "w", parse(text))
 
 
-def test_formula_too_deep_to_evaluate_raises_formula_too_deep():
-    # a reflexive world, so the walk goes down every one of the 50 000 levels
-    s = EpistemicState(make_model(["w"], 1, [{("w", "w")}], {"w": {"p"}}), "w")
-    f = prop("p")
+def test_formulas_of_any_depth_are_evaluated():
+    # reflexive worlds, so the walk goes down every one of the 50 000 levels;
+    # the chain of p holds at w only, and w is not world 0
+    model = make_model(["v", "w"], 1, [{("v", "v"), ("w", "w")}], {"w": {"p"}})
+    s = EpistemicState(model, "w")
+    true_chain, false_chain = prop("p"), prop("q")
     for _ in range(50_000):
-        f = know(0, f)
-    for check in (lambda: evaluate(s, f), lambda: evaluate_at(s, "w", f)):
-        with pytest.raises(errors.FormulaTooDeep) as caught:
-            check()
-        assert not isinstance(caught.value, RecursionError)
-        assert caught.value.__cause__ is None and caught.value.__suppress_context__
+        true_chain, false_chain = know(0, true_chain), know(0, false_chain)
+    for f, value in ((true_chain, True), (false_chain, False)):
+        assert evaluate(s, f) is value
+        assert evaluate_at(s, "w", f) is value
+        assert evaluate_at(s, "v", f) is False
 
 
 def test_json_round_trip():

@@ -11,6 +11,11 @@ property must be read as an attribute (``x.name``) somewhere in that code;
 a plain name of the same spelling does not count.  Tests do not count.
 
 In both scans, mentions in docstrings and comments do not count.
+
+Attributes: every ``object.__setattr__(x, "<name>", ...)`` in the
+package names an attribute that a class of the same module declares, as
+a dataclass field or a ``__slots__`` entry, so no module stores state on
+a record it does not own.
 """
 import ast
 import io
@@ -123,3 +128,64 @@ def test_every_definition_is_used():
     assert len(defining) > 10
     bench = _read(sorted((ROOT / "bench").rglob("*.py")))
     assert _dead(defining, defining + bench) == []
+
+
+def _undeclared(source: str) -> list[tuple[int, str]]:
+    """The ``object.__setattr__(x, "<name>", ...)`` calls whose attribute no class declares.
+
+    A class of ``source`` declares a name as a dataclass field (an
+    annotated name in the body of a class decorated ``dataclass``) or as
+    a ``__slots__`` entry.  Calls whose name is not a string literal are
+    not checked.  Each finding is (line, name).
+    """
+    tree = ast.parse(source)
+    declared = set()
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
+        dataclass = any(getattr(d, "id", getattr(d, "attr", None)) == "dataclass"
+                        for d in decorators)
+        for node in cls.body:
+            if dataclass and isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                declared.add(node.target.id)
+            elif (isinstance(node, ast.Assign)
+                  and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets)):
+                value = node.value
+                entries = value.elts if isinstance(value, (ast.Tuple, ast.List)) else [value]
+                declared.update(e.value for e in entries if isinstance(e, ast.Constant))
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "__setattr__" and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "object" and len(node.args) >= 2
+                and isinstance(node.args[1], ast.Constant) and node.args[1].value not in declared):
+            found.append((node.lineno, node.args[1].value))
+    return sorted(found)
+
+
+def test_the_scan_finds_undeclared_attributes():
+    source = ("from dataclasses import dataclass, field\n\n"
+              "@dataclass(frozen=True)\nclass Record:\n    kept: int\n"
+              "    cache: dict = field(init=False, default=None)\n"
+              "    note = 'a class attribute, not a field'\n\n"
+              "    def __post_init__(self):\n"
+              "        object.__setattr__(self, 'cache', {})\n"
+              "        object.__setattr__(self, 'extra', {})\n"
+              "        object.__setattr__(self, 'note', '')\n\n"
+              "class Node:\n    __slots__ = ('left', 'right')\n\n"
+              "def build(node, name):\n"
+              "    object.__setattr__(node, 'left', None)\n"
+              "    object.__setattr__(node, name, None)\n"
+              "    object.__setattr__(node, 'up', None)\n")
+    assert _undeclared(source) == [(11, "extra"), (12, "note"), (20, "up")]
+
+
+def test_every_set_attribute_is_declared():
+    found = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        with tokenize.open(path) as f:
+            names = _undeclared(f.read())
+        if names:
+            found[str(path.relative_to(PACKAGE))] = names
+    assert not found, found

@@ -21,6 +21,18 @@ def test_empty_model_is_legal():
     assert m.worlds == ()
 
 
+def test_models_are_equal_by_worlds_rows_and_valuations():
+    def build(agents, relations, valuation=None):
+        return make_model(["w", "v"], agents, relations, valuation or {})
+
+    m = build(1, [{("w", "v")}])
+    assert m == build(1, [{("w", "v")}]) and hash(m) == hash(build(1, [{("w", "v")}]))
+    assert m.agents == 1 and build(0, []).agents == 0
+    for other in (build(1, [{("v", "w")}]), build(2, [{("w", "v")}, set()]), build(0, []),
+                  build(1, [{("w", "v")}], {"w": ["p"]})):
+        assert m != other
+
+
 def test_initial_state_has_twelve_worlds():
     s = k1.initial_state()
     assert len(s.model.worlds) == 12

@@ -342,7 +342,7 @@ def _union(m1, m2) -> KripkeModel:
         r1 + tuple(tuple(j + off for j in succ) for succ in r2) for r1, r2 in zip(m1.rows, m2.rows)
     )
     worlds = tuple(f"l{w}" for w in m1.worlds) + tuple(f"r{w}" for w in m2.worlds)
-    return KripkeModel(worlds, m1.agents, rows, m1.valuations + m2.valuations)
+    return KripkeModel(worlds, rows, m1.valuations + m2.valuations)
 
 
 def ref_holds(worlds, pairs, cond) -> bool:
@@ -884,7 +884,7 @@ def _leaves(valuations) -> EpistemicState:
     """A root (valuation ``{r}``) that sees one leaf per valuation, in order."""
     worlds = ["root"] + [f"l{k}" for k in range(len(valuations))]
     rows = ((tuple(range(1, len(worlds))),) + ((),) * len(valuations),)
-    return EpistemicState(KripkeModel(tuple(worlds), 1, rows, (frozenset({"r"}), *valuations)), "root")
+    return EpistemicState(KripkeModel(tuple(worlds), rows, (frozenset({"r"}), *valuations)), "root")
 
 
 def test_valuation_codes_give_reference_key_bytes():
