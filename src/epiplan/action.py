@@ -13,12 +13,14 @@ The precondition of ``events[i]`` is ``preconditions[i]``.
 
 Both ``applicable`` and ``product_update`` evaluate preconditions as
 extension masks (``formula.extension_mask``), memoized in the state's
-model, which owns the memo (``KripkeModel._memo``): at one search node,
-every action's test and update share each subformula's mask.  The update
-then visits only the world/event pairs it keeps, taken from the set bits
-of those masks, never all of them.  Goal checks (``formula.evaluate``)
-stay pointwise: they need one world, and there the short-circuiting walk
-beats building full masks.
+model, which makes its memo on the first precondition evaluated on it
+(``KripkeModel.formula_memo``): at one search node, every action's test
+and update share each subformula's mask.  Each precondition walks its
+subformulas in an order computed once and kept on the formula node.
+The update then visits only the world/event pairs it keeps, taken from
+the set bits of those masks, never all of them.  Goal checks
+(``formula.evaluate``) stay pointwise: they need one world, and there
+the short-circuiting walk beats building full masks.
 
 Both read the designated world and event by index.  The product's world
 names ``"(u,e)"`` are a recipe over the state's names (``kripke._Names``),

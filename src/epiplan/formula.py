@@ -35,7 +35,8 @@ if TYPE_CHECKING:
 # identity hash ``object`` gives a valid hash: O(1), computed in C without
 # a call back into Python, and never part of a pickle.  The modal depth and
 # the highest agent named (-1 for none) are computed once, from the
-# children's stored values, when a node is built.
+# children's stored values, when a node is built; the post-order that
+# ``extension_mask`` walks starts as ``None`` and is filled on first use.
 # The table holds its nodes weakly, so a formula nobody references is
 # freed.  Every change to the table is made under the lock, so threads
 # building the same node get one object.  The lock is re-entrant, so
@@ -78,6 +79,7 @@ def _interned(key: tuple) -> Formula:
         depth, top = depth + 1, max(top, fields[0])
     object.__setattr__(node, "depth", depth)
     object.__setattr__(node, "max_agent", top)
+    object.__setattr__(node, "_order", None)
     entry = _Entry(node, _forget)
     entry.key = key
     with _INTERN_LOCK:
@@ -94,12 +96,15 @@ class Formula:
     Nodes are immutable and hash-consed: building a node equal to a live
     one returns that node, so ``==`` is ``is`` and ``hash`` is O(1).
     ``depth`` is the stored modal depth and ``max_agent`` the highest
-    ``K{i}`` agent in the formula, -1 if it has none.  Pickling and
-    copying rebuild through the constructor, so they return the interned
-    node.
+    ``K{i}`` agent in the formula, -1 if it has none.  ``_order`` holds
+    the proper subformulas in post-order once ``extension_mask`` has
+    needed them (``None`` before); it never holds the node itself, so a
+    node is in no reference cycle and dies with its last reference.
+    Pickling and copying rebuild through the constructor from the
+    subclass's fields, so they return the interned node.
     """
 
-    __slots__ = ("depth", "max_agent", "__weakref__")
+    __slots__ = ("depth", "max_agent", "_order", "__weakref__")
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError(f"{type(self).__name__} nodes are immutable")
@@ -327,24 +332,41 @@ def _evaluate(model: KripkeModel, i: int, f: Formula) -> bool:
 def extension_mask(model: KripkeModel, f: Formula) -> int:
     """Satisfying worlds of ``f`` as a bitmask over world indices.
 
-    A fold over ``subformulas`` with the memo the model keeps
-    (``model._memo``) as its ``done`` set, so every call on one model, such
-    as the applicability tests and product updates of all actions at one
-    search node, computes each distinct subformula once (sound as in
-    ``evaluate_at``: a node is one formula).  A memo miss checks the agents
-    ``f`` names (``UnknownAgent``).  ``evaluate`` comes here only for a
-    formula nested deeper than its walk can recurse: for one world its
+    Masks are kept in the model's memo (``KripkeModel.formula_memo``),
+    made on the first miss on that model, so every call on one model,
+    such as the applicability tests and product updates of all actions at
+    one search node, computes each distinct subformula once (sound as in
+    ``evaluate_at``: a node is one formula).  A miss checks the agents
+    ``f`` names (``UnknownAgent``), then walks ``f``'s proper subformulas
+    in post-order, children first, and ``f`` last, skipping the nodes the
+    memo holds.  That order is built by ``subformulas`` on the first miss
+    with ``f`` as root and kept on the node (``Formula._order``), so every
+    later model reuses it.  ``evaluate`` comes here only for a formula
+    nested deeper than its walk can recurse: for one world its
     short-circuit walk is faster than full masks.  Such a deep goal adds
     its subformulas to the model's memo, as a precondition does.
     """
     memo = model._memo
-    hit = memo.get(f)
-    if hit is not None:
-        return hit
+    if memo is None:
+        memo = model.formula_memo()
+    else:
+        hit = memo.get(f)
+        if hit is not None:
+            return hit
     _check_agents(model, f)
+    order = f._order
+    if order is None:
+        done: dict[Formula, None] = {}
+        for g in subformulas(f, done):
+            done[g] = None
+        done.popitem()  # f itself, yielded last: the node must not hold itself
+        order = tuple(done)
+        object.__setattr__(f, "_order", order)
     prop_masks, succ_masks, _ = model.masks()
     full = (1 << len(model.valuations)) - 1
-    for g in subformulas(f, memo):
+    for g in (*order, f):
+        if g in memo:
+            continue
         t = type(g)
         if t is Prop:
             out = prop_masks.get(g.name, 0)

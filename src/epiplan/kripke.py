@@ -22,10 +22,11 @@ state never builds its names.  The name index of a model is built on its
 first name lookup.
 
 A model owns its derived views, which live and die with it: ``masks()``
-builds its bitmask views in one cached slot, and its field ``_memo``
-holds the extension mask of each subformula evaluated on it so far
-(filled by ``formula.extension_mask``), so every action tried at one
-search node shares them.
+builds its bitmask views in one cached slot, and ``formula_memo()``
+makes, on the first formula evaluated on the model, the memo that holds
+the extension mask of each subformula evaluated on it so far (filled by
+``formula.extension_mask``), so every action tried at one search node
+shares them.  A model no formula is evaluated on gets no memo.
 """
 from __future__ import annotations
 
@@ -134,7 +135,7 @@ class KripkeModel:
     valuations: tuple[frozenset[str], ...]
     _index: dict = field(init=False, default=None)
     _masks: tuple = field(init=False, default=None)
-    _memo: dict = field(init=False, default_factory=dict)
+    _memo: dict = field(init=False, default=None)
 
     @property
     def agents(self) -> int:
@@ -178,6 +179,14 @@ class KripkeModel:
 
     def index_of(self, world: str) -> int:
         return self._names_index()[world]
+
+    def formula_memo(self) -> dict:
+        """The extension masks of the formulas evaluated on this model; made on first use."""
+        memo = self._memo
+        if memo is None:
+            memo = {}
+            object.__setattr__(self, "_memo", memo)
+        return memo
 
     def masks(self):
         """Bitmask views for batch evaluation: (prop masks, successor masks, repeats).

@@ -11,7 +11,7 @@ from epiplan.action import (
     product_update,
 )
 from epiplan.bisim import bisimilar
-from epiplan.formula import evaluate_at, extension_mask, know, parse, prop, to_text
+from epiplan.formula import evaluate_at, extension_mask, know, parse, prop, subformulas, to_text
 from epiplan.kripke import EpistemicState, make_model
 from epiplan.pcp import make_instance
 from epiplan.reduction import k1
@@ -128,6 +128,24 @@ def test_product_update_shares_the_rows_of_repeated_masks():
     # on a path every mask is distinct: no row is shared
     path = make_model(["a", "b", "c"], 1, [{("a", "b"), ("b", "c")}], {})
     assert path.masks()[2] == (False,)
+
+
+def test_a_model_gets_its_formula_memo_on_first_use():
+    f = parse("K{0} (a & !b) | <K{0}> c")
+    parts: dict = {}
+    for g in subformulas(f, parts):
+        parts[g] = None
+    action = make_action(["e", "g"], 1, [{("e", "g"), ("g", "e")}],
+                         {"e": prop("a"), "g": prop("b")}, "e")
+    model = make_model(["u", "v"], 1, [{("u", "v"), ("v", "u")}], {"u": {"a"}, "v": {"b"}})
+    for _ in range(2):  # a model from make_model, then a product
+        assert model._memo is None
+        mask = extension_mask(model, f)
+        memo = model.formula_memo()
+        assert memo is model._memo and memo.keys() == parts.keys()
+        assert f._order == tuple(parts)[:-1]  # post-order, f itself left out
+        assert extension_mask(model, f) == mask and model.formula_memo() is memo
+        model = product_update(EpistemicState.at(model, 0), action).model
 
 
 def test_apply_plan():

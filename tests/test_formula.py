@@ -28,6 +28,7 @@ from epiplan.formula import (
     diamond,
     evaluate,
     evaluate_at,
+    extension_mask,
     false_,
     formula_from_json,
     formula_to_json,
@@ -364,7 +365,7 @@ def test_nodes_reject_attribute_changes():
     p = prop("p")
     nodes = [false_(), p, not_(p), and_(p, p), know(1, p)]
     for node in nodes:
-        names = [*type(node).__slots__, "depth", "max_agent", "extra"]
+        names = [*type(node).__slots__, "depth", "max_agent", "_order", "extra"]
         for name in names:
             with pytest.raises(AttributeError):
                 setattr(node, name, p)
@@ -390,6 +391,23 @@ def test_unreferenced_nodes_leave_the_intern_table():
     assert (Prop, "gc_probe_b") not in formula_module._INTERN
     g = know(1, and_(prop("gc_probe_a"), not_(prop("gc_probe_b"))))
     assert modal_depth(g) == 1 and parse(to_text(g)) is g
+
+
+def test_the_cached_order_makes_no_reference_cycle():
+    # the order a node keeps holds its proper subformulas only, so with the
+    # collector off the node still dies with its last reference
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        model = make_model(["u", "v"], 1, [{("u", "v"), ("v", "v")}], {"v": {"order_probe_a"}})
+        f = know(0, and_(prop("order_probe_a"), not_(prop("order_probe_b"))))
+        assert extension_mask(model, f) == 0b11
+        probe = weakref.ref(f)
+        del model, f
+        assert probe() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_pickle_from_a_process_with_another_hash_seed():

@@ -115,7 +115,7 @@ def test_shared_start_state_memo_stays_bounded():
         sizes = []
         for inst in instances:
             bfs_plan(reduce_instance(inst, variant), SearchBudget(max_depth=2, max_nodes=40))
-            sizes.append(len(mod.initial_state().model._memo))
+            sizes.append(len(mod.initial_state().model.formula_memo()))
         assert 0 < sizes[9] == sizes[19], (variant, sizes)
 
 

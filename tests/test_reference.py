@@ -664,6 +664,15 @@ def _shared_atoms_formula(rng: random.Random, agents: int) -> Formula:
     return combine(5)
 
 
+def _tree_parts(f: Formula) -> set[Formula]:
+    """``f`` and every subformula of it, by a plain tree walk."""
+    if isinstance(f, (Not, Know)):
+        return {f} | _tree_parts(f.sub)
+    if isinstance(f, And):
+        return {f} | _tree_parts(f.left) | _tree_parts(f.right)
+    return {f}
+
+
 @settings(max_examples=200, deadline=None)
 @given(seeds, agent_counts)
 def test_evaluation_matches_reference_at_every_world(seed, agents):
@@ -673,12 +682,24 @@ def test_evaluation_matches_reference_at_every_world(seed, agents):
     if agents:
         # one evaluate_at call meets each atom at the queried world and below a K
         formulas += [_shared_atoms_formula(rng, agents), sat_to_ep(_random_cnf(rng, "pqr")).goal]
+    other = _state(rng, agents).model
     for f in formulas:
         mask = extension_mask(s.model, f)
         for i, w in enumerate(s.model.worlds):
             expected = ref_eval(s.model, w, f)
             assert evaluate_at(s, w, f) == expected
             assert bool(mask >> i & 1) == expected
+        # a copy of the model whose memo already holds some of f's proper
+        # subformulas, then a second model: both walk the order f keeps
+        # on its node since the first call
+        parts = sorted(_tree_parts(f) - {f}, key=to_text)
+        partial = KripkeModel(s.model.worlds, s.model.rows, s.model.valuations)
+        for g in rng.sample(parts, rng.randint(0, len(parts))):
+            extension_mask(partial, g)
+        for model in (partial, other):
+            mask = extension_mask(model, f)
+            for i, w in enumerate(model.worlds):
+                assert bool(mask >> i & 1) == ref_eval(model, w, f)
 
 
 def test_a_modal_atom_kept_at_the_queried_world_is_not_read_below_it():
