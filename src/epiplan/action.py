@@ -28,6 +28,12 @@ built only if something reads them.  Under an agent whose successor
 masks repeat (the repeats view of ``KripkeModel.masks``), two kept pairs
 ``(i, e)`` and ``(i', e)`` with equal masks have equal successor rows, so
 the update builds that row once and shares the tuple.
+
+With no postconditions an update can only drop world/event pairs or copy
+worlds.  ``keeps_state`` tells, from the same masks and no product, when
+it does neither: each world keeps exactly one pair and every edge, and
+the product is the state itself under the names ``"(u,e)"``.  The search
+skips such updates.
 """
 from __future__ import annotations
 
@@ -55,6 +61,7 @@ __all__ = [
     "make_action",
     "applicable",
     "product_update",
+    "keeps_state",
     "apply_plan",
     "FailureAt",
     "action_to_json",
@@ -211,6 +218,57 @@ def product_update(state: EpistemicState, action: EventModel) -> EpistemicState:
     vals = tuple([valuations[i] for i, _ in pairs])
     new_model = derived_model(model, pairs, tuple(rows), vals, action.events)
     return EpistemicState.at(new_model, slot[u0 * m + e0])
+
+
+def keeps_state(state: EpistemicState, action: EventModel) -> bool:
+    """Whether the action is applicable and its product is the state itself, renamed.
+
+    Exact, and read off the precondition masks in the model's memo (the
+    ones ``product_update`` reads) and the model's successor masks, with
+    no product built.  True when:
+
+    - the masks' popcounts sum to the world count, and no world lies in
+      two masks, so their union is every world and each world ``i`` keeps
+      exactly one pair ``(i, e_i)``;
+    - the designated world's pair has the designated event;
+    - under every agent, each world's successor mask lies inside the
+      union of ``holds[f]`` over ``e_i``'s successor events ``f``, so
+      every edge of the state survives.
+
+    Then the product's world ``k`` is the pair ``(k, e_k)``: kept pairs
+    are ordered by world first.  It has the state's rows, valuations
+    (there are no postconditions) and designated index; only its names
+    ``"(u,e_u)"`` differ.  The popcount sum comes first: it is the cheap
+    test that most products which grow or shrink the state fail.
+    """
+    model = _same_agents(state, action)
+    holds = [extension_mask(model, pre) for pre in action.preconditions]
+    n = len(model.valuations)
+    if sum([mask.bit_count() for mask in holds]) != n:
+        return False
+    seen = 0
+    for mask in holds:
+        if mask & seen:
+            return False
+        seen |= mask
+    if not holds[action.designated_index] >> state.designated_index & 1:
+        return False
+    full = (1 << n) - 1
+    _, all_succ_masks, _ = model.masks()
+    for succ_masks, event_row in zip(all_succ_masks, action.rows):
+        for e, mask in enumerate(holds):
+            allowed = 0
+            for f in event_row[e]:
+                allowed |= holds[f]
+            dropped = full ^ allowed
+            if not dropped:
+                continue
+            while mask:
+                low = mask & -mask
+                if succ_masks[low.bit_length() - 1] & dropped:
+                    return False
+                mask ^= low
+    return True
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,18 @@ the memo's memory follows the products minimized in the last two layers
 product the search built.  With ``paranoid_bisim_check`` a memo hit is
 still checked with ``bisimilar``.
 
+An applicable action that keeps the state (``action.keeps_state``: each
+world satisfies exactly one event's precondition and every edge
+survives) has a product with the state's own rows, valuations and
+designated index, only renamed; the search then builds neither the
+product nor its quotient, and takes the state's identity for the memo
+lookup.  The identities are equal, so the lookup hits or misses as the
+built product's would.  On a miss the memo stores the state's key,
+carried in its queue entry: ``minimize_with_key`` is a function of the
+identity, so that is the product's key too.  That key is in ``visited``,
+so a kept child is always a dedup hit.  Counts, plans and keys are those
+of a search that builds every product.
+
 The loop reads no world name: states point at their designated world by
 index, and product and quotient names are built only if read.
 """
@@ -40,7 +52,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .action import FailureAt, applicable, apply_plan, product_update
+from .action import FailureAt, applicable, apply_plan, keeps_state, product_update
 from .bisim import bisimilar, minimize_with_key, quotient
 from .errors import NotEuclidean, NotSingleAgent
 from .formula import evaluate
@@ -159,10 +171,10 @@ def _bfs(
     }
     # the product memo by layer: entries made expanding the popped depth, and the one before
     keys, older_keys, layer = {_identity(start): start_key}, {}, 0
-    queue: deque[tuple[EpistemicState, tuple[str, ...]]] = deque([(start, ())])
+    queue: deque[tuple[EpistemicState, tuple[str, ...], bytes]] = deque([(start, (), start_key)])
     truncated = False
     while queue:
-        state, plan = queue.popleft()
+        state, plan, state_key = queue.popleft()
         if len(plan) >= max_depth:
             truncated = True
             continue
@@ -172,11 +184,12 @@ def _bfs(
             action = actions[name]
             if not applicable(state, action):
                 continue
-            product = product_update(state, action)
+            # a kept state is its own product, renamed: nothing is built
+            product = state if keeps_state(state, action) else product_update(state, action)
             identity = _identity(product)
             key = keys.get(identity) or older_keys.get(identity)
             if key is None:
-                child, key = minimize_with_key(product)
+                child, key = (state, state_key) if product is state else minimize_with_key(product)
                 keys[identity] = key
             else:
                 child = product
@@ -200,7 +213,7 @@ def _bfs(
             if stats.nodes >= max_nodes:
                 stats.stop_reason = "nodes"
                 return BoundReached(stats)
-            queue.append((child, child_plan))
+            queue.append((child, child_plan, key))
     if truncated:
         stats.stop_reason = "depth"
         return BoundReached(stats)

@@ -18,6 +18,7 @@ from epiplan.reduction import Variant, match_to_plan, reduce_instance, sat_to_ep
 
 EASY = make_instance([("01", "01")])
 UNSOLVABLE = make_instance([("0", "1")])
+EXAMPLE = make_instance([("1", "101"), ("10", "00"), ("011", "11")])
 
 
 def budget(depth=8, nodes=20000, **kw):
@@ -247,12 +248,12 @@ def test_s5_solver_rejects_a_goal_naming_a_missing_agent():
         s5_single_agent_plan(wrong)
 
 
-def test_paranoid_mode_checks_every_dedup_hit_memo_hit_or_not(monkeypatch):
+def _counted_calls(monkeypatch, *names):
+    """Count the planner's calls to each named function, in a dict by name."""
     from epiplan import planner
-    from epiplan.action import make_action
 
-    calls = {"bisimilar": 0, "minimize_with_key": 0, "product_update": 0}
-    for name in calls:
+    calls = dict.fromkeys(names, 0)
+    for name in names:
         original = getattr(planner, name)
 
         def counted(*args, _name=name, _original=original):
@@ -260,8 +261,29 @@ def test_paranoid_mode_checks_every_dedup_hit_memo_hit_or_not(monkeypatch):
             return _original(*args)
 
         monkeypatch.setattr(planner, name, counted)
+    return calls
+
+
+def _counted_keeps_state(monkeypatch, kept):
+    """Replace ``planner.keeps_state`` by a wrapper that appends each answer to ``kept``."""
+    from epiplan import planner
+
+    def keeps_state(*args, _original=planner.keeps_state):
+        kept.append(_original(*args))
+        return kept[-1]
+
+    monkeypatch.setattr(planner, "keeps_state", keeps_state)
+
+
+def test_paranoid_mode_checks_every_dedup_hit_memo_hit_or_not(monkeypatch):
+    from epiplan.action import make_action
+
+    calls = _counted_calls(monkeypatch, "bisimilar", "minimize_with_key", "product_update")
+    kept = []
+    _counted_keeps_state(monkeypatch, kept)
     # "copy" doubles the world into a bisimilar but larger product (a dedup
-    # hit found by its key); "id" rebuilds the start state exactly (a memo hit)
+    # hit found by its key); "id" keeps the start state exactly (a memo hit),
+    # so the search builds no product for it: each child is built or kept
     copy = make_action(
         ["e", "f"], 1, [{("e", "e"), ("e", "f"), ("f", "f")}], {"e": true_(), "f": true_()}, "e"
     )
@@ -270,7 +292,8 @@ def test_paranoid_mode_checks_every_dedup_hit_memo_hit_or_not(monkeypatch):
     outcome = bfs_plan(problem, SearchBudget(2, 10, paranoid_bisim_check=True))
     assert isinstance(outcome, NoPlanExhausted)
     assert (outcome.stats.nodes, outcome.stats.dedup_hits) == (1, 2)
-    memo_hits = calls["product_update"] - (calls["minimize_with_key"] - 1)
+    assert (calls["product_update"], kept.count(True)) == (1, 1)
+    memo_hits = calls["product_update"] + kept.count(True) - (calls["minimize_with_key"] - 1)
     assert memo_hits == outcome.stats.memo_hits == 1
     assert outcome.to_json()["stats"]["memo_hits"] == 1
     assert calls["bisimilar"] == outcome.stats.dedup_hits
@@ -301,3 +324,66 @@ def test_searches_build_no_world_names(monkeypatch):
     assert built == []
     assert final.designated.startswith("((((")
     assert len(built) == len(plan)
+
+
+def test_kept_states_change_no_count_plan_or_key(monkeypatch):
+    # with the shortcut off, every child is built and minimized; the stats,
+    # plans and final keys must be those of the search that keeps states
+    from epiplan import planner
+
+    formulas = ("(p | q) & (!p | !q)", "p & !p", "(a | b | c) & (!a | !b) & (!b | !c) & (!a | !c)",
+                "(a | !b) & (b | !c) & (c | !a) & (!a | !b | !c)")
+
+    def pcp_searches():
+        return [bfs_plan(reduce_instance(EXAMPLE, variant), budget(depth=6, nodes=300)).to_json()
+                for variant in Variant]
+
+    def sat_searches():
+        return [s5_single_agent_plan(sat_to_ep(parse(f))).to_json() for f in formulas]
+
+    kept = []
+    _counted_keeps_state(monkeypatch, kept)
+    pcp = pcp_searches()
+    kept_on_pcp = kept.count(True)
+    sat = sat_searches()
+    assert kept_on_pcp > 0 and kept.count(True) > kept_on_pcp
+    monkeypatch.setattr(planner, "keeps_state", lambda state, action: False)
+    assert (pcp_searches(), sat_searches()) == (pcp, sat)
+
+
+def test_a_search_with_only_the_identity_action_builds_no_product(monkeypatch):
+    from epiplan.action import make_action
+
+    calls = _counted_calls(monkeypatch, "minimize_with_key", "product_update")
+    problem = reduce_instance(EXAMPLE, Variant.MULTI_S5)
+    agents = problem.initial.model.agents
+    ident = make_action(["e"], agents, [{("e", "e")}] * agents, {"e": true_()}, "e")
+    outcome = bfs_plan(PlanningProblem(problem.initial, {"id": ident}, problem.goal, problem.logic),
+                       budget(depth=3, nodes=10))
+    assert isinstance(outcome, NoPlanExhausted)
+    assert (outcome.stats.nodes, outcome.stats.dedup_hits, outcome.stats.memo_hits) == (1, 1, 1)
+    assert calls == {"minimize_with_key": 1, "product_update": 0}
+
+
+def test_a_kept_state_missing_the_memo_is_stored_there(monkeypatch):
+    # "cut" leaves the designated world alone with no edge: the child is the
+    # generated part of its product, so its own identity is not in the memo;
+    # at the child all three actions keep it, the first misses the memo and
+    # stores the child's key, and the other two hit
+    from epiplan import planner
+    from epiplan.action import make_action
+    from epiplan.kripke import EpistemicState, make_model
+
+    m = make_model(["u", "v"], 1, [{("u", "v")}], {"u": {"p"}, "v": {"q"}})
+    cut = make_action(["e", "f"], 1, [{("e", "e")}], {"e": parse("p"), "f": parse("q")}, "e")
+    ident = make_action(["e"], 1, [{("e", "e")}], {"e": true_()}, "e")
+    problem = PlanningProblem(EpistemicState(m, "u"), {"cut": cut, "id": ident, "id2": ident},
+                              parse("r"), profile("K"))
+    kept = []
+    _counted_keeps_state(monkeypatch, kept)
+    outcome = bfs_plan(problem, budget(depth=3, nodes=10))
+    assert kept == [False, True, True, True, True, True]
+    assert vars(outcome.stats) == {"nodes": 2, "dedup_hits": 5, "depth": 1, "memo_hits": 4,
+                                   "stop_reason": "exhausted"}
+    monkeypatch.setattr(planner, "keeps_state", lambda state, action: False)
+    assert bfs_plan(problem, budget(depth=3, nodes=10)).stats == outcome.stats

@@ -44,6 +44,7 @@ from epiplan.action import (
     action_from_json,
     action_to_json,
     applicable,
+    keeps_state,
     make_action,
     product_update,
 )
@@ -525,6 +526,72 @@ def test_product_update_matches_the_pairwise_product(seed, agents):
                 p.designated)
             assert named == p and hash(named) == hash(p)
             assert state_to_json(named) == state_to_json(p)
+
+
+def ref_kept(state, action):
+    """The state renamed ``u -> (u,e_u)``, in ``ref_product``'s form, and the event counts.
+
+    ``e_u`` is the one event whose precondition holds at ``u``; the renamed
+    state is None when some world satisfies no event or several.  The counts
+    are, per world, how many events' preconditions hold there.
+    """
+    model = state.model
+    pre = dict(zip(action.events, action.preconditions))
+    events = {u: [e for e in action.events if ref_eval(model, u, pre[e])] for u in model.worlds}
+    counts = [len(events[u]) for u in model.worlds]
+    if set(counts) - {1}:
+        return None, counts
+    name = {u: f"({u},{events[u][0]})" for u in model.worlds}
+    worlds = tuple(name[u] for u in model.worlds)
+    relations = tuple(frozenset((name[u], name[v]) for u, v in rel) for rel in model.relations)
+    return (worlds, relations, model.valuations, name[state.designated]), counts
+
+
+def _partition_action(rng: random.Random, agents: int):
+    """An action whose events split the worlds, one event each, over a relation missing edges.
+
+    Event ``i`` takes the worlds that fail the tests of the events before it
+    and pass its own; the last event takes the rest.  Each agent's event
+    relation is total but for a few dropped edges, so the product is the
+    state renamed exactly when no edge of the state runs along a dropped
+    one.  Now and then one precondition is redrawn at random, so that a
+    world satisfies no event, or two.
+    """
+    count = rng.randint(1, 4)
+    events = [f"e{i}" for i in range(count)]
+    tests = [random_formula(rng, 1, agents) for _ in range(count - 1)]
+    pre = {e: conj(*[not_(t) for t in tests[:i]], *tests[i:i + 1]) for i, e in enumerate(events)}
+    if rng.random() < 0.3:
+        pre[rng.choice(events)] = random_formula(rng, 1, agents)
+    total = list(itertools.product(events, events))
+    rels = [set(total) - set(rng.sample(total, rng.randint(0, min(2, len(total)))))
+            for _ in range(agents)]
+    return make_action(events, agents, rels, pre, rng.choice(events))
+
+
+def test_keeps_state_iff_the_pairwise_product_is_the_state_renamed():
+    # both directions at once: keeps_state is True exactly when the action
+    # applies, every world satisfies one event, and the product is the state
+    # renamed; the states chain, so later ones are products and kept states
+    seen = {"kept": 0, "edge dropped": 0, "not one event each": 0, "sum is the world count": 0}
+    for seed in range(400):
+        rng = random.Random(seed)
+        state, draw = _update_source(rng, seed % 4)
+        for _ in range(rng.randint(2, 4)):
+            model = state.model
+            action = draw() if rng.random() < 0.4 else _partition_action(rng, model.agents)
+            pre = dict(zip(action.events, action.preconditions))[action.designated]
+            renamed, counts = ref_kept(state, action)
+            applies = ref_eval(model, state.designated, pre)
+            expected = bool(renamed) and applies and ref_product(state, action) == renamed
+            assert keeps_state(state, action) == expected, seed
+            seen["kept"] += expected
+            seen["edge dropped"] += bool(renamed) and applies and not expected
+            seen["not one event each"] += not renamed
+            seen["sum is the world count"] += not renamed and sum(counts) == len(counts)
+            if applies:
+                state = product_update(state, action)
+    assert min(seen.values()) >= 20, seen
 
 
 @settings(max_examples=300, deadline=None)
