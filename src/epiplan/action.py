@@ -221,16 +221,17 @@ def product_update(state: EpistemicState, action: EventModel) -> EpistemicState:
 
 
 def keeps_state(state: EpistemicState, action: EventModel) -> bool:
-    """Whether the action is applicable and its product is the state itself, renamed.
+    """Whether an applicable action's product is the state itself, renamed.
 
-    Exact, and read off the precondition masks in the model's memo (the
-    ones ``product_update`` reads) and the model's successor masks, with
-    no product built.  True when:
+    The action must be applicable at the state (``applicable``); this
+    does not test it again.  Exact, and read off the precondition masks in
+    the model's memo (the ones ``product_update`` reads) and the model's
+    successor masks, with no product built.  True when:
 
     - the masks' popcounts sum to the world count, and no world lies in
       two masks, so their union is every world and each world ``i`` keeps
-      exactly one pair ``(i, e_i)``;
-    - the designated world's pair has the designated event;
+      exactly one pair ``(i, e_i)``; as the action is applicable, the
+      designated world's pair then has the designated event;
     - under every agent, each world's successor mask lies inside the
       union of ``holds[f]`` over ``e_i``'s successor events ``f``, so
       every edge of the state survives.
@@ -251,8 +252,6 @@ def keeps_state(state: EpistemicState, action: EventModel) -> bool:
         if mask & seen:
             return False
         seen |= mask
-    if not holds[action.designated_index] >> state.designated_index & 1:
-        return False
     full = (1 << n) - 1
     _, all_succ_masks, _ = model.masks()
     for succ_masks, event_row in zip(all_succ_masks, action.rows):

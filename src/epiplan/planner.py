@@ -38,11 +38,11 @@ survives) has a product with the state's own rows, valuations and
 designated index, only renamed; the search then builds neither the
 product nor its quotient, and takes the state's identity for the memo
 lookup.  The identities are equal, so the lookup hits or misses as the
-built product's would.  On a miss the memo stores the state's key,
-carried in its queue entry: ``minimize_with_key`` is a function of the
-identity, so that is the product's key too.  That key is in ``visited``,
-so a kept child is always a dedup hit.  Counts, plans and keys are those
-of a search that builds every product.
+built product's would, and on a miss minimizing the state gives the
+product's key: ``minimize_with_key`` is a function of the identity.
+The state's key is in ``visited``, so a kept child is always a dedup
+hit.  Counts, plans and keys are those of a search that builds every
+product.
 
 The loop reads no world name: states point at their designated world by
 index, and product and quotient names are built only if read.
@@ -171,10 +171,10 @@ def _bfs(
     }
     # the product memo by layer: entries made expanding the popped depth, and the one before
     keys, older_keys, layer = {_identity(start): start_key}, {}, 0
-    queue: deque[tuple[EpistemicState, tuple[str, ...], bytes]] = deque([(start, (), start_key)])
+    queue: deque[tuple[EpistemicState, tuple[str, ...]]] = deque([(start, ())])
     truncated = False
     while queue:
-        state, plan, state_key = queue.popleft()
+        state, plan = queue.popleft()
         if len(plan) >= max_depth:
             truncated = True
             continue
@@ -184,12 +184,12 @@ def _bfs(
             action = actions[name]
             if not applicable(state, action):
                 continue
-            # a kept state is its own product, renamed: nothing is built
+            # a kept state is its own product, renamed: no product is built
             product = state if keeps_state(state, action) else product_update(state, action)
             identity = _identity(product)
             key = keys.get(identity) or older_keys.get(identity)
             if key is None:
-                child, key = (state, state_key) if product is state else minimize_with_key(product)
+                child, key = minimize_with_key(product)
                 keys[identity] = key
             else:
                 child = product
@@ -213,7 +213,7 @@ def _bfs(
             if stats.nodes >= max_nodes:
                 stats.stop_reason = "nodes"
                 return BoundReached(stats)
-            queue.append((child, child_plan, key))
+            queue.append((child, child_plan))
     if truncated:
         stats.stop_reason = "depth"
         return BoundReached(stats)

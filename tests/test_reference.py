@@ -547,7 +547,7 @@ def ref_kept(state, action):
     return (worlds, relations, model.valuations, name[state.designated]), counts
 
 
-def _partition_action(rng: random.Random, agents: int):
+def _partition_action(rng: random.Random, state):
     """An action whose events split the worlds, one event each, over a relation missing edges.
 
     Event ``i`` takes the worlds that fail the tests of the events before it
@@ -555,42 +555,56 @@ def _partition_action(rng: random.Random, agents: int):
     relation is total but for a few dropped edges, so the product is the
     state renamed exactly when no edge of the state runs along a dropped
     one.  Now and then one precondition is redrawn at random, so that a
-    world satisfies no event, or two.
+    world satisfies no event, or two; or it is made a copy of another
+    event's precondition that holds at as many worlds (not at the
+    designated one), so that some worlds satisfy two events, others none,
+    and the counts still sum to the world count.  The designated event is one whose precondition holds at the
+    state's designated world, if there is one.
     """
+    model = state.model
+    agents = model.agents
     count = rng.randint(1, 4)
     events = [f"e{i}" for i in range(count)]
     tests = [random_formula(rng, 1, agents) for _ in range(count - 1)]
     pre = {e: conj(*[not_(t) for t in tests[:i]], *tests[i:i + 1]) for i, e in enumerate(events)}
-    if rng.random() < 0.3:
+    size = {e: sum(ref_eval(model, u, pre[e]) for u in model.worlds) for e in events}
+    twins = [(e, f) for e in events for f in events if e != f and size[e] == size[f] > 0
+             and not ref_eval(model, state.designated, pre[f])]
+    draw = rng.random()
+    if draw < 0.3 and twins:
+        e, f = rng.choice(twins)
+        pre[f] = pre[e]
+    elif draw < 0.45:
         pre[rng.choice(events)] = random_formula(rng, 1, agents)
     total = list(itertools.product(events, events))
     rels = [set(total) - set(rng.sample(total, rng.randint(0, min(2, len(total)))))
             for _ in range(agents)]
-    return make_action(events, agents, rels, pre, rng.choice(events))
+    holding = [e for e in events if ref_eval(model, state.designated, pre[e])]
+    return make_action(events, agents, rels, pre, rng.choice(holding or events))
 
 
 def test_keeps_state_iff_the_pairwise_product_is_the_state_renamed():
-    # both directions at once: keeps_state is True exactly when the action
-    # applies, every world satisfies one event, and the product is the state
-    # renamed; the states chain, so later ones are products and kept states
+    # both directions at once: for an applicable action, keeps_state is True
+    # exactly when every world satisfies one event and the product is the
+    # state renamed; the states chain, so later ones are products and kept states
     seen = {"kept": 0, "edge dropped": 0, "not one event each": 0, "sum is the world count": 0}
     for seed in range(400):
         rng = random.Random(seed)
         state, draw = _update_source(rng, seed % 4)
         for _ in range(rng.randint(2, 4)):
             model = state.model
-            action = draw() if rng.random() < 0.4 else _partition_action(rng, model.agents)
+            action = draw() if rng.random() < 0.4 else _partition_action(rng, state)
             pre = dict(zip(action.events, action.preconditions))[action.designated]
+            if not ref_eval(model, state.designated, pre):
+                continue
             renamed, counts = ref_kept(state, action)
-            applies = ref_eval(model, state.designated, pre)
-            expected = bool(renamed) and applies and ref_product(state, action) == renamed
+            expected = bool(renamed) and ref_product(state, action) == renamed
             assert keeps_state(state, action) == expected, seed
             seen["kept"] += expected
-            seen["edge dropped"] += bool(renamed) and applies and not expected
+            seen["edge dropped"] += bool(renamed) and not expected
             seen["not one event each"] += not renamed
             seen["sum is the world count"] += not renamed and sum(counts) == len(counts)
-            if applies:
-                state = product_update(state, action)
+            state = product_update(state, action)
     assert min(seen.values()) >= 20, seen
 
 
