@@ -37,6 +37,16 @@ a singleton, where a further round would renumber nothing.
 Each distinct valuation has a sort key (its sorted names) and key bytes
 (length-prefixed UTF-8), both from ``_valuation_code``, a memo by value
 that keeps at most 4 096 sets; the first blocks and the key read it.
+
+A minimized state has two encodings, both from ``minimize_with_key``.
+The canonical bytes are what ``canonical_key``, ``PlanFound.final_key``
+and the CLI print: they are the same in every process, so the printed
+bytes and the golden digests stay fixed.  The in-search key is what the
+search dedups on: the designated block, an id per block's valuation from
+a table the search owns, and the successor-block bitmasks packed into
+one int.  It needs no sort, no packing and no valuation bytes, and two
+keys made with one table are equal iff the canonical bytes are; outside
+its table it means nothing.
 """
 from __future__ import annotations
 
@@ -161,14 +171,36 @@ def quotient(state: EpistemicState) -> EpistemicState:
     return _quotient_state(state, _minimize(state))
 
 
-def minimize_with_key(state: EpistemicState) -> tuple[EpistemicState, bytes]:
+def minimize_with_key(
+    state: EpistemicState, table: dict | None = None
+) -> tuple[EpistemicState, bytes | tuple]:
     """Quotient the state and fingerprint the result in one pass.
 
-    Key layout: agents, block count, designated block, then per block in
-    canonical order its sorted valuation (length-prefixed UTF-8) and, per
-    agent, its sorted successor-block ids as fixed-width big-endian ints.
+    Without ``table`` the key is the canonical bytes: agents, block count,
+    designated block, then per block in canonical order its sorted
+    valuation (length-prefixed UTF-8) and, per agent, its sorted
+    successor-block ids as fixed-width big-endian ints.  These are the
+    bytes ``canonical_key`` and the CLI print, equal across processes.
+
+    With ``table``, a dict from valuation to id that one search owns, the
+    key is the in-search key ``(designated block, valuation ids, masks)``:
+    the ids of the blocks' valuations in canonical block order (a valuation
+    new to the table gets the next id), as ``bytes`` when every one of
+    them is below 256 and as a tuple otherwise, and one int packing, per
+    block in canonical order and per agent, the bitmask of its successor
+    blocks, each as wide as the block count, block 0's agent 0 highest.
+    Two states keyed with one table get equal keys iff their canonical
+    keys are equal: the ids stand for the valuations one to one, the ids'
+    count is the block count and so fixes the width, and the agent count
+    is the same throughout a search.  The encoding depends on the key's
+    own ids only, never on the table's size, so a key built again after
+    the table grew is the same value.  The search dedups on these keys,
+    which are cheaper to build and smaller than the bytes; they mean
+    nothing outside their table, so nothing prints them.
     """
     minimized = _minimize(state)
+    if table is not None:
+        return _quotient_state(state, minimized), _search_key(minimized, table)
     (_, vals, rows, start), block, count, rep = minimized
     get = block.__getitem__
     discrete = count == len(vals)
@@ -187,6 +219,30 @@ def minimize_with_key(state: EpistemicState) -> tuple[EpistemicState, bytes]:
         out += (_valuation_code(vals[i])[1], packed[at:end])
         at = end
     return _quotient_state(state, minimized), b"".join(out)
+
+
+def _search_key(minimized, table: dict) -> tuple:
+    """The in-search key of a ``_minimize`` result (see ``minimize_with_key``)."""
+    (_, vals, rows, start), block, count, rep = minimized
+    bit = [1 << b for b in block]
+    get = bit.__getitem__
+    masks = 0
+    if count == len(vals):
+        # a discrete block map is injective: no successor block repeats
+        for i in rep:
+            for row in rows:
+                masks = masks << count | sum(map(get, row[i]))
+    else:
+        for i in rep:
+            for row in rows:
+                masks = masks << count | sum(set(map(get, row[i])))
+    ids = [table.setdefault(vals[i], len(table)) for i in rep]
+    # one byte per id when every id of this key fits; bytes never equal a tuple
+    try:
+        vids = bytes(ids)
+    except ValueError:
+        vids = tuple(ids)
+    return block[start], vids, masks
 
 
 def canonical_key(state: EpistemicState) -> bytes:

@@ -14,8 +14,18 @@ decidable: actions can only shrink the state up to bisimulation, so plans
 longer than the minimized initial state's world count are redundant and
 the search below is complete.
 
+A search dedups on in-search keys: ``minimize_with_key`` with the
+search's own valuation table (see ``bisim``), which numbers each
+valuation the search meets.  Two such keys are equal iff the canonical
+keys of the states are, so dedup, counts and plans are those of a search
+on canonical keys; the keys are cheaper to build and smaller, and they
+mean nothing outside the search.  ``visited`` and the product memo hold
+these keys.  ``PlanFound.final_key`` is the printed canonical key: one
+``canonical_key`` call on the goal state (the start state when it is the
+goal), made once, when the search ends.
+
 Each search keeps a memo from a product's raw identity, the triple
-``(rows, valuations, designated index)``, to its canonical key, and a
+``(rows, valuations, designated index)``, to its in-search key, and a
 product already in the memo is counted as a dedup hit
 (``SearchStats.memo_hits`` counts these) without being minimized again.
 This is sound because ``minimize_with_key`` is a pure function of that
@@ -53,7 +63,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .action import FailureAt, applicable, apply_plan, keeps_state, product_update
-from .bisim import bisimilar, minimize_with_key, quotient
+from .bisim import bisimilar, canonical_key, minimize_with_key, quotient
 from .errors import NotEuclidean, NotSingleAgent
 from .formula import evaluate
 from .frames import FrameCondition, satisfies
@@ -161,12 +171,13 @@ def _bfs(
     paranoid: bool,
 ) -> SearchOutcome:
     stats = SearchStats(nodes=1)
-    start, start_key = minimize_with_key(start)
+    table: dict = {}
+    start, start_key = minimize_with_key(start, table)
     if evaluate(start, goal):
         stats.stop_reason = "goal"
-        return PlanFound((), start_key, stats)
+        return PlanFound((), canonical_key(start), stats)
     names = sorted(actions)
-    visited: dict[bytes, EpistemicState | None] = {
+    visited: dict[tuple, EpistemicState | None] = {
         start_key: start if paranoid else None
     }
     # the product memo by layer: entries made expanding the popped depth, and the one before
@@ -189,7 +200,7 @@ def _bfs(
             identity = _identity(product)
             key = keys.get(identity) or older_keys.get(identity)
             if key is None:
-                child, key = minimize_with_key(product)
+                child, key = minimize_with_key(product, table)
                 keys[identity] = key
             else:
                 child = product
@@ -208,7 +219,7 @@ def _bfs(
             stats.depth = max(stats.depth, len(child_plan))
             if evaluate(child, goal):
                 stats.stop_reason = "goal"
-                return PlanFound(child_plan, key, stats)
+                return PlanFound(child_plan, canonical_key(child), stats)
             visited[key] = child if paranoid else None
             if stats.nodes >= max_nodes:
                 stats.stop_reason = "nodes"

@@ -387,3 +387,55 @@ def test_a_kept_state_missing_the_memo_is_stored_there(monkeypatch):
                                    "stop_reason": "exhausted"}
     monkeypatch.setattr(planner, "keeps_state", lambda state, action: False)
     assert bfs_plan(problem, budget(depth=3, nodes=10)).stats == outcome.stats
+
+
+def test_final_key_is_the_canonical_key_of_the_replayed_plan():
+    # the last steps of each variant's witness plan on EXAMPLE, searched for
+    # from the state the plan reaches before them, and a start state that is
+    # the goal; the key must be the printed bytes, not the in-search key
+    from epiplan.action import apply_plan
+    from epiplan.bisim import canonical_key
+    from epiplan.pcp import brute_force_match
+
+    match = brute_force_match(EXAMPLE, 4)
+    problems = []
+    for variant in Variant:
+        problem = reduce_instance(EXAMPLE, variant)
+        plan = match_to_plan(EXAMPLE, match, variant)
+        start = apply_plan(problem.initial, problem.actions, list(plan[:-5]), minimize=True)
+        problems.append(PlanningProblem(start, problem.actions, problem.goal, problem.logic))
+    easy = reduce_instance(EASY, Variant.K1)
+    problems.append(easy)
+    problems.append(PlanningProblem(easy.initial, easy.actions, true_(), easy.logic))
+    for problem in problems:
+        outcome = bfs_plan(problem, budget(depth=5, nodes=2000))
+        assert isinstance(outcome, PlanFound)
+        final = apply_plan(problem.initial, problem.actions, list(outcome.plan), minimize=True)
+        assert type(outcome.final_key) is bytes
+        assert outcome.final_key == canonical_key(final)
+        assert outcome.to_json()["final_key"] == canonical_key(final).hex()
+    assert [len(bfs_plan(p, budget(depth=5)).plan) for p in problems] == [5, 5, 5, 5, 4, 0]
+
+
+def test_search_memory_grows_linearly_with_the_node_budget():
+    # an unsatisfiable formula over 12 variables: every state has at most 13
+    # worlds, so what the search keeps per node is bounded.  Four times the
+    # nodes may take at most twice the traced peak per node, 8 times the
+    # peak: the frontier moves one level deeper, to states whose goal memos
+    # are larger (1.34 MB against 0.20 MB, 6.7x), and a peak quadratic in
+    # the nodes would take 16 times.  An untraced run first fills the
+    # process's caches, so that neither peak counts them.
+    import tracemalloc
+
+    problem = sat_to_ep(parse("p & !p & (" + " | ".join(f"x{i}" for i in range(12)) + ")"))
+    bfs_plan(problem, budget(depth=14, nodes=250))
+    peaks = []
+    for nodes in (250, 1000):
+        tracemalloc.start()
+        try:
+            outcome = bfs_plan(problem, budget(depth=14, nodes=nodes))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert isinstance(outcome, BoundReached) and outcome.stats.stop_reason == "nodes"
+    assert peaks[1] <= 2 * 4 * peaks[0], peaks

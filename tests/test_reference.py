@@ -67,6 +67,7 @@ from epiplan.pcp import make_instance
 from epiplan.planner import SearchBudget, bfs_plan, s5_single_agent_plan
 from epiplan.problem import PlanningProblem
 from epiplan.reduction import Variant, module, reduce_instance, sat_to_ep
+from epiplan.reduction.common import announcement
 from epiplan.suites import mutate_bisimilar, random_action, random_formula, random_state
 
 seeds = st.integers(0, 2**32 - 1)
@@ -310,17 +311,23 @@ def ref_refine(valuations, rows) -> tuple[list[int], int]:
         block = renumbered
 
 
-def ref_key(state) -> bytes:
-    """The key layout of ``minimize_with_key``, packed field by field from
-    ``ref_refine`` on the part reachable over pairs."""
+def _ref_minimized(state):
+    """``ref_refine`` on the part reachable over pairs: its worlds, valuations
+    and rows, the block ids and count, and each block's first world."""
     worlds, relations, vals = ref_generated(state)
-    agents = state.model.agents
-    rows = make_model(worlds, agents, relations, dict(zip(worlds, vals))).rows
+    rows = make_model(worlds, state.model.agents, relations, dict(zip(worlds, vals))).rows
     block, count = ref_refine(vals, rows)
     first = {}
     for i, b in enumerate(block):
         first.setdefault(b, i)
-    out = struct.pack(">III", agents, count, block[worlds.index(state.designated)])
+    return worlds, vals, rows, block, count, first
+
+
+def ref_key(state) -> bytes:
+    """The key layout of ``minimize_with_key``, packed field by field from
+    ``ref_refine`` on the part reachable over pairs."""
+    worlds, vals, rows, block, count, first = _ref_minimized(state)
+    out = struct.pack(">III", state.model.agents, count, block[worlds.index(state.designated)])
     for b in range(count):
         i = first[b]
         names = sorted(vals[i])
@@ -334,6 +341,35 @@ def ref_key(state) -> bytes:
             for r in ranks:
                 out += struct.pack(">I", r)
     return out
+
+
+def ref_search_key(state, table) -> tuple:
+    """The in-search key layout of ``minimize_with_key`` with ``table``: the
+    designated block, the table's id of each block's valuation (one byte
+    each when all of them fit, else a tuple), and one int whose fields,
+    ``count`` bits each, hold per block and agent the set of successor
+    blocks; field ``f = block * agents + agent`` sits ``f`` fields below
+    the top one."""
+    worlds, vals, rows, block, count, first = _ref_minimized(state)
+    fields = count * len(rows)
+    masks = 0
+    for b in range(count):
+        for a, row in enumerate(rows):
+            for r in {block[j] for j in row[first[b]]}:
+                masks += 1 << ((fields - 1 - (b * len(rows) + a)) * count + r)
+    vids = [table[frozenset(vals[first[b]])] for b in range(count)]
+    vids = bytes(vids) if all(v < 256 for v in vids) else tuple(vids)
+    return block[worlds.index(state.designated)], vids, masks
+
+
+def _assert_keys_match(keys, canonical) -> int:
+    """In-search keys are equal exactly where canonical keys are: each maps to
+    one of the other, both ways.  Returns the number of distinct keys."""
+    by_key, by_canonical = {}, {}
+    for key, canon in zip(keys, canonical, strict=True):
+        assert by_key.setdefault(key, canon) == canon, key
+        assert by_canonical.setdefault(canon, key) == key, key
+    return len(by_key)
 
 
 def _union(m1, m2) -> KripkeModel:
@@ -896,33 +932,102 @@ def test_refinement_numbering_and_key_bytes_match_full_rounds(seed, agents):
         _check_union(s1, s2)
 
 
+def _searched(monkeypatch, search) -> tuple[list, list, dict]:
+    """Run ``search()`` and return every state it minimized, the key it got
+    for each, and the one valuation table all those calls shared."""
+    calls = []
+
+    def spy(state, table):
+        result = minimize_with_key(state, table)
+        calls.append((state, table, result[1]))
+        return result
+
+    monkeypatch.setattr(planner, "minimize_with_key", spy)
+    search()
+    monkeypatch.undo()
+    table = calls[0][1]
+    assert all(t is table for _, t, _ in calls)
+    return [state for state, _, _ in calls], [key for _, _, key in calls], table
+
+
+def _check_search_keys(states, keys, table) -> tuple[int, int]:
+    """Check a search's in-search keys against the canonical keys, with more
+    states keyed through the same table: every fifth state's quotient, and
+    every seventh state pointed at each world of its model.  Each state's
+    key is built again, now that the table holds every id the search made.
+    Returns the number of keyed states and of distinct keys."""
+    more = [quotient(s) for s in states[::5]]
+    more += [EpistemicState.at(s.model, i) for s in states[::7]
+             for i in range(len(s.model.valuations))]
+    keys = keys + [minimize_with_key(s, table)[1] for s in more]
+    states = states + more
+    assert [minimize_with_key(s, table)[1] for s in states] == keys
+    return len(keys), _assert_keys_match(keys, [canonical_key(s) for s in states])
+
+
 def test_compiled_search_states_match_full_rounds(monkeypatch):
-    # every state a bounded search on each compiled example minimizes
+    # every state a bounded search on each compiled example minimizes; the
+    # S4_1 search minimizes states whose partition is not discrete
     inst = make_instance([("1", "101"), ("10", "00"), ("011", "11")])
     for variant in Variant:
-        states = []
-
-        def spy(state):
-            states.append(state)
-            return minimize_with_key(state)
-
-        monkeypatch.setattr(planner, "minimize_with_key", spy)
-        bfs_plan(reduce_instance(inst, variant), SearchBudget(max_depth=5, max_nodes=80))
-        monkeypatch.undo()
+        problem = reduce_instance(inst, variant)
+        states, keys, table = _searched(
+            monkeypatch, lambda: bfs_plan(problem, SearchBudget(max_depth=5, max_nodes=80)))
         assert len(states) >= 80, variant
         merged = 0
-        for state in states:
+        for state, key in zip(states, keys):
             g = generated_submodel(state).model
             block, count = _canonical_refine(g.valuations, g.rows)
             assert (block, count) == ref_refine(g.valuations, g.rows), variant
             merged += count < len(g.worlds)
             assert minimize_with_key(state)[1] == ref_key(state), variant
+            assert key == ref_search_key(state, table), variant
+        keyed, distinct = _check_search_keys(states, keys, table)
+        assert 1 < distinct < keyed, variant
         # pairs of search states, and each state with its own quotient
         pairs = list(zip(states, states[1:])) + [(s, quotient(s)) for s in states[::5]]
         hits = sum(_check_union(s1, s2) for s1, s2 in pairs)
         assert 0 < hits < len(pairs), variant
         if variant is Variant.S4_1:
             assert merged, "some search state is not minimal"
+
+
+def test_sat_search_keys_match_canonical_keys(monkeypatch):
+    for text in ("(p | q) & (!p | !q)", "p & !p", "(a | b | c) & (!a | !b) & (!b | !c)",
+                 "(a | !b) & (b | !c) & (c | !a) & (!a | !b | !c)"):
+        problem = sat_to_ep(parse(text))
+        states, keys, table = _searched(monkeypatch, lambda: s5_single_agent_plan(problem))
+        for state, key in zip(states, keys):
+            assert key == ref_search_key(state, table), text
+        keyed, distinct = _check_search_keys(states, keys, table)
+        assert 1 < distinct < keyed, text
+
+
+def test_search_keys_past_256_valuations_keep_their_encoding(monkeypatch):
+    # a root that sees 300 leaves, one valuation each, and an announcement
+    # per leaf that removes it: one search numbers 301 valuations
+    leaves = [frozenset({f"p{k}"}) for k in range(300)]
+    start = _leaves(leaves)
+    actions = {f"drop{k}": announcement(f"drop{k}", not_(prop(f"p{k}")), 1) for k in range(300)}
+    problem = PlanningProblem(start, actions, parse("q"), profile("K"))
+    states, keys, table = _searched(monkeypatch, lambda: bfs_plan(problem, SearchBudget(2, 40)))
+    assert len(table) == 301 and len(states) >= 40
+    # small states keyed before and after the table grows past 256 ids
+    small = [module(variant).initial_state() for variant in Variant]
+    fresh: dict = {}
+    before = [minimize_with_key(s, fresh)[1] for s in small]
+    assert len(fresh) < 256
+    grown = [minimize_with_key(s, fresh)[1] for s in states]
+    assert len(fresh) > 256
+    assert [minimize_with_key(s, fresh)[1] for s in small] == before
+    assert {type(key[1]) for key in before} == {bytes}
+    assert {type(key[1]) for key in grown} == {tuple}
+    # with either table, the keys split the states as the canonical keys do
+    canonical = [canonical_key(s) for s in states + small]
+    assert _assert_keys_match(grown + before, canonical) == len(canonical)
+    keyed, distinct = _check_search_keys(states + small, keys + [
+        minimize_with_key(s, table)[1] for s in small], table)
+    assert 1 < distinct < keyed
 
 
 def _word(rng: random.Random) -> str:
