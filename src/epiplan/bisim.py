@@ -14,6 +14,21 @@ When the partition is discrete, as it is for most search products, the
 quotient is the generated part's own state, built by
 ``kripke.part_state`` from the rows ``generated_part`` induced.
 
+Every partition that merges worlds is certified before anything is built
+from it, by a check that reads only the block map and the generated part
+and shares no code with the refinement (a certifying algorithm in the
+sense of McConnell, Mehlhorn, Näher & Schweitzer, 2011): every world has
+its block representative's valuation, and under each agent every world's
+successors hit the same set of blocks as its representative's.  Then
+world -> block is a bounded morphism (Blackburn, de Rijke & Venema,
+*Modal Logic*, §2.1) onto the quotient, so every state is bisimilar to its
+quotient, which both keys serialize; equal keys therefore mean bisimilar
+states, whatever the refinement did.  The check is linear in the part's
+edges.  A failed condition raises ``AssertionError`` naming it: a wrong
+partition is an engine fault, never a verdict.  A discrete partition is
+not checked, as its quotient is the generated part itself.  ``bisimilar``
+builds no quotient and is not certified.
+
 Block numbering is canonical: ids follow the order of the signatures
 themselves (not of first occurrence), so the final numbering depends
 only on the isomorphism class of the reachable model.  That is what
@@ -129,14 +144,51 @@ def _canonical_refine(valuations, succ) -> tuple[list[int], int]:
 
 
 def _minimize(state: EpistemicState):
-    """The generated part, its canonical blocks, and each block's first world."""
+    """The generated part, its canonical blocks, and each block's first world.
+
+    A partition that merges worlds is certified by ``_certify`` first.
+    """
     part = generated_part(state)
     _, vals, rows, _ = part
     block, count = _canonical_refine(vals, rows)
     rep = [0] * count
     for i in reversed(range(len(vals))):
         rep[block[i]] = i
+    if count < len(vals):
+        _certify(vals, rows, block, rep)
     return part, block, count, rep
+
+
+def _certify(vals, rows, block, rep) -> None:
+    """Raise AssertionError unless world -> block is a bounded morphism onto the quotient.
+
+    ``block`` maps each world to its block and ``rep`` each block to its
+    first world.  Checked: every world has its representative's valuation,
+    and per agent every world's successors hit the same set of blocks as
+    its representative's successors.  A representative agrees with itself,
+    so only the other worlds are read, each with its representative's
+    successor blocks, made once per block.  Reads nothing of the refinement
+    but its output, and raises explicitly, so ``python -O`` keeps the check.
+    """
+    get = block.__getitem__
+    hit = [None] * len(rep)
+    for i, b in enumerate(block):
+        r = rep[b]
+        if r == i:
+            continue
+        if vals[i] != vals[r]:
+            raise AssertionError(
+                f"quotient certificate: world {i} and its block's representative {r} "
+                f"differ in valuation"
+            )
+        if hit[b] is None:
+            hit[b] = [set(map(get, row[r])) for row in rows]
+        for agent, (row, blocks) in enumerate(zip(rows, hit[b])):
+            if set(map(get, row[i])) != blocks:
+                raise AssertionError(
+                    f"quotient certificate: under agent {agent}, world {i} and its block's "
+                    f"representative {r} have successors in different blocks"
+                )
 
 
 def _quotient_state(state: EpistemicState, minimized) -> EpistemicState:

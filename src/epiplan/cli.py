@@ -58,8 +58,14 @@ def _parse_plan(text: str) -> list[str]:
 
 
 def _budget(args) -> SearchBudget:
-    return SearchBudget(max_depth=args.max_depth, max_nodes=args.max_nodes,
-                        paranoid_bisim_check=args.paranoid)
+    return SearchBudget(max_depth=args.max_depth, max_nodes=args.max_nodes)
+
+
+def _emit_outcome(args, outcome, **extra) -> int:
+    """Print a search outcome's JSON with ``extra`` fields; --verbose adds its stats line."""
+    _trace(args, f"search stats: {outcome.stats}")
+    _emit({**outcome.to_json(), **extra})
+    return outcome.exit_code
 
 
 def cmd_check(args) -> int:
@@ -125,10 +131,7 @@ def cmd_reduce(args) -> int:
 
 def cmd_plan(args) -> int:
     problem = problem_from_json(_load(args.problem))
-    outcome = bfs_plan(problem, _budget(args))
-    _trace(args, f"search stats: {outcome.stats}")
-    _emit(outcome.to_json())
-    return outcome.exit_code
+    return _emit_outcome(args, bfs_plan(problem, _budget(args)))
 
 
 def cmd_verify(args) -> int:
@@ -144,22 +147,17 @@ def cmd_solve_pcp(args) -> int:
     variant = Variant(args.variant)
     problem = reduce_instance(inst, variant)
     outcome = bfs_plan(problem, _budget(args))
-    doc = outcome.to_json()
-    if isinstance(outcome, PlanFound):
-        match = plan_match_prefix(outcome.plan, variant)
-        doc["match"] = list(match)
-        doc["word"] = matched_word(inst, match)
-    _emit(doc)
-    return outcome.exit_code
+    if not isinstance(outcome, PlanFound):
+        return _emit_outcome(args, outcome)
+    match = plan_match_prefix(outcome.plan, variant)
+    return _emit_outcome(args, outcome, match=list(match), word=matched_word(inst, match))
 
 
 def cmd_sat2ep(args) -> int:
     phi = parse(args.formula)
     problem = sat_to_ep(phi)
     if args.solve:
-        outcome = s5_single_agent_plan(problem)
-        _emit(outcome.to_json())
-        return outcome.exit_code
+        return _emit_outcome(args, s5_single_agent_plan(problem))
     _emit(problem_to_json(problem))
     return 0
 
@@ -230,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_budget(p):
         p.add_argument("--max-depth", type=int, default=20)
         p.add_argument("--max-nodes", type=int, default=100000)
-        p.add_argument("--paranoid", action="store_true")
 
     p = sub.add_parser("plan", help="bounded breadth-first plan search")
     p.add_argument("--problem", required=True)

@@ -19,10 +19,17 @@ search's own valuation table (see ``bisim``), which numbers each
 valuation the search meets.  Two such keys are equal iff the canonical
 keys of the states are, so dedup, counts and plans are those of a search
 on canonical keys; the keys are cheaper to build and smaller, and they
-mean nothing outside the search.  ``visited`` and the product memo hold
-these keys.  ``PlanFound.final_key`` is the printed canonical key: one
+mean nothing outside the search.  ``visited`` is a set of these keys and
+holds no state; the product memo maps identities to them.
+``PlanFound.final_key`` is the printed canonical key: one
 ``canonical_key`` call on the goal state (the start state when it is the
 goal), made once, when the search ends.
+
+Equal keys imply bisimilar states, which is what makes dedup, and so any
+NoPlanExhausted, sound: a key serializes the state's quotient, and
+``bisim`` certifies every quotient that merges worlds (the map world ->
+block is checked to be a bounded morphism) and raises when it is not.
+The search itself never calls ``bisimilar``.
 
 Each search keeps a memo from a product's raw identity, the triple
 ``(rows, valuations, designated index)``, to its in-search key, and a
@@ -39,8 +46,7 @@ the older layer is dropped.  Eviction changes no count, plan or key: a
 hit is a dedup hit either way, and a miss recomputes the same key.  So
 the memo's memory follows the products minimized in the last two layers
 (each entry keeps that product's rows and valuations alive), not every
-product the search built.  With ``paranoid_bisim_check`` a memo hit is
-still checked with ``bisimilar``.
+product the search built.
 
 An applicable action that keeps the state (``action.keeps_state``: each
 world satisfies exactly one event's precondition and every edge
@@ -63,7 +69,8 @@ from collections import deque
 from dataclasses import dataclass
 
 from .action import FailureAt, applicable, apply_plan, keeps_state, product_update
-from .bisim import bisimilar, canonical_key, minimize_with_key, quotient
+from . import bisim
+from .bisim import canonical_key, minimize_with_key, quotient
 from .errors import NotEuclidean, NotSingleAgent
 from .formula import evaluate
 from .frames import FrameCondition, satisfies
@@ -82,12 +89,15 @@ __all__ = [
     "s5_single_agent_plan",
 ]
 
+# Not called here: ``bench/tracer.py`` wraps ``epiplan.planner.bisimilar``
+# by name (``TARGETS``), and that name must resolve.
+bisimilar = bisim.bisimilar
+
 
 @dataclass(frozen=True)
 class SearchBudget:
     max_depth: int
     max_nodes: int
-    paranoid_bisim_check: bool = False
 
     def __post_init__(self):
         if self.max_depth < 0 or self.max_nodes < 1:
@@ -168,7 +178,6 @@ def _bfs(
     goal,
     max_depth: int,
     max_nodes: int,
-    paranoid: bool,
 ) -> SearchOutcome:
     stats = SearchStats(nodes=1)
     table: dict = {}
@@ -177,9 +186,7 @@ def _bfs(
         stats.stop_reason = "goal"
         return PlanFound((), canonical_key(start), stats)
     names = sorted(actions)
-    visited: dict[tuple, EpistemicState | None] = {
-        start_key: start if paranoid else None
-    }
+    visited = {start_key}
     # the product memo by layer: entries made expanding the popped depth, and the one before
     keys, older_keys, layer = {_identity(start): start_key}, {}, 0
     queue: deque[tuple[EpistemicState, tuple[str, ...]]] = deque([(start, ())])
@@ -207,12 +214,6 @@ def _bfs(
                 stats.memo_hits += 1
             if key in visited:
                 stats.dedup_hits += 1
-                if paranoid:
-                    known = visited[key]
-                    if known is not None and not bisimilar(known, child):
-                        raise AssertionError(
-                            "canonical key collision between non-bisimilar states"
-                        )
                 continue
             child_plan = plan + (name,)
             stats.nodes += 1
@@ -220,7 +221,7 @@ def _bfs(
             if evaluate(child, goal):
                 stats.stop_reason = "goal"
                 return PlanFound(child_plan, canonical_key(child), stats)
-            visited[key] = child if paranoid else None
+            visited.add(key)
             if stats.nodes >= max_nodes:
                 stats.stop_reason = "nodes"
                 return BoundReached(stats)
@@ -241,18 +242,18 @@ def bfs_plan(problem: PlanningProblem, budget: SearchBudget) -> SearchOutcome:
     depth 1 are refused.
     """
     validate_problem(problem)
-    return _bfs(
-        problem.initial,
-        problem.actions,
-        problem.goal,
-        budget.max_depth,
-        budget.max_nodes,
-        budget.paranoid_bisim_check,
-    )
+    return _bfs(problem.initial, problem.actions, problem.goal, budget.max_depth, budget.max_nodes)
 
 
 def verify_plan(problem: PlanningProblem, plan) -> bool:
-    """Whether the plan applies from the initial state and reaches the goal."""
+    """Whether the plan applies from the initial state and reaches the goal.
+
+    The problem is validated first, as ``bfs_plan`` does, so an instance
+    the search refuses raises InvalidProblem here too.  Each replay step
+    is minimized, so a wrong quotient raises (see ``bisim``) rather than
+    passing as a verdict on the plan.
+    """
+    validate_problem(problem)
     result = apply_plan(problem.initial, problem.actions, list(plan), minimize=True)
     if isinstance(result, FailureAt):
         return False
@@ -289,7 +290,6 @@ def s5_single_agent_plan(problem: PlanningProblem) -> SearchOutcome:
         problem.goal,
         max_depth=bound,
         max_nodes=10**9,
-        paranoid=False,
     )
     if isinstance(outcome, BoundReached):
         # The depth cutoff equals the state-space diameter, so hitting it

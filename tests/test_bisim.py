@@ -130,3 +130,25 @@ def test_minimize_with_key_consistency():
         q, key = minimize_with_key(s)
         assert key == canonical_key(s)
         assert bisimilar(q, s)
+
+
+def test_the_certificate_rejects_a_too_coarse_map_and_accepts_the_true_one():
+    from epiplan.bisim import _canonical_refine, _certify
+
+    # each map merges two worlds that one condition alone tells apart: their
+    # valuations, or their successor blocks under agent 1 (agent 0 has no
+    # edges), one way round or the other
+    cases = [
+        (make_model(["w0", "w1", "w2"], 1, [set()], {"w1": ["p"]}), [0, 0, 1], "valuation"),
+        (make_model(["u0", "u1", "t"], 2, [set(), {("u0", "t"), ("t", "u1")}], {"t": ["q"]}),
+         [0, 0, 1], "agent 1, world 1"),
+        (make_model(["u0", "t", "u1"], 2, [set(), {("u1", "t")}], {"t": ["q"]}),
+         [0, 1, 0], "agent 1, world 2"),
+    ]
+    for model, coarse, condition in cases:
+        vals, rows = model.valuations, model.rows
+        rep = [coarse.index(b) for b in range(max(coarse) + 1)]
+        with pytest.raises(AssertionError, match=f"^quotient certificate: .*{condition}"):
+            _certify(vals, rows, coarse, rep)
+        block, count = _canonical_refine(vals, rows)
+        _certify(vals, rows, block, [block.index(b) for b in range(count)])

@@ -65,6 +65,33 @@ def test_verify_and_apply(capsys, fixtures):
     assert code == 1 and doc["failure_at"] == 0
 
 
+def test_verify_refuses_the_problems_plan_refuses(capsys, fixtures):
+    # a K1 problem under S5, whose frames it violates, and one whose ad_1
+    # has a designated precondition of depth 3; unvalidated, verify would
+    # answer {"valid": true} and {"valid": false} on these
+    from epiplan.formula import formula_to_json, know, true_
+
+    code, doc = run(capsys, "reduce", "--pcp", fixtures["pcp"], "--variant", "K1")
+    witness = "ad_1,ad_3,ad_2,ad_3,next_stage," + ",".join(
+        f"remove_{b}" for b in reversed("101110011")
+    )
+    wrong_logic = json.loads(json.dumps(doc))
+    wrong_logic["logic"] = "S5"
+    deep = json.loads(json.dumps(doc))
+    ad_1 = deep["actions"]["ad_1"]
+    ad_1["pre"][ad_1["designated"]] = formula_to_json(know(0, know(0, know(0, true_()))))
+    ad_1["depth_bound"] = None
+    path = fixtures["tmp"] / "prob.json"
+    for problem, message in ((wrong_logic, "frame conditions"), (deep, "depth 3 > 1")):
+        path.write_text(json.dumps(problem))
+        for argv in (["verify", "--problem", path, "--plan", witness],
+                     ["plan", "--problem", path, "--max-depth", "2", "--max-nodes", "10"]):
+            code = main([str(a) for a in argv])
+            captured = capsys.readouterr()
+            assert code == 3 and captured.out == "", (message, argv)
+            assert captured.err.startswith("error:") and message in captured.err, captured.err
+
+
 def test_apply_minimizes_the_final_state_once(capsys, fixtures, monkeypatch):
     from epiplan import bisim
 
@@ -89,17 +116,26 @@ def test_apply_minimizes_the_final_state_once(capsys, fixtures, monkeypatch):
 
 
 def test_plan_stats_report_memo_hits(capsys, fixtures):
+    # every search command prints its stats line under --verbose
+    from epiplan.planner import SearchStats
+
     code, doc = run(capsys, "reduce", "--pcp", fixtures["pcp"], "--variant", "K1")
     problem_path = fixtures["tmp"] / "prob.json"
     problem_path.write_text(json.dumps(doc))
-    argv = ["--verbose", "plan", "--problem", problem_path, "--max-depth", "4", "--max-nodes", "60"]
-    code = main([str(a) for a in argv])
-    captured = capsys.readouterr()
-    stats = json.loads(captured.out)["stats"]
-    assert code == 2 and set(stats) == {"nodes", "dedup_hits", "depth", "memo_hits", "stop_reason"}
-    assert stats["memo_hits"] <= stats["dedup_hits"]
-    assert f"memo_hits={stats['memo_hits']}" in captured.err
-    assert f"stop_reason={stats['stop_reason']!r}" in captured.err
+    budget = ["--max-depth", "4", "--max-nodes", "60"]
+    for argv, exit_code in ((["plan", "--problem", problem_path, *budget], 2),
+                            (["solve-pcp", "--pcp", fixtures["pcp"], "--variant", "K1", *budget], 2),
+                            (["solve-pcp", "--pcp", fixtures["easy"], "--variant", "K1"], 0),
+                            (["sat2ep", "--formula", "p & !q", "--solve"], 0)):
+        code = main([str(a) for a in ["--verbose", *argv]])
+        captured = capsys.readouterr()
+        stats = json.loads(captured.out)["stats"]
+        assert code == exit_code, argv
+        assert set(stats) == {"nodes", "dedup_hits", "depth", "memo_hits", "stop_reason"}
+        assert stats["memo_hits"] <= stats["dedup_hits"]
+        assert captured.err == f"search stats: {SearchStats(**stats)}\n", argv
+        assert f"memo_hits={stats['memo_hits']}" in captured.err
+        assert f"stop_reason={stats['stop_reason']!r}" in captured.err
 
 
 def test_solve_pcp_match_decoding(capsys, fixtures):
@@ -134,6 +170,11 @@ def test_search_budget_flags(capsys, fixtures):
         captured = capsys.readouterr()
         assert code == 3 and captured.out == "", flags
         assert captured.err.startswith("error: search budget needs max_depth >= 0")
+    # the budget is the search's only setting: --paranoid is an unknown argument
+    code = main(["plan", "--problem", "p.json", "--paranoid"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert "unrecognized arguments: --paranoid" in captured.err
 
 
 def test_minimize_round_trip(capsys, fixtures):

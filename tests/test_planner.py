@@ -21,8 +21,8 @@ UNSOLVABLE = make_instance([("0", "1")])
 EXAMPLE = make_instance([("1", "101"), ("10", "00"), ("011", "11")])
 
 
-def budget(depth=8, nodes=20000, **kw):
-    return SearchBudget(max_depth=depth, max_nodes=nodes, **kw)
+def budget(depth=8, nodes=20000):
+    return SearchBudget(max_depth=depth, max_nodes=nodes)
 
 
 def test_trivial_goal_found_at_depth_zero():
@@ -80,12 +80,6 @@ def test_monotone_in_depth():
         assert isinstance(outcome, PlanFound) and len(outcome.plan) == 4
 
 
-def test_paranoid_mode_agrees():
-    problem = reduce_instance(EASY, Variant.K1)
-    outcome = bfs_plan(problem, budget(paranoid_bisim_check=True))
-    assert isinstance(outcome, PlanFound) and len(outcome.plan) == 4
-
-
 def test_verify_plan_examples():
     problem = reduce_instance(EASY, Variant.K1)
     plan = match_to_plan(EASY, (1,), Variant.K1)
@@ -94,6 +88,44 @@ def test_verify_plan_examples():
     assert not verify_plan(problem, ["remove_0"])
     with pytest.raises(errors.UnknownActionName):
         verify_plan(problem, ["fly"])
+
+
+def _valuation_classes(valuations, succ):
+    """A refinement that is too coarse: the valuation classes alone."""
+    ids = {v: r for r, v in enumerate(sorted(set(valuations), key=sorted))}
+    return [ids[v] for v in valuations], len(ids)
+
+
+def _one_round(valuations, succ):
+    """A refinement stopped after its first round."""
+    block, _ = _valuation_classes(valuations, succ)
+    sigs = [(block[i], *(tuple(sorted({block[j] for j in row[i]})) for row in succ))
+            for i in range(len(valuations))]
+    ids = {sig: r for r, sig in enumerate(sorted(set(sigs)))}
+    return [ids[sig] for sig in sigs], len(ids)
+
+
+@pytest.mark.parametrize("refine", [_valuation_classes, _one_round])
+def test_a_broken_refinement_raises_and_never_verifies_a_plan(monkeypatch, refine):
+    # ("ad_1", "next_stage") is no plan on EXAMPLE, but an uncertified
+    # search on the valuation classes finds it for every variant.  Each
+    # search must raise on its first merged partition, and verify_plan
+    # raise or answer False, never True.
+    from epiplan import bisim
+
+    plan = ("ad_1", "next_stage")
+    problems = [reduce_instance(EXAMPLE, variant) for variant in Variant]
+    assert not any(verify_plan(problem, plan) for problem in problems)
+    monkeypatch.setattr(bisim, "_canonical_refine", refine)
+    verdicts = []
+    for problem in problems:
+        with pytest.raises(AssertionError, match="^quotient certificate"):
+            bfs_plan(problem, budget(depth=12, nodes=3000))
+        try:
+            verdicts.append(verify_plan(problem, plan))
+        except AssertionError as exc:
+            verdicts.append(str(exc).split(":")[0])
+    assert set(verdicts) <= {False, "quotient certificate"} and "quotient certificate" in verdicts
 
 
 def test_validate_problem_rejects_deep_preconditions():
@@ -275,10 +307,16 @@ def _counted_keeps_state(monkeypatch, kept):
     monkeypatch.setattr(planner, "keeps_state", keeps_state)
 
 
-def test_paranoid_mode_checks_every_dedup_hit_memo_hit_or_not(monkeypatch):
+def test_dedup_hits_memo_hits_and_kept_children_are_counted(monkeypatch):
+    from epiplan import bisim, planner
     from epiplan.action import make_action
 
-    calls = _counted_calls(monkeypatch, "bisimilar", "minimize_with_key", "product_update")
+    calls = _counted_calls(monkeypatch, "minimize_with_key", "product_update")
+    # the planner re-exports ``bisimilar`` for the benchmark's tracer; neither
+    # that name nor ``bisim.bisimilar`` may be called by a search
+    compared = []
+    monkeypatch.setattr(bisim, "bisimilar", lambda *args: compared.append(args))
+    monkeypatch.setattr(planner, "bisimilar", bisim.bisimilar)
     kept = []
     _counted_keeps_state(monkeypatch, kept)
     # "copy" doubles the world into a bisimilar but larger product (a dedup
@@ -289,14 +327,14 @@ def test_paranoid_mode_checks_every_dedup_hit_memo_hit_or_not(monkeypatch):
     )
     ident = make_action(["e"], 1, [{("e", "e")}], {"e": true_()}, "e")
     problem = _one_world_problem(parse("q"), {"copy": copy, "id": ident})
-    outcome = bfs_plan(problem, SearchBudget(2, 10, paranoid_bisim_check=True))
+    outcome = bfs_plan(problem, SearchBudget(2, 10))
     assert isinstance(outcome, NoPlanExhausted)
     assert (outcome.stats.nodes, outcome.stats.dedup_hits) == (1, 2)
     assert (calls["product_update"], kept.count(True)) == (1, 1)
     memo_hits = calls["product_update"] + kept.count(True) - (calls["minimize_with_key"] - 1)
     assert memo_hits == outcome.stats.memo_hits == 1
     assert outcome.to_json()["stats"]["memo_hits"] == 1
-    assert calls["bisimilar"] == outcome.stats.dedup_hits
+    assert compared == []
 
 
 def test_searches_build_no_world_names(monkeypatch):

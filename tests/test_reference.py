@@ -49,8 +49,8 @@ from epiplan.action import (
     product_update,
 )
 from epiplan import planner
-from epiplan.bisim import (_canonical_refine, _valuation_code, bisimilar, canonical_key,
-                           minimize_with_key, quotient)
+from epiplan.bisim import (_canonical_refine, _certify, _valuation_code, bisimilar,
+                           canonical_key, minimize_with_key, quotient)
 from epiplan.formula import (And, FalseF, Formula, Know, Not, Prop, and_, conj, diamond, disj,
                              evaluate, evaluate_at, extension_mask, know, not_, or_, parse, prop,
                              to_text)
@@ -487,6 +487,40 @@ def test_quotient_is_a_minimal_bisimilar_idempotent_state(seed, agents):
     )
     assert names[0] == firsts
     assert (names[1], s.designated) in alike
+
+
+def _certified(vals, rows, block) -> bool:
+    """Whether ``_certify`` accepts the map ``block``, each block represented by its first world."""
+    try:
+        _certify(vals, rows, block, [block.index(b) for b in range(max(block) + 1)])
+    except AssertionError:
+        return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(seeds, agent_counts)
+def test_the_certificate_accepts_a_map_iff_its_blocks_are_bisimilar(seed, agents):
+    # on the part reachable over pairs: the refinement's map, and every map
+    # merging two of its blocks of equal valuation, a strict coarsening of
+    # the coarsest bisimulation that the certificate must reject
+    s = _state(random.Random(seed), agents)
+    worlds, relations, vals = ref_generated(s)
+    model = make_model(worlds, s.model.agents, relations, dict(zip(worlds, vals)))
+    vals, rows = model.valuations, model.rows
+    alike = ref_bisimulation(model, model)
+    block, count = _canonical_refine(vals, rows)
+    maps = [block] + [
+        [b1 if b == b2 else b - (b > b2) for b in block]
+        for b1, b2 in itertools.combinations(range(count), 2)
+        if vals[block.index(b1)] == vals[block.index(b2)]
+    ]
+    for k, coarse in enumerate(maps):
+        bisimilar_blocks = all(
+            (worlds[i], worlds[j]) in alike
+            for i, j in itertools.combinations(range(len(worlds)), 2) if coarse[i] == coarse[j]
+        )
+        assert _certified(vals, rows, coarse) == bisimilar_blocks == (k == 0), (k, coarse)
 
 
 @settings(max_examples=200, deadline=None)
