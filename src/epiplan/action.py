@@ -20,7 +20,8 @@ subformulas in an order computed once and kept on the formula node.
 The update then visits only the world/event pairs it keeps, taken from
 the set bits of those masks, never all of them.  Goal checks
 (``formula.evaluate``) stay pointwise: they need one world, and there
-the short-circuiting walk beats building full masks.
+the short-circuiting check compiled once per formula beats building full
+masks.
 
 Both read the designated world and event by index.  The product's world
 names ``"(u,e)"`` are a recipe over the state's names (``kripke._Names``),

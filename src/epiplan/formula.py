@@ -14,6 +14,17 @@ Concrete syntax::
 with precedence ``!`` > ``&`` > ``|`` > ``->`` and parentheses.
 Identifiers are nonempty runs of ``[A-Za-z0-9_#]``; ``#``, ``#1`` and
 ``#2`` are legal proposition names.
+
+Two evaluators serve two needs.  ``extension_mask`` computes the set of
+worlds where a formula holds, as a bitmask memoized per model; the
+product update and the applicability tests read those.  ``evaluate`` and
+``evaluate_at`` answer at one world, as goal checks need: each formula's
+pointwise check is compiled once, on its first pointwise evaluation, into
+nested closures kept on the node.  The program tests a ``K`` or ``<K>`` of
+a literal in one loop over the successors' valuations, walks a
+conjunction chain as one loop, drops double negations and tests ``!p``
+inline.  A formula nested too deeply for its program to be built or run
+is answered from its extension mask, which walks any depth.
 """
 from __future__ import annotations
 
@@ -36,7 +47,8 @@ if TYPE_CHECKING:
 # a call back into Python, and never part of a pickle.  The modal depth and
 # the highest agent named (-1 for none) are computed once, from the
 # children's stored values, when a node is built; the post-order that
-# ``extension_mask`` walks starts as ``None`` and is filled on first use.
+# ``extension_mask`` walks and the pointwise program that ``evaluate`` runs
+# start as ``None`` and are filled on first use.
 # The table holds its nodes weakly, so a formula nobody references is
 # freed.  Every change to the table is made under the lock, so threads
 # building the same node get one object.  The lock is re-entrant, so
@@ -80,6 +92,7 @@ def _interned(key: tuple) -> Formula:
     object.__setattr__(node, "depth", depth)
     object.__setattr__(node, "max_agent", top)
     object.__setattr__(node, "_order", None)
+    object.__setattr__(node, "_program", None)
     entry = _Entry(node, _forget)
     entry.key = key
     with _INTERN_LOCK:
@@ -98,13 +111,15 @@ class Formula:
     ``depth`` is the stored modal depth and ``max_agent`` the highest
     ``K{i}`` agent in the formula, -1 if it has none.  ``_order`` holds
     the proper subformulas in post-order once ``extension_mask`` has
-    needed them (``None`` before); it never holds the node itself, so a
-    node is in no reference cycle and dies with its last reference.
+    needed them, and ``_program`` the pointwise check once ``evaluate``
+    has (both ``None`` before).  Neither holds the node itself, and the
+    program holds no node at all, so a node is in no reference cycle and
+    dies with its last reference.
     Pickling and copying rebuild through the constructor from the
     subclass's fields, so they return the interned node.
     """
 
-    __slots__ = ("depth", "max_agent", "_order", "__weakref__")
+    __slots__ = ("depth", "max_agent", "_order", "_program", "__weakref__")
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError(f"{type(self).__name__} nodes are immutable")
@@ -265,33 +280,182 @@ def propositions(f: Formula) -> frozenset[str]:
     return frozenset(g.name for g in seen if type(g) is Prop)
 
 
-def _eval(model: KripkeModel, i: int, f: Formula, memo: dict[Formula, bool] | None) -> bool:
-    """Truth of ``f`` at the world with index ``i``.
+# --- pointwise evaluation --------------------------------------------------
+#
+# A formula's pointwise check is compiled once, on its first pointwise
+# evaluation, into nested closures (Feeley & Lapalme, "Using closures for
+# code generation", Computer Languages 12(1), 1987) and kept on the node
+# (``Formula._program``).  A check is called as ``check(valuations, rows,
+# i, memo)`` and answers at world ``i``.  Negations are pushed into the
+# checks, so ``!!f`` is ``f`` and ``!p`` is one test; a conjunction chain is
+# one loop over its conjuncts; and a ``K``/``<K>`` whose operand is a
+# literal tests the successors' valuations in one loop, with no call per
+# successor.  ``memo`` is a list made per evaluation: slot ``k`` keeps the
+# value at the queried world of the ``k``-th ``Know`` met there; checks
+# built below a ``Know``, where the world changes, never read it.  The
+# closures hold names, agents, slot numbers and other closures, never a
+# node, so a node still dies with its last reference.
 
-    ``memo``, when given, keeps the value at ``i`` of each ``Know`` met at
-    ``i``; the walk passes ``None`` below a ``Know``, where the world changes.
-    """
-    t = type(f)
-    if t is Not:
-        return not _eval(model, i, f.sub, memo)
-    if t is And:
-        return _eval(model, i, f.left, memo) and _eval(model, i, f.right, memo)
-    if t is Prop:
-        return f.name in model.valuations[i]
-    if t is Know:
-        if memo is not None and f in memo:
-            return memo[f]
-        value = True
-        for j in model.rows[f.agent][i]:
-            if not _eval(model, j, f.sub, None):
-                value = False
-                break
-        if memo is not None:
-            memo[f] = value
-        return value
-    if t is FalseF:
+
+def _true(vals, rows, i, memo) -> bool:
+    return True
+
+
+def _false(vals, rows, i, memo) -> bool:
+    return False
+
+
+def _has(name: str):
+    def check(vals, rows, i, memo):
+        return name in vals[i]
+    return check
+
+
+def _lacks(name: str):
+    def check(vals, rows, i, memo):
+        return name not in vals[i]
+    return check
+
+
+def _not(sub):
+    def check(vals, rows, i, memo):
+        return not sub(vals, rows, i, memo)
+    return check
+
+
+def _all(parts: tuple):
+    def check(vals, rows, i, memo):
+        for part in parts:
+            if not part(vals, rows, i, memo):
+                return False
+        return True
+    return check
+
+
+def _not_all(parts: tuple):
+    def check(vals, rows, i, memo):
+        for part in parts:
+            if not part(vals, rows, i, memo):
+                return True
         return False
-    raise TypeError(f"not a formula: {f!r}")
+    return check
+
+
+def _know(agent: int, sub):
+    def check(vals, rows, i, memo):
+        for j in rows[agent][i]:
+            if not sub(vals, rows, j, None):
+                return False
+        return True
+    return check
+
+
+def _know_has(agent: int, name: str):
+    def check(vals, rows, i, memo):
+        for j in rows[agent][i]:
+            if name not in vals[j]:
+                return False
+        return True
+    return check
+
+
+def _know_lacks(agent: int, name: str):
+    def check(vals, rows, i, memo):
+        for j in rows[agent][i]:
+            if name in vals[j]:
+                return False
+        return True
+    return check
+
+
+def _kept(slot: int, sub):
+    def check(vals, rows, i, memo):
+        value = memo[slot]
+        if value is None:
+            value = memo[slot] = sub(vals, rows, i, memo)
+        return value
+    return check
+
+
+def _kept_not(slot: int, sub):
+    def check(vals, rows, i, memo):
+        value = memo[slot]
+        if value is None:
+            value = memo[slot] = sub(vals, rows, i, memo)
+        return not value
+    return check
+
+
+class _Builder:
+    """One program build: its checks, and the memo slot of each ``Know`` at the queried world.
+
+    Checks are keyed by node, polarity and whether they answer at the
+    queried world.  Each key is built once, and each ``And`` is walked
+    into a chain at most once besides being its own chain's root, so a
+    build is linear in the distinct subformulas.  It recurses, so a
+    formula nested too deeply raises ``RecursionError``.  The builder
+    holds nodes; the checks it returns do not.
+    """
+
+    def __init__(self) -> None:
+        self.built: dict[tuple, Any] = {}
+        self.walked: set[Formula] = set()
+        self.slots: dict[Formula, int] = {}
+
+    def build(self, g: Formula, negated: bool, top: bool):
+        while type(g) is Not:
+            g, negated = g.sub, not negated
+        key = (g, negated, top)
+        check = self.built.get(key)
+        if check is None:
+            check = self.built[key] = self.make(g, negated, top)
+        return check
+
+    def make(self, g: Formula, negated: bool, top: bool):
+        t = type(g)
+        if t is Prop:
+            return _lacks(g.name) if negated else _has(g.name)
+        if t is And:
+            # the conjuncts of the chain below g, left to right, each once
+            parts: dict[Formula, None] = {}
+            stack = [g.right, g.left]
+            while stack:
+                h = stack.pop()
+                while type(h) is Not and type(h.sub) is Not:
+                    h = h.sub.sub
+                if type(h) is And and h not in self.walked:
+                    self.walked.add(h)
+                    stack += (h.right, h.left)
+                else:
+                    parts[h] = None
+            checks = tuple([self.build(h, False, top) for h in parts])
+            return _not_all(checks) if negated else _all(checks)
+        if t is Know:
+            sub, flipped = g.sub, False
+            while type(sub) is Not:
+                sub, flipped = sub.sub, not flipped
+            if type(sub) is Prop:
+                check = (_know_lacks if flipped else _know_has)(g.agent, sub.name)
+            else:
+                check = _know(g.agent, self.build(sub, flipped, False))
+            if top:
+                slot = self.slots.setdefault(g, len(self.slots))
+                return _kept_not(slot, check) if negated else _kept(slot, check)
+            return _not(check) if negated else check
+        if t is FalseF:
+            return _true if negated else _false
+        raise TypeError(f"not a formula: {g!r}")
+
+
+def _compile(f: Formula) -> tuple:
+    """``f``'s program: its check and the size of the memo a call passes it."""
+    builder = _Builder()
+    return builder.build(f, False, True), len(builder.slots)
+
+
+# the program kept by a formula nested too deeply to build: it is answered
+# from its extension mask from then on
+_TOO_DEEP = (None, 0)
 
 
 def _check_agents(model: KripkeModel, f: Formula) -> None:
@@ -307,14 +471,17 @@ def evaluate(state: EpistemicState, f: Formula) -> bool:
 def evaluate_at(state: EpistemicState, world: str, f: Formula) -> bool:
     """Truth of ``f`` at an arbitrary world of ``state``'s model.
 
-    A short-circuit walk that evaluates each distinct ``Know`` node at
-    ``world`` once per call.  Sound because a node is one formula (nodes are
-    hash-consed) and a ``Know``'s value at a world depends only on the
-    model, the world and the node; below a ``Know`` the walk keeps nothing.
-    The agents ``f`` names are checked before the walk (``UnknownAgent``),
-    so the answer never depends on where the walk stops.  A formula nested
-    deeper than the walk can recurse is answered from its extension mask
-    (``extension_mask``), which walks any depth.
+    Runs ``f``'s program, compiled on its first pointwise evaluation and
+    kept on the node: a short-circuit check that tests a ``K`` or ``<K>``
+    of a literal in one loop over the successors' valuations, walks a
+    conjunction chain as one loop, and evaluates each distinct ``Know``
+    node at ``world`` once per call.  Sound because a node is one formula
+    (nodes are hash-consed) and a ``Know``'s value at a world depends only
+    on the model, the world and the node; below a ``Know`` the check keeps
+    nothing.  The agents ``f`` names are checked first (``UnknownAgent``),
+    so the answer never depends on where the check stops.  A formula
+    nested too deeply for its program to be built or run is answered from
+    its extension mask (``extension_mask``), which walks any depth.
     """
     if world not in state.model:
         raise UnknownWorld(f"world {world!r} not in model")
@@ -323,10 +490,20 @@ def evaluate_at(state: EpistemicState, world: str, f: Formula) -> bool:
 
 def _evaluate(model: KripkeModel, i: int, f: Formula) -> bool:
     _check_agents(model, f)
-    try:
-        return _eval(model, i, f, {})
-    except RecursionError:
-        return bool(extension_mask(model, f) >> i & 1)
+    program = f._program
+    if program is None:
+        try:
+            program = _compile(f)
+        except RecursionError:
+            program = _TOO_DEEP
+        object.__setattr__(f, "_program", program)
+    check, size = program
+    if check is not None:
+        try:
+            return check(model.valuations, model.rows, i, [None] * size)
+        except RecursionError:
+            pass
+    return bool(extension_mask(model, f) >> i & 1)
 
 
 def extension_mask(model: KripkeModel, f: Formula) -> int:
@@ -342,9 +519,9 @@ def extension_mask(model: KripkeModel, f: Formula) -> int:
     memo holds.  That order is built by ``subformulas`` on the first miss
     with ``f`` as root and kept on the node (``Formula._order``), so every
     later model reuses it.  ``evaluate`` comes here only for a formula
-    nested deeper than its walk can recurse: for one world its
-    short-circuit walk is faster than full masks.  Such a deep goal adds
-    its subformulas to the model's memo, as a precondition does.
+    nested too deeply for its compiled program: for one world the
+    short-circuit program is faster than full masks.  Such a deep goal
+    adds its subformulas to the model's memo, as a precondition does.
     """
     memo = model._memo
     if memo is None:

@@ -329,7 +329,12 @@ def generated_part(state: EpistemicState):
     if not unseen:
         return range(n), vals, rows, start
     kept = [i for i in range(n) if seen[i]]
-    return kept, tuple([vals[i] for i in kept]), _induced_rows(rows, kept), kept.index(start)
+    # the part is closed under successors, so every successor of a kept world is kept
+    new = [0] * n
+    for k, i in enumerate(kept):
+        new[i] = k
+    part_rows = tuple([tuple([tuple([new[j] for j in row[i]]) for i in kept]) for row in rows])
+    return kept, tuple([vals[i] for i in kept]), part_rows, new[start]
 
 
 def part_state(state: EpistemicState, part) -> EpistemicState:

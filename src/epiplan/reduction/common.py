@@ -94,9 +94,13 @@ def action_table(inst: PcpInstance, add_block: Callable, next_stage: Callable,
     return actions
 
 
+# built once, so its pointwise program is compiled once per process
+stage_one_left = and_(prop("root"), know(0, not_(prop("stg1"))))
+
+
 def left_stage_one(state: EpistemicState) -> bool:
     """Whether the designated world is the root and sees no stage-one marker."""
-    return evaluate(state, and_(prop("root"), know(0, not_(prop("stg1")))))
+    return evaluate(state, stage_one_left)
 
 
 def chain_failed_state(state: EpistemicState, failed: Formula, symb: Formula) -> bool:

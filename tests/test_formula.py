@@ -365,7 +365,7 @@ def test_nodes_reject_attribute_changes():
     p = prop("p")
     nodes = [false_(), p, not_(p), and_(p, p), know(1, p)]
     for node in nodes:
-        names = [*type(node).__slots__, "depth", "max_agent", "_order", "extra"]
+        names = [*type(node).__slots__, "depth", "max_agent", "_order", "_program", "extra"]
         for name in names:
             with pytest.raises(AttributeError):
                 setattr(node, name, p)
@@ -408,6 +408,44 @@ def test_the_cached_order_makes_no_reference_cycle():
     finally:
         if enabled:
             gc.enable()
+
+
+def test_a_compiled_node_dies_with_its_last_reference():
+    # the program a node keeps holds closures over names, agents and slots,
+    # never a node, so with the collector off the node still dies with its
+    # last reference and leaves the intern table
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        model = make_model(["u", "v"], 2, [{("u", "v"), ("v", "v")}, {("u", "u")}],
+                           {"v": {"program_probe_a"}})
+        state = EpistemicState(model, "u")
+        a, b = prop("program_probe_a"), prop("program_probe_b")
+        nested = know(1, know(0, and_(not_(a), not_(b))))
+        f = and_(and_(know(0, a), diamond(1, not_(b))), not_(nested))
+        assert evaluate(state, f) is True
+        assert f._program is not None
+        probe = weakref.ref(f)
+        del state, model, f, a, b, nested
+        assert probe() is None
+        assert (Prop, "program_probe_a") not in formula_module._INTERN
+        assert (Prop, "program_probe_b") not in formula_module._INTERN
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_a_conjunction_shared_in_its_own_chain_is_checked_once_per_node():
+    # 2**400 conjuncts as a tree, 401 nodes as a DAG: the program walks each
+    # node once, in its build and in its check
+    model = make_model(["u", "v"], 1, [{("u", "v")}], {"u": {"p"}, "v": {"q"}})
+    state = EpistemicState(model, "u")
+    for atom, value in ((prop("p"), True), (know(0, prop("q")), True), (prop("q"), False)):
+        f = atom
+        for k in range(400):
+            f = and_(f, not_(not_(f))) if k % 2 else and_(f, f)
+        assert evaluate(state, f) is value
+        assert evaluate_at(state, "v", f) is bool(extension_mask(model, f) >> 1 & 1)
 
 
 def test_pickle_from_a_process_with_another_hash_seed():

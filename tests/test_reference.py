@@ -861,6 +861,42 @@ def test_a_modal_atom_kept_at_the_queried_world_is_not_read_below_it():
         assert evaluate(state, f) is True
 
 
+# every shape the pointwise programs fuse: K and <K> of a literal, double
+# negations, negated atoms, chains nested either way (negated, with repeated
+# or shared links), a K met at the queried world and below another K, and
+# operands over several agents
+_FUSED_SHAPES = (
+    "K{0} p", "K{1} !p", "<K{0}> p", "<K{2}> !q", "K{0} !!p", "<K{1}> !!!r", "K{0} false",
+    "<K{1}> true", "!p", "!!p", "!!!q", "!!K{2} r",
+    "((p & !q) & K{0} r) & <K{1}> !p",
+    "p & (!q & (K{0} r & <K{1}> !p))",
+    "!!(p & q) & !!(!r & K{2} !p)",
+    "!((p & <K{0}> q) & (!r & K{1} q))",
+    "p & p & !!p & q",
+    "(p & q) & !(p & q)",
+    "!(p & q) & ((p & q) | r)",
+    "K{0} p & K{1} K{0} p",
+    "!K{1} K{0} p & K{0} p",
+    "<K{0}> q & K{2} <K{0}> q & !<K{0}> q",
+    "K{0} (p & K{1} q)",
+    "<K{2}> (K{0} p | <K{1}> !r)",
+    "K{1} (<K{0}> p & K{2} !q) | K{0} (K{2} !p & !r)",
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seeds)
+def test_fused_pointwise_checks_match_the_reference_at_every_world(seed):
+    s = _state(random.Random(seed), 3)
+    for text in _FUSED_SHAPES:
+        f = parse(text)
+        mask = extension_mask(s.model, f)
+        for i, w in enumerate(s.model.worlds):
+            expected = ref_eval(s.model, w, f)
+            assert evaluate_at(s, w, f) is expected, (text, w)
+            assert bool(mask >> i & 1) == expected, (text, w)
+
+
 def _tree_possibilify(f: Formula) -> Formula:
     """``p`` -> ``<K> p`` by a plain tree walk: every occurrence rebuilt."""
     if isinstance(f, Prop):
