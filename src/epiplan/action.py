@@ -15,13 +15,13 @@ Both ``applicable`` and ``product_update`` evaluate preconditions as
 extension masks (``formula.extension_mask``), memoized in the state's
 model, which makes its memo on the first precondition evaluated on it
 (``KripkeModel.formula_memo``): at one search node, every action's test
-and update share each subformula's mask.  Each precondition walks its
-subformulas in an order computed once and kept on the formula node.
-The update then visits only the world/event pairs it keeps, taken from
-the set bits of those masks, never all of them.  Goal checks
-(``formula.evaluate``) stay pointwise: they need one world, and there
-the short-circuiting check compiled once per formula beats building full
-masks.
+and update share each precondition's mask and each ``K`` mask met inside
+one.  Each precondition runs a mask program compiled once and kept on the
+formula node.  The update then visits only the world/event pairs it
+keeps, taken from the set bits of those masks, never all of them.  Goal
+checks (``formula.evaluate``) stay pointwise: they need one world, and
+there the short-circuiting check compiled once per formula beats
+building full masks.
 
 Both read the designated world and event by index.  The product's world
 names ``"(u,e)"`` are a recipe over the state's names (``kripke._Names``),
@@ -139,11 +139,10 @@ def make_action(
 
 
 def _same_agents(state: EpistemicState, action: EventModel) -> KripkeModel:
-    if state.model.agents != action.agents:
-        raise AgentMismatch(
-            f"state has {state.model.agents} agent(s), action has {action.agents}"
-        )
-    return state.model
+    model = state.model
+    if len(model.rows) != len(action.rows):
+        raise AgentMismatch(f"state has {model.agents} agent(s), action has {action.agents}")
+    return model
 
 
 def applicable(state: EpistemicState, action: EventModel) -> bool:

@@ -15,21 +15,24 @@ with precedence ``!`` > ``&`` > ``|`` > ``->`` and parentheses.
 Identifiers are nonempty runs of ``[A-Za-z0-9_#]``; ``#``, ``#1`` and
 ``#2`` are legal proposition names.
 
-Two evaluators serve two needs.  ``extension_mask`` computes the set of
+Two evaluators serve two needs, and each compiles a formula once into
+nested closures kept on the node.  ``extension_mask`` computes the set of
 worlds where a formula holds, as a bitmask memoized per model; the
-product update and the applicability tests read those.  ``evaluate`` and
-``evaluate_at`` answer at one world, as goal checks need: each formula's
-pointwise check is compiled once, on its first pointwise evaluation, into
-nested closures kept on the node.  The program tests a ``K`` or ``<K>`` of
-a literal in one loop over the successors' valuations, walks a
-conjunction chain as one loop, drops double negations and tests ``!p``
-inline.  A formula nested too deeply for its program to be built or run
-is answered from its extension mask, which walks any depth.
+product update and the applicability tests read those.  Its mask program
+pushes negations in, runs a conjunction chain as one loop that stops at
+0, and computes a ``K`` or ``<K>`` in one C-level pass over the agent's
+successor masks.  ``evaluate`` and ``evaluate_at`` answer at one world, as
+goal checks need.  Their pointwise program tests a ``K`` or ``<K>`` of a
+literal in one loop over the successors' valuations, walks a conjunction
+chain as one loop, drops double negations and tests ``!p`` inline.  A
+formula nested too deeply for a program to be built or run is answered by
+``extension_mask``'s walk over its subformulas, which handles any depth.
 """
 from __future__ import annotations
 
 import operator
 import re
+from itertools import compress
 import threading
 import weakref
 from typing import TYPE_CHECKING, Any, Container, Iterator
@@ -46,9 +49,9 @@ if TYPE_CHECKING:
 # identity hash ``object`` gives a valid hash: O(1), computed in C without
 # a call back into Python, and never part of a pickle.  The modal depth and
 # the highest agent named (-1 for none) are computed once, from the
-# children's stored values, when a node is built; the post-order that
-# ``extension_mask`` walks and the pointwise program that ``evaluate`` runs
-# start as ``None`` and are filled on first use.
+# children's stored values, when a node is built; the pointwise program that
+# ``evaluate`` runs, the mask program that ``extension_mask`` runs and the
+# post-order its fallback walks start as ``None`` and are filled on first use.
 # The table holds its nodes weakly, so a formula nobody references is
 # freed.  Every change to the table is made under the lock, so threads
 # building the same node get one object.  The lock is re-entrant, so
@@ -93,6 +96,7 @@ def _interned(key: tuple) -> Formula:
     object.__setattr__(node, "max_agent", top)
     object.__setattr__(node, "_order", None)
     object.__setattr__(node, "_program", None)
+    object.__setattr__(node, "_mask_program", None)
     entry = _Entry(node, _forget)
     entry.key = key
     with _INTERN_LOCK:
@@ -109,17 +113,21 @@ class Formula:
     Nodes are immutable and hash-consed: building a node equal to a live
     one returns that node, so ``==`` is ``is`` and ``hash`` is O(1).
     ``depth`` is the stored modal depth and ``max_agent`` the highest
-    ``K{i}`` agent in the formula, -1 if it has none.  ``_order`` holds
-    the proper subformulas in post-order once ``extension_mask`` has
-    needed them, and ``_program`` the pointwise check once ``evaluate``
-    has (both ``None`` before).  Neither holds the node itself, and the
-    program holds no node at all, so a node is in no reference cycle and
-    dies with its last reference.
+    ``K{i}`` agent in the formula, -1 if it has none.  ``_program`` holds
+    the pointwise check once ``evaluate`` has needed it, ``_mask_program``
+    the mask program once ``extension_mask`` has, and ``_order`` the
+    proper subformulas in post-order once ``extension_mask`` has walked
+    them, for a formula too deep for its mask program (all ``None``
+    before).  The pointwise check holds no node, the mask program only
+    the proper ``Know`` subformulas whose masks it keeps in a model's
+    memo, and the order only proper subformulas; none holds the node
+    itself, so a node is in no reference cycle and dies with its last
+    reference.
     Pickling and copying rebuild through the constructor from the
     subclass's fields, so they return the interned node.
     """
 
-    __slots__ = ("depth", "max_agent", "_order", "_program", "__weakref__")
+    __slots__ = ("depth", "max_agent", "_order", "_program", "_mask_program", "__weakref__")
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError(f"{type(self).__name__} nodes are immutable")
@@ -386,20 +394,45 @@ def _kept_not(slot: int, sub):
     return check
 
 
-class _Builder:
+class _Chains:
+    """What both program builders share: the conjuncts of a conjunction chain.
+
+    Each ``And`` is walked into a chain at most once besides being its own
+    chain's root, so with each (node, polarity) built once a build is
+    linear in the distinct subformulas.
+    """
+
+    def __init__(self) -> None:
+        self.walked: set[Formula] = set()
+
+    def conjuncts(self, g: And) -> dict[Formula, None]:
+        """The conjuncts of the chain below ``g``, left to right, each once."""
+        parts: dict[Formula, None] = {}
+        stack = [g.right, g.left]
+        while stack:
+            h = stack.pop()
+            while type(h) is Not and type(h.sub) is Not:
+                h = h.sub.sub
+            if type(h) is And and h not in self.walked:
+                self.walked.add(h)
+                stack += (h.right, h.left)
+            else:
+                parts[h] = None
+        return parts
+
+
+class _Builder(_Chains):
     """One program build: its checks, and the memo slot of each ``Know`` at the queried world.
 
     Checks are keyed by node, polarity and whether they answer at the
-    queried world.  Each key is built once, and each ``And`` is walked
-    into a chain at most once besides being its own chain's root, so a
-    build is linear in the distinct subformulas.  It recurses, so a
+    queried world, and each key is built once.  The build recurses, so a
     formula nested too deeply raises ``RecursionError``.  The builder
     holds nodes; the checks it returns do not.
     """
 
     def __init__(self) -> None:
+        super().__init__()
         self.built: dict[tuple, Any] = {}
-        self.walked: set[Formula] = set()
         self.slots: dict[Formula, int] = {}
 
     def build(self, g: Formula, negated: bool, top: bool):
@@ -416,19 +449,7 @@ class _Builder:
         if t is Prop:
             return _lacks(g.name) if negated else _has(g.name)
         if t is And:
-            # the conjuncts of the chain below g, left to right, each once
-            parts: dict[Formula, None] = {}
-            stack = [g.right, g.left]
-            while stack:
-                h = stack.pop()
-                while type(h) is Not and type(h.sub) is Not:
-                    h = h.sub.sub
-                if type(h) is And and h not in self.walked:
-                    self.walked.add(h)
-                    stack += (h.right, h.left)
-                else:
-                    parts[h] = None
-            checks = tuple([self.build(h, False, top) for h in parts])
+            checks = tuple([self.build(h, False, top) for h in self.conjuncts(g)])
             return _not_all(checks) if negated else _all(checks)
         if t is Know:
             sub, flipped = g.sub, False
@@ -481,7 +502,7 @@ def evaluate_at(state: EpistemicState, world: str, f: Formula) -> bool:
     nothing.  The agents ``f`` names are checked first (``UnknownAgent``),
     so the answer never depends on where the check stops.  A formula
     nested too deeply for its program to be built or run is answered from
-    its extension mask (``extension_mask``), which walks any depth.
+    its extension mask (``extension_mask``), whose walk handles any depth.
     """
     if world not in state.model:
         raise UnknownWorld(f"world {world!r} not in model")
@@ -506,22 +527,174 @@ def _evaluate(model: KripkeModel, i: int, f: Formula) -> bool:
     return bool(extension_mask(model, f) >> i & 1)
 
 
+# --- extension masks -------------------------------------------------------
+#
+# A formula's mask program is compiled once, on its first miss in a model's
+# memo, into nested closures like the pointwise checks and kept on the node
+# (``Formula._mask_program``).  A program is called as ``mask(prop_masks,
+# succ_masks, full, bits, memo)`` with the model's views (``KripkeModel.masks``),
+# the mask of every world, ``bits[i] == 1 << i`` for at least every world,
+# and the model's memo, and returns the mask of the worlds where its formula
+# holds.  Negations are pushed in, so ``!p`` is one ``full ^ prop_mask``; a
+# conjunction chain is one loop that stops at 0; and a ``K``/``<K>`` is one
+# C-level pass over the agent's successor masks that picks the worlds with a
+# successor in the operand's failing mask.  Each ``Know`` met below the root
+# keeps its mask in the memo, keyed by its node, so formulas evaluated on one
+# model share it; the closure of such a ``Know`` holds that node, a proper
+# subformula of the root, and no closure holds the root, so a node is still
+# in no reference cycle.
+
+
+def _mask_none(pm, sm, full, bits, memo) -> int:
+    return 0
+
+
+def _mask_full(pm, sm, full, bits, memo) -> int:
+    return full
+
+
+def _mask_has(name: str):
+    def mask(pm, sm, full, bits, memo):
+        return pm.get(name, 0)
+    return mask
+
+
+def _mask_lacks(name: str):
+    def mask(pm, sm, full, bits, memo):
+        return full ^ pm.get(name, 0)
+    return mask
+
+
+def _mask_all(parts: tuple):
+    def mask(pm, sm, full, bits, memo):
+        out = full
+        for part in parts:
+            out &= part(pm, sm, full, bits, memo)
+            if not out:
+                return 0
+        return out
+    return mask
+
+
+def _mask_not_all(parts: tuple):
+    def mask(pm, sm, full, bits, memo):
+        out = full
+        for part in parts:
+            out &= part(pm, sm, full, bits, memo)
+            if not out:
+                return full
+        return full ^ out
+    return mask
+
+
+# A ``K{a} f`` program is given the program of ``!f``; the worlds with an
+# ``a``-successor in that mask are those of ``!K{a} f``, picked by ``compress``.
+def _mask_box(agent: int, fails):
+    def mask(pm, sm, full, bits, memo):
+        return full ^ sum(compress(bits, map(fails(pm, sm, full, bits, memo).__and__, sm[agent])))
+    return mask
+
+
+def _mask_kept(node: Know, fails):
+    agent = node.agent
+
+    def mask(pm, sm, full, bits, memo):
+        out = memo.get(node)
+        if out is None:
+            out = memo[node] = full ^ sum(
+                compress(bits, map(fails(pm, sm, full, bits, memo).__and__, sm[agent])))
+        return out
+    return mask
+
+
+def _mask_kept_not(node: Know, fails):
+    agent = node.agent
+
+    def mask(pm, sm, full, bits, memo):
+        out = memo.get(node)
+        if out is None:
+            out = memo[node] = full ^ sum(
+                compress(bits, map(fails(pm, sm, full, bits, memo).__and__, sm[agent])))
+        return full ^ out
+    return mask
+
+
+class _MaskBuilder(_Chains):
+    """One mask program build for the root ``root``.
+
+    Programs are keyed by node and polarity, and each key is built once.
+    Every ``Know`` but the root keeps its mask in the memo; the root's is
+    kept by ``extension_mask``.  The build recurses, so a formula nested
+    too deeply raises ``RecursionError``.
+    """
+
+    def __init__(self, root: Formula) -> None:
+        super().__init__()
+        self.root = root
+        self.built: dict[tuple, Any] = {}
+
+    def build(self, g: Formula, negated: bool):
+        while type(g) is Not:
+            g, negated = g.sub, not negated
+        key = (g, negated)
+        program = self.built.get(key)
+        if program is None:
+            program = self.built[key] = self.make(g, negated)
+        return program
+
+    def make(self, g: Formula, negated: bool):
+        t = type(g)
+        if t is Prop:
+            return _mask_lacks(g.name) if negated else _mask_has(g.name)
+        if t is And:
+            parts = tuple([self.build(h, False) for h in self.conjuncts(g)])
+            return _mask_not_all(parts) if negated else _mask_all(parts)
+        if t is Know:
+            fails = self.build(g.sub, True)
+            if g is self.root:
+                return _mask_box(g.agent, fails)
+            return _mask_kept_not(g, fails) if negated else _mask_kept(g, fails)
+        if t is FalseF:
+            return _mask_full if negated else _mask_none
+        raise TypeError(f"not a formula: {g!r}")
+
+
+# the mask program kept by a formula nested too deeply to build: its masks
+# come from the walk over its subformulas from then on
+def _mask_too_deep(pm, sm, full, bits, memo) -> int:
+    raise RecursionError
+
+
+_BITS: tuple[int, ...] = ()
+
+
+def _bits(n: int) -> tuple[int, ...]:
+    """``1 << i`` for every ``i < n`` at least; one shared tuple, replaced when it is too short."""
+    global _BITS
+    bits = _BITS
+    if len(bits) < n:
+        bits = _BITS = tuple([1 << i for i in range(max(n, 2 * len(bits)))])
+    return bits
+
+
 def extension_mask(model: KripkeModel, f: Formula) -> int:
     """Satisfying worlds of ``f`` as a bitmask over world indices.
 
     Masks are kept in the model's memo (``KripkeModel.formula_memo``),
-    made on the first miss on that model, so every call on one model,
-    such as the applicability tests and product updates of all actions at
-    one search node, computes each distinct subformula once (sound as in
-    ``evaluate_at``: a node is one formula).  A miss checks the agents
-    ``f`` names (``UnknownAgent``), then walks ``f``'s proper subformulas
-    in post-order, children first, and ``f`` last, skipping the nodes the
-    memo holds.  That order is built by ``subformulas`` on the first miss
-    with ``f`` as root and kept on the node (``Formula._order``), so every
-    later model reuses it.  ``evaluate`` comes here only for a formula
-    nested too deeply for its compiled program: for one world the
-    short-circuit program is faster than full masks.  Such a deep goal
-    adds its subformulas to the model's memo, as a precondition does.
+    made on the first miss on that model.  A miss checks the agents ``f``
+    names (``UnknownAgent``) and runs ``f``'s mask program, compiled on the
+    first miss on any model and kept on the node (``Formula._mask_program``).
+    The memo then holds ``f`` and each ``Know`` the program evaluated, so
+    every call on one model, such as the applicability tests and product
+    updates of all actions at one search node, computes each of those once
+    (sound as in ``evaluate_at``: a node is one formula).
+    A formula nested too deeply for its program to be built or run is
+    answered by a walk over its proper subformulas in post-order, children
+    first, then ``f``, skipping the nodes the memo holds and adding the
+    rest; that order is built by ``subformulas`` on the first walk and kept
+    on the node (``Formula._order``), and it walks any depth.  ``evaluate``
+    comes here only for a formula nested too deeply for its pointwise
+    program.
     """
     memo = model._memo
     if memo is None:
@@ -531,6 +704,21 @@ def extension_mask(model: KripkeModel, f: Formula) -> int:
         if hit is not None:
             return hit
     _check_agents(model, f)
+    program = f._mask_program
+    if program is None:
+        try:
+            program = _MaskBuilder(f).build(f, False)
+        except RecursionError:
+            program = _mask_too_deep
+        object.__setattr__(f, "_mask_program", program)
+    prop_masks, succ_masks, _ = model.masks()
+    n = len(model.valuations)
+    full = (1 << n) - 1
+    try:
+        out = memo[f] = program(prop_masks, succ_masks, full, _bits(n), memo)
+        return out
+    except RecursionError:
+        pass
     order = f._order
     if order is None:
         done: dict[Formula, None] = {}
@@ -539,8 +727,6 @@ def extension_mask(model: KripkeModel, f: Formula) -> int:
         done.popitem()  # f itself, yielded last: the node must not hold itself
         order = tuple(done)
         object.__setattr__(f, "_order", order)
-    prop_masks, succ_masks, _ = model.masks()
-    full = (1 << len(model.valuations)) - 1
     for g in (*order, f):
         if g in memo:
             continue

@@ -23,10 +23,12 @@ first name lookup.
 
 A model owns its derived views, which live and die with it: ``masks()``
 builds its bitmask views in one cached slot, and ``formula_memo()``
-makes, on the first formula evaluated on the model, the memo that holds
-the extension mask of each subformula evaluated on it so far (filled by
-``formula.extension_mask``), so every action tried at one search node
-shares them.  A model no formula is evaluated on gets no memo.
+makes, on the first formula evaluated on the model, the memo that
+``formula.extension_mask`` fills: the mask of each formula evaluated on
+the model and of each ``K`` subformula its program evaluated (of every
+subformula, for a formula too deep for a program), so every action tried
+at one search node shares them.  A model no formula is evaluated on gets
+no memo.
 """
 from __future__ import annotations
 

@@ -179,58 +179,56 @@ def _bfs(
     max_depth: int,
     max_nodes: int,
 ) -> SearchOutcome:
-    stats = SearchStats(nodes=1)
     table: dict = {}
     start, start_key = minimize_with_key(start, table)
     if evaluate(start, goal):
-        stats.stop_reason = "goal"
-        return PlanFound((), canonical_key(start), stats)
-    names = sorted(actions)
+        return PlanFound((), canonical_key(start), SearchStats(nodes=1, stop_reason="goal"))
+    named = [(name, actions[name]) for name in sorted(actions)]
     visited = {start_key}
     # the product memo by layer: entries made expanding the popped depth, and the one before
     keys, older_keys, layer = {_identity(start): start_key}, {}, 0
     queue: deque[tuple[EpistemicState, tuple[str, ...]]] = deque([(start, ())])
-    truncated = False
+    pop, push, add = queue.popleft, queue.append, visited.add
+    # the counts of SearchStats; plans are popped in length order, so a new
+    # node is never shallower than the deepest one before it
+    nodes, dedup_hits, depth, memo_hits = 1, 0, 0, 0
+    reason = "exhausted"
     while queue:
-        state, plan = queue.popleft()
+        state, plan = pop()
         if len(plan) >= max_depth:
-            truncated = True
+            reason = "depth"
             continue
         if len(plan) != layer:
             keys, older_keys, layer = {}, keys, len(plan)
-        for name in names:
-            action = actions[name]
+        for name, action in named:
             if not applicable(state, action):
                 continue
             # a kept state is its own product, renamed: no product is built
             product = state if keeps_state(state, action) else product_update(state, action)
-            identity = _identity(product)
+            model = product.model
+            identity = model.rows, model.valuations, product.designated_index  # _identity(product)
             key = keys.get(identity) or older_keys.get(identity)
             if key is None:
                 child, key = minimize_with_key(product, table)
                 keys[identity] = key
             else:
                 child = product
-                stats.memo_hits += 1
+                memo_hits += 1
             if key in visited:
-                stats.dedup_hits += 1
+                dedup_hits += 1
                 continue
             child_plan = plan + (name,)
-            stats.nodes += 1
-            stats.depth = max(stats.depth, len(child_plan))
+            nodes += 1
+            depth = len(child_plan)
             if evaluate(child, goal):
-                stats.stop_reason = "goal"
+                stats = SearchStats(nodes, dedup_hits, depth, memo_hits, "goal")
                 return PlanFound(child_plan, canonical_key(child), stats)
-            visited.add(key)
-            if stats.nodes >= max_nodes:
-                stats.stop_reason = "nodes"
-                return BoundReached(stats)
-            queue.append((child, child_plan))
-    if truncated:
-        stats.stop_reason = "depth"
-        return BoundReached(stats)
-    stats.stop_reason = "exhausted"
-    return NoPlanExhausted(stats)
+            add(key)
+            if nodes >= max_nodes:
+                return BoundReached(SearchStats(nodes, dedup_hits, depth, memo_hits, "nodes"))
+            push((child, child_plan))
+    stats = SearchStats(nodes, dedup_hits, depth, memo_hits, reason)
+    return NoPlanExhausted(stats) if reason == "exhausted" else BoundReached(stats)
 
 
 def bfs_plan(problem: PlanningProblem, budget: SearchBudget) -> SearchOutcome:

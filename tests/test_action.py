@@ -7,11 +7,13 @@ from epiplan.action import (
     action_to_json,
     applicable,
     apply_plan,
+    keeps_state,
     make_action,
     product_update,
 )
 from epiplan.bisim import bisimilar
-from epiplan.formula import evaluate_at, extension_mask, know, parse, prop, subformulas, to_text
+from epiplan.formula import (Know, evaluate_at, extension_mask, know, parse, prop, subformulas,
+                             to_text)
 from epiplan.kripke import EpistemicState, make_model
 from epiplan.pcp import make_instance
 from epiplan.reduction import k1
@@ -85,8 +87,10 @@ def test_precondition_of_any_depth_gets_its_mask():
 def test_agent_mismatch():
     from epiplan.reduction import multi
 
-    with pytest.raises(errors.AgentMismatch):
-        applicable(k1.initial_state(), multi.next_stage())
+    for entry in (applicable, keeps_state, product_update):
+        with pytest.raises(errors.AgentMismatch) as raised:
+            entry(k1.initial_state(), multi.next_stage())
+        assert str(raised.value) == "state has 1 agent(s), action has 2", entry
 
 
 def test_applicable_checks_every_agent_of_the_designated_precondition():
@@ -131,10 +135,13 @@ def test_product_update_shares_the_rows_of_repeated_masks():
 
 
 def test_a_model_gets_its_formula_memo_on_first_use():
+    # the memo keeps the formula evaluated and each Know its program met,
+    # here both of them; the walk over the subformulas never ran
     f = parse("K{0} (a & !b) | <K{0}> c")
     parts: dict = {}
     for g in subformulas(f, parts):
         parts[g] = None
+    kept = {g for g in parts if isinstance(g, Know)} | {f}
     action = make_action(["e", "g"], 1, [{("e", "g"), ("g", "e")}],
                          {"e": prop("a"), "g": prop("b")}, "e")
     model = make_model(["u", "v"], 1, [{("u", "v"), ("v", "u")}], {"u": {"a"}, "v": {"b"}})
@@ -142,8 +149,8 @@ def test_a_model_gets_its_formula_memo_on_first_use():
         assert model._memo is None
         mask = extension_mask(model, f)
         memo = model.formula_memo()
-        assert memo is model._memo and memo.keys() == parts.keys()
-        assert f._order == tuple(parts)[:-1]  # post-order, f itself left out
+        assert memo is model._memo and memo.keys() == kept
+        assert f._order is None
         assert extension_mask(model, f) == mask and model.formula_memo() is memo
         model = product_update(EpistemicState.at(model, 0), action).model
 
