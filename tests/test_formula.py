@@ -365,7 +365,8 @@ def test_nodes_reject_attribute_changes():
     p = prop("p")
     nodes = [false_(), p, not_(p), and_(p, p), know(1, p)]
     for node in nodes:
-        names = [*type(node).__slots__, "depth", "max_agent", "_order", "_program", "extra"]
+        names = [*type(node).__slots__, "depth", "max_agent", "_order", "_program", "_mask_program",
+                 "extra"]
         for name in names:
             with pytest.raises(AttributeError):
                 setattr(node, name, p)

@@ -459,10 +459,14 @@ def test_search_memory_grows_linearly_with_the_node_budget():
     # an unsatisfiable formula over 12 variables: every state has at most 13
     # worlds, so what the search keeps per node is bounded.  Four times the
     # nodes may take at most twice the traced peak per node, 8 times the
-    # peak: the frontier moves one level deeper, to states whose goal memos
-    # are larger (1.34 MB against 0.20 MB, 6.7x), and a peak quadratic in
-    # the nodes would take 16 times.  An untraced run first fills the
-    # process's caches, so that neither peak counts them.
+    # peak, and a peak quadratic in the nodes would take 16 times.  An
+    # untraced run first fills the process's caches, so that neither peak
+    # counts them.  It also fills the interpreter's free lists of small
+    # tuples and lists, and what a traced run takes from those is not
+    # traced: they serve a larger share of a smaller search.  That is why
+    # the peak per node still rises (636, 837, 1 290 and 1 319 B at 125,
+    # 250, 500 and 1 000 nodes); with the free lists emptied before tracing
+    # it falls (2 000, 1 904, 1 757 and 1 720 B).
     import tracemalloc
 
     problem = sat_to_ep(parse("p & !p & (" + " | ".join(f"x{i}" for i in range(12)) + ")"))

@@ -33,6 +33,7 @@ import pickle
 import random
 import re
 import struct
+import sys
 from collections import deque
 from dataclasses import replace
 from typing import NamedTuple
@@ -861,13 +862,13 @@ def test_a_modal_atom_kept_at_the_queried_world_is_not_read_below_it():
         assert evaluate(state, f) is True
 
 
-# every shape the pointwise programs fuse: K and <K> of a literal, double
-# negations, negated atoms, chains nested either way (negated, with repeated
-# or shared links), a K met at the queried world and below another K, and
-# operands over several agents
+# every shape the pointwise and mask programs fuse: K and <K> of a literal
+# or a constant, double negations, negated atoms, chains nested either way
+# (negated, with repeated or shared links), a K met at the queried world and
+# below another K, and operands over several agents
 _FUSED_SHAPES = (
     "K{0} p", "K{1} !p", "<K{0}> p", "<K{2}> !q", "K{0} !!p", "<K{1}> !!!r", "K{0} false",
-    "<K{1}> true", "!p", "!!p", "!!!q", "!!K{2} r",
+    "<K{1}> true", "K{2} true", "<K{0}> false", "!p", "!!p", "!!!q", "!!K{2} r",
     "((p & !q) & K{0} r) & <K{1}> !p",
     "p & (!q & (K{0} r & <K{1}> !p))",
     "!!(p & q) & !!(!r & K{2} !p)",
@@ -884,17 +885,73 @@ _FUSED_SHAPES = (
 )
 
 
+# formulas evaluated in this order on one model: the second and third read
+# the mask of K{0} (p & !q) that the first keeps, and the second has the
+# same operand under agent 1
+_SHARED_KNOW = ("r & K{0} (p & !q)", "r & !K{1} (p & !q) & K{0} (p & !q)",
+                "!r | K{0} (p & !q)")
+
+
+def _deep_alternation(levels: int) -> list[Formula]:
+    """``f_0 = p``, ``f_k+1 = !K{k % 3} f_k`` on even ``k`` and ``K{k % 3} (f_k & q)`` on odd."""
+    out = [prop("p")]
+    for k in range(levels):
+        f = out[-1]
+        out.append(not_(know(k % 3, f)) if k % 2 == 0 else know(k % 3, and_(f, prop("q"))))
+    return out
+
+
+def _ref_deep_alternation(model, levels: int) -> dict:
+    """Truth of ``_deep_alternation(levels)[-1]`` at each world, level by level."""
+    value = {w: "p" in _valuation(model, w) for w in model.worlds}
+    succs = [{w: _successors(model, a, w) for w in model.worlds} for a in range(3)]
+    for k in range(levels):
+        succ = succs[k % 3]
+        if k % 2 == 0:
+            value = {w: not all(value[v] for v in succ[w]) for w in model.worlds}
+        else:
+            value = {w: all(value[v] and "q" in _valuation(model, v) for v in succ[w])
+                     for w in model.worlds}
+    return value
+
+
+# each level adds a frame to the mask program's build
+_DEEP_LEVELS = sys.getrecursionlimit()
+_DEEP = _deep_alternation(_DEEP_LEVELS)[-1]
+
+
 @settings(max_examples=100, deadline=None)
 @given(seeds)
 def test_fused_pointwise_checks_match_the_reference_at_every_world(seed):
     s = _state(random.Random(seed), 3)
+
+    def fresh():
+        return KripkeModel(s.model.worlds, s.model.rows, s.model.valuations)
+
+    # each shape's mask on the model all shapes share, and on a model that
+    # holds nothing yet, so the shape's own program computes every part
     for text in _FUSED_SHAPES:
         f = parse(text)
-        mask = extension_mask(s.model, f)
+        mask, alone = extension_mask(s.model, f), extension_mask(fresh(), f)
         for i, w in enumerate(s.model.worlds):
             expected = ref_eval(s.model, w, f)
             assert evaluate_at(s, w, f) is expected, (text, w)
             assert bool(mask >> i & 1) == expected, (text, w)
+            assert bool(alone >> i & 1) == expected, (text, w)
+    model = fresh()
+    for text in _SHARED_KNOW:
+        f = parse(text)
+        mask = extension_mask(model, f)
+        for i, w in enumerate(model.worlds):
+            assert bool(mask >> i & 1) == ref_eval(model, w, f), (text, w)
+    # a formula too deep for its mask program to be built is answered by the
+    # walk over its subformulas
+    model = fresh()
+    mask = extension_mask(model, _DEEP)
+    assert _DEEP._order is not None
+    expected = _ref_deep_alternation(model, _DEEP_LEVELS)
+    for i, w in enumerate(model.worlds):
+        assert bool(mask >> i & 1) == expected[w], w
 
 
 def _tree_possibilify(f: Formula) -> Formula:
