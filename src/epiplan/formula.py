@@ -53,10 +53,14 @@ if TYPE_CHECKING:
 # ``evaluate`` runs, the mask program that ``extension_mask`` runs and the
 # post-order its fallback walks start as ``None`` and are filled on first use.
 # The table holds its nodes weakly, so a formula nobody references is
-# freed.  Every change to the table is made under the lock, so threads
-# building the same node get one object.  The lock is re-entrant, so
-# ``_forget``, which runs wherever a node happens to die, cannot deadlock
-# even if that is inside a locked block of the same thread.
+# freed.  A new node enters the table by one ``dict.setdefault``, which the
+# interpreter runs atomically, so of two threads racing to add a key one
+# wins and the other sees the winner's entry.  The lock is taken only where
+# an entry is replaced or removed: when the key already holds another entry
+# (the winner's, or a dead one whose removal is still pending), and in
+# ``_forget``.  So threads building the same node get one object.  The lock
+# is re-entrant, so ``_forget``, which runs wherever a node happens to die,
+# cannot deadlock even if that is inside a locked block of the same thread.
 class _Entry(weakref.ref):
     """A table entry: a weak reference to a node that knows its key."""
 
@@ -75,36 +79,6 @@ def _forget(entry: _Entry) -> None:
     with _INTERN_LOCK:
         if _INTERN.get(entry.key) is entry:
             del _INTERN[entry.key]
-
-
-def _interned(key: tuple) -> Formula:
-    """The live node of class ``key[0]`` with fields ``key[1:]``; built on a miss."""
-    node = _INTERN.get(key, _missing)()
-    if node is not None:
-        return node
-    cls, fields = key[0], key[1:]
-    node = object.__new__(cls)
-    for slot, value in zip(cls.__slots__, fields):
-        object.__setattr__(node, slot, value)
-    depth, top = 0, -1
-    for f in fields:
-        if isinstance(f, Formula):
-            depth, top = max(depth, f.depth), max(top, f.max_agent)
-    if cls is Know:
-        depth, top = depth + 1, max(top, fields[0])
-    object.__setattr__(node, "depth", depth)
-    object.__setattr__(node, "max_agent", top)
-    object.__setattr__(node, "_order", None)
-    object.__setattr__(node, "_program", None)
-    object.__setattr__(node, "_mask_program", None)
-    entry = _Entry(node, _forget)
-    entry.key = key
-    with _INTERN_LOCK:
-        won = _INTERN.get(key, _missing)()
-        if won is not None:
-            return won
-        _INTERN[key] = entry
-    return node
 
 
 class Formula:
@@ -185,6 +159,71 @@ class Know(Formula):
         if agent < 0:
             raise ValueError("agent index must be non-negative")
         return _interned((cls, agent, sub))
+
+
+def _interned(key: tuple) -> Formula:
+    """The live node of class ``key[0]`` with fields ``key[1:]``; built on a miss.
+
+    Each kind writes its slots through descriptor setters bound once below
+    and takes ``depth`` and ``max_agent`` from its own children.
+    """
+    node = _INTERN.get(key, _missing)()
+    if node is not None:
+        return node
+    cls = key[0]
+    node = _new(cls)
+    if cls is Not:
+        sub = key[1]
+        _set_not_sub(node, sub)
+        _set_depth(node, sub.depth)
+        _set_max_agent(node, sub.max_agent)
+    elif cls is And:
+        left, right = key[1], key[2]
+        _set_left(node, left)
+        _set_right(node, right)
+        a, b = left.depth, right.depth
+        _set_depth(node, a if a > b else b)
+        a, b = left.max_agent, right.max_agent
+        _set_max_agent(node, a if a > b else b)
+    elif cls is Know:
+        agent, sub = key[1], key[2]
+        _set_agent(node, agent)
+        _set_know_sub(node, sub)
+        _set_depth(node, sub.depth + 1)
+        top = sub.max_agent
+        _set_max_agent(node, agent if agent > top else top)
+    else:
+        if cls is Prop:
+            _set_name(node, key[1])
+        _set_depth(node, 0)
+        _set_max_agent(node, -1)
+    _set_order(node, None)
+    _set_program(node, None)
+    _set_mask_program(node, None)
+    entry = _Entry(node, _forget)
+    entry.key = key
+    held = _INTERN.setdefault(key, entry)
+    if held is not entry:
+        with _INTERN_LOCK:
+            won = _INTERN.get(key, _missing)()
+            if won is not None:
+                return won
+            _INTERN[key] = entry
+    return node
+
+
+_new = object.__new__
+_set_depth = Formula.depth.__set__
+_set_max_agent = Formula.max_agent.__set__
+_set_order = Formula._order.__set__
+_set_program = Formula._program.__set__
+_set_mask_program = Formula._mask_program.__set__
+_set_name = Prop.name.__set__
+_set_not_sub = Not.sub.__set__
+_set_left = And.left.__set__
+_set_right = And.right.__set__
+_set_agent = Know.agent.__set__
+_set_know_sub = Know.sub.__set__
 
 
 _PROP_NAME = re.compile(r"[A-Za-z0-9_#]+\Z")

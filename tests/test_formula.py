@@ -466,6 +466,81 @@ def test_pickle_from_a_process_with_another_hash_seed():
     assert {g: "found"}[f] == "found"
 
 
+class _CountingLock:
+    """A stand-in for the intern lock that counts how often it is taken."""
+
+    def __init__(self, lock):
+        self.lock, self.taken = lock, 0
+
+    def __enter__(self):
+        self.taken += 1
+        return self.lock.__enter__()
+
+    def __exit__(self, *exc):
+        return self.lock.__exit__(*exc)
+
+
+def test_a_dead_entry_is_replaced_by_one_fresh_node(monkeypatch):
+    table = formula_module._INTERN
+    key = (Prop, "planted_probe")
+    assert key not in table
+
+    class Gone:
+        pass
+
+    gone = Gone()
+    dead = formula_module._Entry(gone)
+    dead.key = key
+    del gone
+    assert dead() is None
+    real, made = formula_module._Entry, []
+
+    def counting(*args):
+        made.append(real(*args))
+        return made[-1]
+
+    lock = _CountingLock(formula_module._INTERN_LOCK)
+    monkeypatch.setattr(formula_module, "_Entry", counting)
+    monkeypatch.setattr(formula_module, "_INTERN_LOCK", lock)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        # an absent key is added without the lock
+        other = prop("unplanted_probe")
+        assert lock.taken == 0 and len(made) == 1
+        assert table[(Prop, "unplanted_probe")] is made[0] and made[0]() is other
+        # a key holding a dead entry takes the locked fallback once
+        table[key] = dead
+        node = prop("planted_probe")
+        assert lock.taken == 1 and len(made) == 2
+        assert table[key] is made[1] and made[1]() is node
+        assert node.name == "planted_probe" and node.depth == 0 and node.max_agent == -1
+        assert prop("planted_probe") is node and len(made) == 2 and lock.taken == 1
+    finally:
+        if table.get(key) is dead:
+            del table[key]
+        if enabled:
+            gc.enable()
+
+
+def test_fresh_nodes_of_every_kind_start_with_empty_caches():
+    table = formula_module._INTERN
+    a = prop("fresh_cache_probe")
+    nodes = [a, not_(a), and_(a, not_(a)), know(2, a)]
+    # the live ``false`` is shared and may be compiled; take its entry out
+    # for a moment to build a fresh one
+    live = table.pop((FalseF,))
+    try:
+        fresh_false = FalseF()
+    finally:
+        table[(FalseF,)] = live
+    assert fresh_false is not false_()
+    for node in [fresh_false, *nodes]:
+        assert (node._order, node._program, node._mask_program) == (None, None, None), node
+    assert [n.depth for n in nodes] == [0, 0, 0, 1]
+    assert [n.max_agent for n in nodes] == [-1, -1, -1, 2]
+
+
 def test_threads_racing_to_build_a_formula_get_one_object():
     threads, results = 4, []
     barrier = threading.Barrier(threads, timeout=60)

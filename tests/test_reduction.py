@@ -1,13 +1,32 @@
 """Compiler-level checks: counts, named formulas, oracles, witnesses, failure."""
+import gc
 import json
 import random
+from collections import Counter
 
 import pytest
 
-from epiplan import errors, reduction
+from epiplan import errors, formula, reduction
 from epiplan.action import FailureAt, action_to_json, applicable, apply_plan, product_update
 from epiplan.bisim import bisimilar, canonical_key
-from epiplan.formula import and_, diamond, evaluate, know, not_, or_, parse, prop
+from epiplan.formula import (
+    FalseF,
+    Formula,
+    Not,
+    Prop,
+    and_,
+    diamond,
+    evaluate,
+    false_,
+    implies,
+    know,
+    not_,
+    or_,
+    parse,
+    prop,
+    propositions,
+    true_,
+)
 from epiplan.frames import PROFILES, FrameCondition, closure, satisfies
 from epiplan.kripke import EpistemicState, KripkeModel, _Names, state_to_json
 from epiplan.pcp import brute_force_match, make_instance, matched_word
@@ -305,6 +324,114 @@ def test_sat_to_ep_examples():
     assert s5_single_agent_plan(sat_to_ep(parse("p & q"))).plan == ()
     assert s5_single_agent_plan(sat_to_ep(parse("p & !q"))).plan == ("delete_q",)
     assert isinstance(s5_single_agent_plan(sat_to_ep(parse("p & !p"))), NoPlanExhausted)
+
+
+def _reference_goal(f: Formula) -> Formula:
+    """``p`` -> ``<K> p`` by plain recursion over the tree, with no memo."""
+    if isinstance(f, Prop):
+        return diamond(0, f)
+    if isinstance(f, Not):
+        return not_(_reference_goal(f.sub))
+    if isinstance(f, FalseF):
+        return f
+    return and_(_reference_goal(f.left), _reference_goal(f.right))
+
+
+def _shared_formula(rng: random.Random, steps: int) -> Formula:
+    """A random propositional formula whose parts are drawn from a growing
+    pool, so subformulas are shared; double negations, ``true`` and
+    ``false`` occur."""
+    pool = [prop(name) for name in "abcd"] + [true_(), false_()]
+    for _ in range(steps):
+        x, y, pick = rng.choice(pool), rng.choice(pool), rng.random()
+        if pick < 0.25:
+            pool.append(not_(not_(x)))
+        elif pick < 0.4:
+            pool.append(not_(x))
+        elif pick < 0.7:
+            pool.append(and_(x, y))
+        elif pick < 0.9:
+            pool.append(or_(x, y))
+        else:
+            pool.append(implies(x, y))
+    return pool[-1]
+
+
+def test_sat_goal_and_variables_match_a_recursive_reference():
+    for seed in range(300):
+        rng = random.Random(seed)
+        phi = _shared_formula(rng, rng.randint(1, 12))
+        problem = sat_to_ep(phi)
+        assert problem.goal is _reference_goal(phi), seed
+        assert problem.meta["variables"] == sorted(propositions(phi)), seed
+
+
+def test_sat_compiles_a_deep_chain_and_a_shared_dag():
+    # a 50 000-deep left-nested conjunction: the walk uses no recursion
+    atoms = [prop(f"c{k}") for k in range(7)]
+    phi, goal = atoms[0], diamond(0, atoms[0])
+    for k in range(1, 50_000):
+        atom = atoms[k % 7]
+        phi, goal = and_(phi, atom), and_(goal, diamond(0, atom))
+    problem = sat_to_ep(phi)
+    assert problem.goal is goal
+    assert problem.meta["variables"] == sorted(a.name for a in atoms)
+    # 400 levels, 2**400 leaves as a tree: the walk maps each distinct node once
+    phi, goal = prop("p"), diamond(0, prop("p"))
+    for k in range(400):
+        if k % 2:
+            phi, goal = and_(phi, not_(not_(phi))), and_(goal, not_(not_(goal)))
+        else:
+            phi, goal = and_(phi, phi), and_(goal, goal)
+    problem = sat_to_ep(phi)
+    assert problem.goal is goal
+    assert problem.meta["variables"] == ["p"]
+
+
+def _every_key(roots) -> set[tuple]:
+    """The intern-table keys of every node reached from ``roots``."""
+    keys, stack = set(), list(roots)
+    while stack:
+        cls, fields = stack.pop().__reduce__()
+        key = (cls, *fields)
+        if key not in keys:
+            keys.add(key)
+            stack += [x for x in key[1:] if isinstance(x, Formula)]
+    return keys
+
+
+def test_sat_to_ep_builds_each_new_node_once(monkeypatch):
+    # the intern table gains exactly the goal and precondition nodes that
+    # were not live, and each of them is built once: a walk that builds a
+    # node, drops it and builds it again fails here
+    phi = parse("(bc_a | !bc_b | bc_c) & (!bc_a | bc_d | !bc_c) & (bc_b | !bc_d) & !(bc_e & bc_a)"
+                " & (bc_e | bc_c | bc_d) & !!bc_b")
+    table, real = formula._INTERN, formula._interned
+    built = Counter()
+
+    def counting(key):
+        fresh = table.get(key, lambda: None)() is None
+        node = real(key)
+        if fresh:
+            built[key] += 1
+        return node
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        before = {key for key, entry in list(table.items()) if entry() is not None}
+        monkeypatch.setattr(formula, "_interned", counting)
+        problem = sat_to_ep(phi)
+        monkeypatch.undo()
+        added = set(table) - before
+    finally:
+        if enabled:
+            gc.enable()
+    formulas = [problem.goal] + [pre for a in problem.actions.values() for pre in a.preconditions]
+    expected = _every_key(formulas) - before
+    assert len(expected) > 40
+    assert added == expected
+    assert built == Counter(dict.fromkeys(expected, 1))
 
 
 def test_keys_of_lemma_pairs_coincide():
